@@ -795,12 +795,15 @@ class _LoopRun:
         self.buf_staged = self.staged.data(self.buf)
         # scalar-flush support: the staged degree array doubles as a
         # Python list (built lazily, kept authoritative between vector
-        # flushes) when the CSR is small enough for list mirroring
+        # flushes) when the CSR is small enough for list mirroring;
+        # ``deg_dirty`` lists the entries the list holds that the array
+        # does not yet, so write-back costs the decrements, not ``n``
         self.scalar_ok = (
             self.offsets.data.size <= 200_000
             and self.neighbors.data.size <= 2_000_000
         )
         self.deg_list: Optional[List[int]] = None
+        self.deg_dirty: List[int] = []
         self.blocks = [_LoopBlock(i, self.warps) for i in range(self.grid)]
         # pending events, in emission order
         self.ev_block: List[int] = []
@@ -1024,6 +1027,7 @@ def _flush_scalar(
     if run.deg_list is None:
         run.deg_list = run.deg_staged.tolist()
     deg = run.deg_list
+    dirty = run.deg_dirty
     buf = run.buf_staged
     own = run.own_range
     lo, hi = own if own is not None else (0, 0)
@@ -1098,6 +1102,7 @@ def _flush_scalar(
             bi[b] += 2.0
             c = len(cand)
             if c:
+                dirty.extend(cand)
                 # Line 21: atomicSub (distinct addresses: no conflicts)
                 wi[g] += 1.0
                 wp[g] += gab
@@ -1168,6 +1173,21 @@ def _flush_scalar(
     acc.atomic_cycles += np.asarray(bat)
     acc.atomic_conflicts += np.asarray(bcf)
     np.maximum(acc.buffer_peak, np.asarray(bpk), out=acc.buffer_peak)
+    if len(dirty) > len(deg):
+        # past n entries a whole-array copy is cheaper, and it bounds
+        # the log's memory
+        run.deg_staged[:] = deg
+        dirty.clear()
+
+
+def _sync_deg(run: _LoopRun) -> None:
+    """Write the scalar path's decrements back to the staged array."""
+    dirty = run.deg_dirty
+    if dirty:
+        deg = run.deg_list
+        assert deg is not None
+        run.deg_staged[dirty] = [deg[x] for x in dirty]
+        dirty.clear()
 
 
 def _flush_events(run: _LoopRun) -> None:
@@ -1182,9 +1202,7 @@ def _flush_events(run: _LoopRun) -> None:
     k = run.k
     grid = run.grid
     nwarps = grid * run.warps
-    if run.deg_list is not None:
-        # the scalar path left the Python list authoritative
-        run.deg_staged[:] = run.deg_list
+    _sync_deg(run)
     ev_block = np.asarray(run.ev_block, dtype=np.int64)
     ev_gwid = np.asarray(run.ev_gwid, dtype=np.int64)
     v = _resolve_slot_events(run, ev_block, ev_gwid)
@@ -1253,8 +1271,7 @@ def _flush_events(run: _LoopRun) -> None:
         lo, hi = run.own_range
         newly &= (u >= lo) & (u < hi)
     np.subtract.at(run.deg_staged, u[cand], 1)
-    if run.deg_list is not None:
-        run.deg_list = run.deg_staged.tolist()
+    run.deg_list = None  # stale; the next scalar flush rebuilds it
 
     # -- per-trip costs -------------------------------------------------
     # sync_warp + neighbors gload + deg gload + charge(4), every trip
@@ -1457,8 +1474,7 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         _replay_prefetched(run)
     else:
         _replay_drain(run)
-    if run.deg_list is not None:
-        run.deg_staged[:] = run.deg_list
+    _sync_deg(run)
     stats = run.acc.finish(launch)
     run.shared.commit()
     run.staged.commit()

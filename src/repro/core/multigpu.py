@@ -17,12 +17,19 @@ The implementation follows that sketch exactly:
   kernel over their partition (remote neighbors are decremented in the
   local replica; appends are disabled — crossings surface at the next
   aggregation instead);
-* after each sub-round, the master aggregates the replicas' degree
-  deltas (the PCIe transfer and reduction are costed), clamps vertices
-  over-decremented below ``k`` back to ``k`` — the cross-device
-  analogue of the Fig. 6 restore trick — and broadcasts;
+* after each sub-round, each worker sends the master ``(id, delta)``
+  pairs for the vertices its kernel decremented; the master sums them,
+  clamps vertices over-decremented below ``k`` back to ``k`` — the
+  cross-device analogue of the Fig. 6 restore trick — and broadcasts
+  ``(id, value)`` pairs for the vertices whose degree changed.  Both
+  transfers and the reduction are charged per word actually moved, so
+  a sub-round that touches few border vertices exchanges little;
 * sub-rounds repeat while the aggregation exposes new k-shell members,
   exactly as the sketch warns ("more than one round may be needed").
+  Only the first sub-round of a round scans all ``n`` vertices for the
+  frontier: every alive vertex outside a frontier has a degree above
+  ``k``, so a later sub-round's new members are among the vertices the
+  previous broadcast changed, and the master filters only those.
 """
 
 from __future__ import annotations
@@ -54,9 +61,9 @@ class MultiGpuOptions:
     """Tunables of the multi-GPU run."""
 
     #: PCIe-style transfer cost for the aggregation step, cycles per
-    #: transferred degree word (per worker, each direction)
+    #: transferred word (vertex id or degree value, either direction)
     transfer_cycles_per_word: float = 0.5
-    #: master-side reduction cost, cycles per degree word per worker
+    #: master-side reduction cost, cycles per gathered ``(id, delta)`` pair
     reduce_cycles_per_word: float = 0.25
 
 
@@ -208,6 +215,7 @@ def multi_gpu_peel(
     removed = 0
     k = 0
     sub_rounds = 0
+    exchange_words = 0
     max_rounds = graph.max_degree + 2
     while removed < n:
         if k > max_rounds:
@@ -218,18 +226,25 @@ def multi_gpu_peel(
         if trackers is not None:
             for mt in trackers:
                 mt.set_round(k)
+        # vertices the previous sub-round's broadcast set
+        changed: np.ndarray | None = None
         while True:  # sub-rounds of round k
             # master: the current k-shell frontier (clamping guarantees
-            # alive degrees never sit below k)
-            frontier = np.flatnonzero(alive & (master_deg <= k))
+            # alive degrees never sit below k, and every alive vertex a
+            # sub-round left unchanged still sits above k)
+            if changed is None:
+                frontier = np.flatnonzero(alive & (master_deg <= k))
+                filter_cycles = float(n)
+            else:
+                frontier = changed[alive[changed] & (master_deg[changed] <= k)]
+                filter_cycles = float(changed.size)
             if frontier.size == 0:
                 break
             sub_rounds += 1
             alive[frontier] = False
             removed += frontier.size
-            filter_cycles = n * 1.0  # master frontier filter
             coordinator_cycles += filter_cycles
-            pre = master_deg.copy()
+            gathered: list[tuple[np.ndarray, np.ndarray]] = []
             worker_ms = []
             seed_cycles = []
             round_launches: list[dict | None] = []
@@ -260,6 +275,13 @@ def multi_gpu_peel(
                               w["buf"], w["tails"], w["count"], capacity,
                               shared_capacity, cfg, (lo, lo)),
                     )
+                    # the replica still equals the master's degrees
+                    # everywhere the kernel did not decrement
+                    deg = w["deg"].data
+                    touched = np.flatnonzero(deg != master_deg)
+                    gathered.append(
+                        (touched, deg[touched] - master_deg[touched])
+                    )
                 worker_ms.append(device.elapsed_ms - before_ms)
                 round_launches.append(
                     None if stats is None
@@ -267,19 +289,33 @@ def multi_gpu_peel(
                           "stats": stats}
                 )
             # ---- master aggregation of border-vertex degree updates ----
-            deltas = np.stack([w["deg"].data - pre for w in workers])
-            merged = pre + deltas.sum(axis=0)
+            pairs = sum(touched.size for touched, _ in gathered)
+            # sorted union by sort + adjacent compare: ~10x faster than
+            # np.unique's hashing on a few thousand ids
+            ids = np.sort(
+                np.concatenate([frontier] + [t for t, _ in gathered])
+            )
+            candidates = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+            pre = master_deg[candidates]
+            for touched, delta in gathered:  # ids are unique per worker
+                master_deg[touched] += delta
             # cross-device restore: an alive vertex driven below k by
             # concurrent remote decrements belongs to the k-shell
-            merged[alive] = np.maximum(merged[alive], k)
-            merged[frontier] = k  # collected this sub-round: core = k
-            master_deg = merged
+            live = candidates[alive[candidates]]
+            master_deg[live] = np.maximum(master_deg[live], k)
+            master_deg[frontier] = k  # collected this sub-round: core = k
+            # decrements only lower degrees, so every vertex a worker
+            # touched is in ``changed`` and the replicas end up equal to
+            # the master's array
+            changed = candidates[master_deg[candidates] != pre]
+            values = master_deg[changed]
             for w in workers:
-                w["deg"].data[:] = merged
-            words = n * (num_devices * 2)  # gather + broadcast
+                w["deg"].data[changed] = values
+            words = 2 * pairs + 2 * num_devices * changed.size
+            exchange_words += words
             exchange_cycles = (
                 words * opts.transfer_cycles_per_word
-                + n * num_devices * opts.reduce_cycles_per_word
+                + pairs * opts.reduce_cycles_per_word
             )
             coordinator_cycles += exchange_cycles
             # parallel workers: the sub-round costs the slowest one.
@@ -343,6 +379,7 @@ def multi_gpu_peel(
             "engine": devices[0].engine.name,
             "num_devices": num_devices,
             "sub_rounds": sub_rounds,
+            "exchange_words": exchange_words,
             "partition_ranges": ranges,
             "per_device_ms": [d.elapsed_ms for d in devices],
             "per_device_peak_bytes": [d.peak_memory_bytes for d in devices],

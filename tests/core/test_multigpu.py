@@ -1,14 +1,28 @@
 """Multi-GPU extension tests (the paper's Section VII sketch)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.multigpu import MultiGpuOptions, multi_gpu_peel, partition_ranges
 from repro.cpu.bz import bz_core_numbers
 from repro.errors import ReproError
+from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from tests.conftest import assert_cores_equal
+from repro.graph.examples import path_graph
+from tests.conftest import BATTERY, assert_cores_equal
+
+#: worker-side observables captured before the sparse exchange landed;
+#: rewrite with ``PYTHONPATH=src python -m tests.core.test_multigpu``
+#: only for a change that is meant to move the workers
+WORKER_PIN = (
+    Path(__file__).resolve().parent / "golden" / "multigpu_worker_side.json"
+)
+PIN_DEVICES = (2, 3, 4)
 
 
 class TestPartitioning:
@@ -120,3 +134,108 @@ class TestReporting:
         result = decompose(graph, "gpu-multi2")
         for v, c in expected.items():
             assert result.core[v] == c
+
+
+class TestSparseExchange:
+    """Per-sub-round filter and exchange charges, worked by hand.
+
+    On the path 0-1-2 both leaves form round 1's first frontier and
+    sit on different workers, so each worker decrements the centre in
+    its replica.  The master sums the two ``(id, delta)`` pairs to a
+    degree of 0, clamps it back to ``k = 1`` and broadcasts that one
+    changed vertex.  The second sub-round filters only that vertex,
+    finds it in the 1-shell, and its sweep touches nothing.
+    """
+
+    OPTS = MultiGpuOptions()
+
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_hand_worked_path(self, devices):
+        graph = path_graph(3)
+        result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+        t = self.OPTS.transfer_cycles_per_word
+        r = self.OPTS.reduce_cycles_per_word
+        n = graph.num_vertices
+        gathered = 2  # the centre, once from each leaf's worker
+        changed = 1  # the clamped centre
+        words = 2 * gathered + 2 * devices * changed
+        rounds = [
+            (rnd["k"], rnd["frontier"], rnd["filter_cycles"],
+             rnd["exchange_cycles"])
+            for rnd in result.critpath.record["rounds"]
+        ]
+        assert rounds == [
+            (1, 2, float(n), words * t + gathered * r),
+            (1, 1, float(changed), 0.0),
+        ]
+        assert result.stats["exchange_words"] == words
+
+    def test_idle_worker_gathers_nothing(self):
+        """At 4 devices worker 2 owns no vertex and workers 1 and 2 own
+        no first-sub-round frontier: they launch nothing and add no
+        gathered pair, so only the broadcast grows with the device
+        count."""
+        two = multi_gpu_peel(path_graph(3), num_devices=2)
+        four = multi_gpu_peel(path_graph(3), num_devices=4, critpath=True)
+        assert four.stats["partition_ranges"][2] == (2, 2)
+        first = four.critpath.record["rounds"][0]
+        assert [launch is None for launch in first["launches"]] == [
+            False, True, True, False,
+        ]
+        # two more devices each receive the one changed (id, value) pair
+        extra = four.stats["exchange_words"] - two.stats["exchange_words"]
+        assert extra == 2 * (4 - 2) * 1
+
+
+# -- worker side pinned across aggregation changes ---------------------------
+
+def _pin_graphs():
+    return [("web-Google", datasets.load("web-Google"))] + BATTERY
+
+
+def _core_digest(core):
+    data = np.asarray(core, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def worker_side(graph, devices):
+    """Everything the workers decide: the coordinator's exchange and
+    filter costs are deliberately absent."""
+    result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+    rounds = result.critpath.record["rounds"] if result.critpath else []
+    worker_cycles = json.dumps([r["worker_cycles"] for r in rounds])
+    return {
+        "core_sha256": _core_digest(result.core),
+        "sub_rounds": result.stats.get("sub_rounds"),
+        "per_device_ms": result.stats.get("per_device_ms"),
+        "per_device_peak_bytes": result.stats.get("per_device_peak_bytes"),
+        "frontiers": [r["frontier"] for r in rounds],
+        "worker_cycles_sha256": hashlib.sha256(
+            worker_cycles.encode()
+        ).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("devices", PIN_DEVICES)
+def test_worker_side_matches_pin(devices):
+    pinned = json.loads(WORKER_PIN.read_text(encoding="utf-8"))
+    for name, graph in _pin_graphs():
+        key = f"{name}/{devices}"
+        observed = worker_side(graph, devices)
+        assert observed == pinned[key], key
+        assert observed["core_sha256"] == _core_digest(
+            bz_core_numbers(graph)
+        ), key
+
+
+if __name__ == "__main__":
+    WORKER_PIN.parent.mkdir(exist_ok=True)
+    lines = [
+        f"{json.dumps(f'{name}/{d}')}: "
+        f"{json.dumps(worker_side(graph, d), sort_keys=True)}"
+        for name, graph in _pin_graphs()
+        for d in PIN_DEVICES
+    ]
+    WORKER_PIN.write_text(
+        "{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8"
+    )
