@@ -26,10 +26,17 @@ The implementation follows that sketch exactly:
   a sub-round that touches few border vertices exchanges little;
 * sub-rounds repeat while the aggregation exposes new k-shell members,
   exactly as the sketch warns ("more than one round may be needed").
-  Only the first sub-round of a round scans all ``n`` vertices for the
-  frontier: every alive vertex outside a frontier has a degree above
-  ``k``, so a later sub-round's new members are among the vertices the
-  previous broadcast changed, and the master filters only those.
+  The master finds each frontier with work proportional to what
+  changed, not to ``n`` per round.  It keeps a lazy degree-bucket
+  queue, as BZ does: a counting sort of the initial degrees (charged
+  ``n`` once), plus one entry in its new degree's bucket for every
+  alive vertex a broadcast moves to a degree above ``k``.  The first
+  sub-round of round ``k`` is charged the entries of bucket ``k``,
+  stale ones included.  Every alive vertex outside a frontier sits
+  above ``k``, so a later sub-round's new members are among the
+  vertices the previous broadcast changed, and the master filters
+  only those.  A filter that finds nothing carries its charge to the
+  next sub-round that finds a frontier.
 """
 
 from __future__ import annotations
@@ -217,6 +224,10 @@ def multi_gpu_peel(
     sub_rounds = 0
     exchange_words = 0
     max_rounds = graph.max_degree + 2
+    # the master's lazy degree buckets, kept as entry counts (live and
+    # stale): a counting sort of the initial degrees, charged n once
+    bucket_entries = np.bincount(master_deg, minlength=max_rounds + 1)
+    pending_cycles = float(n)  # filter work no sub-round has paid for
     while removed < n:
         if k > max_rounds:
             raise ReproError(
@@ -230,16 +241,19 @@ def multi_gpu_peel(
         changed: np.ndarray | None = None
         while True:  # sub-rounds of round k
             # master: the current k-shell frontier (clamping guarantees
-            # alive degrees never sit below k, and every alive vertex a
+            # alive degrees never sit below k, so bucket k's live entries
+            # are the alive vertices of degree k; every alive vertex a
             # sub-round left unchanged still sits above k)
             if changed is None:
-                frontier = np.flatnonzero(alive & (master_deg <= k))
-                filter_cycles = float(n)
+                frontier = np.flatnonzero(alive & (master_deg == k))
+                pending_cycles += int(bucket_entries[k])
             else:
                 frontier = changed[alive[changed] & (master_deg[changed] <= k)]
-                filter_cycles = float(changed.size)
+                pending_cycles += changed.size
             if frontier.size == 0:
-                break
+                break  # the next charged filter pays for this one
+            filter_cycles = pending_cycles
+            pending_cycles = 0.0
             sub_rounds += 1
             alive[frontier] = False
             removed += frontier.size
@@ -311,6 +325,12 @@ def multi_gpu_peel(
             values = master_deg[changed]
             for w in workers:
                 w["deg"].data[changed] = values
+            # route each alive vertex moved above k to its new bucket;
+            # one at k is in the next sub-round's filter over changed
+            routed = values[alive[changed] & (values > k)]
+            bucket_entries += np.bincount(
+                routed, minlength=bucket_entries.size
+            )
             words = 2 * pairs + 2 * num_devices * changed.size
             exchange_words += words
             exchange_cycles = (
@@ -341,7 +361,6 @@ def multi_gpu_peel(
         k += 1
 
     core = master_deg
-    cost = devices[0].cost_model
     total_ms = cost.cycles_to_ms(coordinator_cycles)
     cpath_report = None
     if critpath:

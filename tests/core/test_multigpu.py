@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.multigpu import MultiGpuOptions, multi_gpu_peel, partition_ranges
 from repro.cpu.bz import bz_core_numbers
@@ -145,6 +146,11 @@ class TestSparseExchange:
     degree of 0, clamps it back to ``k = 1`` and broadcasts that one
     changed vertex.  The second sub-round filters only that vertex,
     finds it in the 1-shell, and its sweep touches nothing.
+
+    The master's degree buckets are built by a counting sort charged
+    ``n``.  Round 0 reads the empty bucket 0 and finds nothing, so the
+    build is carried to round 1's first filter, which reads bucket 1's
+    two leaves.
     """
 
     OPTS = MultiGpuOptions()
@@ -159,16 +165,54 @@ class TestSparseExchange:
         gathered = 2  # the centre, once from each leaf's worker
         changed = 1  # the clamped centre
         words = 2 * gathered + 2 * devices * changed
+        build, bucket0, bucket1 = n, 0, 2
         rounds = [
             (rnd["k"], rnd["frontier"], rnd["filter_cycles"],
              rnd["exchange_cycles"])
             for rnd in result.critpath.record["rounds"]
         ]
         assert rounds == [
-            (1, 2, float(n), words * t + gathered * r),
+            (1, 2, float(build + bucket0 + bucket1),
+             words * t + gathered * r),
             (1, 1, float(changed), 0.0),
         ]
         assert result.stats["exchange_words"] == words
+
+    #: graph edges and the expected ``(k, frontier, filter_cycles)`` rows
+    BUCKET_CASES = {
+        # the path 0-1-2 plus a disjoint K4 (vertices 3-6): round 1 pays
+        # the build (n = 7), the empty bucket 0 and bucket 1's two
+        # leaves, then filters the clamped centre.  The centre's initial
+        # entry in bucket 2 is stale by round 2, which finds nothing;
+        # round 3 pays for that entry plus the K4's four in bucket 3
+        "empty-round": (
+            [(0, 1), (1, 2)]
+            + [(a, b) for a in range(3, 7) for b in range(a + 1, 7)],
+            [(1, 2, 7.0 + 0 + 2), (1, 1, 1.0), (3, 4, 1.0 + 4)],
+        ),
+        # the triangle 0-1-2 with a leaf 3 on vertex 2: round 1 pays the
+        # build (n = 4) and bucket 1's leaf; removing it lowers vertex 2
+        # to degree 2, which routes one entry to bucket 2.  The filter
+        # over that changed vertex finds nothing and is carried, so
+        # round 2 pays 1 plus bucket 2's three entries
+        "routed": (
+            [(0, 1), (0, 2), (1, 2), (2, 3)],
+            [(1, 1, 4.0 + 0 + 1), (2, 3, 1.0 + 3)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    def test_bucket_reads_by_hand(self, case, devices):
+        edges, expected = self.BUCKET_CASES[case]
+        graph = CSRGraph.from_edges(edges)
+        result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+        rows = [
+            (rnd["k"], rnd["frontier"], rnd["filter_cycles"])
+            for rnd in result.critpath.record["rounds"]
+        ]
+        assert rows == expected
+        assert_cores_equal(result.core, bz_core_numbers(graph), case)
 
     def test_idle_worker_gathers_nothing(self):
         """At 4 devices worker 2 owns no vertex and workers 1 and 2 own
@@ -185,6 +229,52 @@ class TestSparseExchange:
         # two more devices each receive the one changed (id, value) pair
         extra = four.stats["exchange_words"] - two.stats["exchange_words"]
         assert extra == 2 * (4 - 2) * 1
+
+
+# -- work-efficient frontier --------------------------------------------------
+
+@st.composite
+def graphs_with_gaps(draw):
+    """A random part, disjoint cliques and isolated vertices, relabelled
+    at random: the cliques' degrees leave peel rounds with no frontier,
+    and the relabelling spreads every part over the partitions."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = (
+        draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+        if pairs else []
+    )
+    for size in draw(
+        st.lists(st.integers(min_value=2, max_value=8), max_size=3)
+    ):
+        edges += [
+            (n + i, n + j) for i in range(size) for j in range(i + 1, size)
+        ]
+        n += size
+    n += draw(st.integers(min_value=0, max_value=3))
+    assume(n > 0)
+    label = draw(st.permutations(range(n)))
+    return CSRGraph.from_edges(
+        [(label[a], label[b]) for a, b in edges], num_vertices=n
+    )
+
+
+@given(graphs_with_gaps(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_filter_work_is_bounded_by_changes(graph, devices):
+    """The master's frontier filters examine at most the initial
+    bucket entries, one routed entry per changed vertex and each
+    sub-round's changed vertices once: ``2n + 2·Σ|changed|``, whatever
+    the number of rounds.  Every sub-round broadcasts its changed
+    vertices to each device, so ``Σ|changed| ≤ exchange_words / (2 ·
+    devices)``."""
+    result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+    assert_cores_equal(result.core, bz_core_numbers(graph), "bucketed")
+    filtered = sum(
+        rnd["filter_cycles"] for rnd in result.critpath.record["rounds"]
+    )
+    n = graph.num_vertices
+    assert filtered <= 2 * n + result.stats["exchange_words"] / devices
 
 
 # -- worker side pinned across aggregation changes ---------------------------
