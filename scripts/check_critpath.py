@@ -8,7 +8,7 @@ Usage::
         [--trajectory FILE | --no-trajectory]
 
 For each dataset the gate runs every program in
-``repro.api.CRITPATHABLE`` — the nine single-GPU kernel x variant
+``repro.api.CAPABILITIES["critpath"]`` — the nine single-GPU kernel x variant
 programs plus the 2- and 4-worker multi-GPU runners — with
 ``critpath=True`` and fails the build when:
 
@@ -58,7 +58,7 @@ bootstrap()
 
 import numpy as np  # noqa: E402
 
-from repro.api import CRITPATHABLE, decompose  # noqa: E402
+from repro.api import CAPABILITIES, decompose  # noqa: E402
 from repro.core.variants import get_variant  # noqa: E402
 from repro.graph import datasets  # noqa: E402
 from repro.gpusim.costmodel import CostModel  # noqa: E402
@@ -189,9 +189,9 @@ def main(argv: List[str] | None = None) -> int:
              f"(default: {','.join(DEFAULT_DATASETS)})",
     )
     parser.add_argument(
-        "--programs", default=",".join(sorted(CRITPATHABLE)),
+        "--programs", default=",".join(sorted(CAPABILITIES["critpath"])),
         help="comma-separated programs to analyze "
-             "(default: every CRITPATHABLE program)",
+             "(default: every program that accepts critpath)",
     )
     parser.add_argument(
         "--report", metavar="FILE", default=None,
@@ -205,7 +205,7 @@ def main(argv: List[str] | None = None) -> int:
 
     names = [d for d in args.datasets.split(",") if d]
     programs = [p for p in args.programs.split(",") if p]
-    unknown = [p for p in programs if p not in CRITPATHABLE]
+    unknown = [p for p in programs if p not in CAPABILITIES["critpath"]]
     if not names or not programs:
         print("error: need at least one dataset and one program",
               file=sys.stderr)

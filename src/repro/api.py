@@ -9,7 +9,7 @@ the paper's tables have.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, Tuple
 
 from repro.core.fastpath import fast_decompose
 from repro.core.host import gpu_peel
@@ -30,19 +30,15 @@ from repro.systems.vetga import vetga_decompose
 
 __all__ = [
     "ALGORITHMS",
-    "CRITPATHABLE",
-    "ENGINEABLE",
-    "MEMTRACEABLE",
-    "PROFILABLE",
-    "DATAFLOWABLE",
-    "SANITIZABLE",
-    "STATICHECKABLE",
+    "CAPABILITIES",
     "algorithm_names",
     "decompose",
 ]
 
 #: the graph-parallel system emulations of Table III
-_SYSTEM_NAMES = ("vetga", "medusa-mpm", "medusa-peel", "gunrock", "gswitch")
+_SYSTEM_NAMES = frozenset(
+    {"vetga", "medusa-mpm", "medusa-peel", "gunrock", "gswitch"}
+)
 
 Runner = Callable[..., DecompositionResult]
 
@@ -120,108 +116,53 @@ def _build_registry() -> Dict[str, Runner]:
 #: name -> runner for every program in the repository
 ALGORITHMS: Dict[str, Runner] = _build_registry()
 
-#: algorithms whose runner accepts ``sanitize=True`` (the kernel
-#: sanitizer, ``docs/SANITIZER.md``): the simulated-GPU kernels get the
-#: dynamic racecheck, the system emulations and the native fast path
-#: get the static lint sweep; the CPU baselines model no device and
-#: support neither
-SANITIZABLE: FrozenSet[str] = frozenset(
-    name
-    for name in ALGORITHMS
-    if name == "fast" or name.startswith("gpu-") or name in _SYSTEM_NAMES
-)
-
-
-#: algorithms whose runner accepts ``staticheck=True`` (the static
-#: resource certifier's differential checker, ``docs/STATIC_ANALYSIS.md``):
-#: the single-GPU peeling variants, whose kernels have closed-form
-#: certificates in ``repro.staticheck``.  The system emulations and CPU
-#: baselines launch no SIMT kernels, and the multi-GPU runner composes
-#: per-device runs the checker does not yet model.
-STATICHECKABLE: FrozenSet[str] = frozenset(
-    f"gpu-{name}" for name in variant_names()
-)
-
-
-#: algorithms whose runner accepts ``dataflow=True`` (the static
-#: dataflow analyzer's launch checker, :mod:`repro.staticheck.dataflow`):
-#: the single-GPU peeling variants, whose two kernels the abstract
-#: interpreter covers.  Unlike ``staticheck`` the dataflow tier also
-#: accepts ring-buffer configs — their undischargeable race obligations
-#: surface as explicit ``unproven-race-freedom`` warnings.
-DATAFLOWABLE: FrozenSet[str] = frozenset(
-    f"gpu-{name}" for name in variant_names()
-)
-
-
-#: the multicore CPU baselines (Table IV), whose runners accept
-#: ``profile=True`` (per-epoch bound attribution,
-#: :mod:`repro.multicore.profile`) and ``memtrace=True``
-#: (allocation-lifetime telemetry for the modelled working arrays)
-_MULTICORE_NAMES = (
+#: the single-GPU peeling variants (Table II), whose kernels launch on
+#: one :class:`~repro.gpusim.device.Device` with closed-form static
+#: certificates and per-block timings
+_SINGLE_GPU = frozenset(f"gpu-{name}" for name in variant_names())
+#: every simulated-GPU peeling runner, the multi-GPU ones included
+_ALL_GPU = frozenset(name for name in ALGORITHMS if name.startswith("gpu-"))
+#: the multicore CPU baselines (Table IV), modelled by
+#: :class:`~repro.multicore.machine.SimulatedMulticore`
+_MULTICORE_NAMES = frozenset({
     "park", "park-serial",
     "pkc", "pkc-serial", "pkc-o", "pkc-o-serial",
     "mpm", "mpm-serial",
-)
+})
 
-
-#: algorithms whose runner accepts ``profile=True`` (the kernel
-#: profiler's speed-of-light reports, :mod:`repro.profile`): the
-#: single-GPU peeling variants, which launch real SIMT kernels whose
-#: per-block timings the profiler attributes, plus the system
-#: emulations, whose labelled :meth:`~repro.gpusim.device.Device.charge`
-#: calls become coarse ``source="charge"`` records, plus the multicore
-#: CPU baselines, whose :class:`~repro.multicore.machine.
-#: SimulatedMulticore` attributes every epoch to a roofline-style
-#: bound class (``repro.cpu-epochs/v1``).  The multi-GPU runner
-#: composes per-device runs the profiler does not yet merge.
-PROFILABLE: FrozenSet[str] = (
-    frozenset(f"gpu-{name}" for name in variant_names())
-    | frozenset(_SYSTEM_NAMES)
-    | frozenset(_MULTICORE_NAMES)
-)
-
-
-#: algorithms whose runner accepts ``engine=...`` (an execution-engine
-#: selection for the SIMT simulator, ``docs/SIMULATOR.md``): the
-#: single- and multi-GPU peeling runners, whose kernels run on a
-#: :class:`~repro.gpusim.device.Device`.  Engines are byte-identical by
-#: contract, so the choice only affects host wall-clock time.  The CPU
-#: baselines, the native fast path and the system emulations take no
-#: engine (the emulations charge logical kernels without executing
-#: SIMT code).
-ENGINEABLE: FrozenSet[str] = frozenset(
-    name for name in ALGORITHMS if name.startswith("gpu-")
-)
-
-
-#: algorithms whose runner accepts ``memtrace=True`` (memory telemetry
-#: with exact peak attribution, :mod:`repro.memtrace`): everything that
-#: models memory — the single- and multi-GPU peeling runners and the
-#: system emulations (simulated device memory), the multicore CPU
-#: baselines and the semi-external disk path (modelled host working
-#: arrays).  The serial reference implementations (``bz``,
-#: ``networkx``) and the native fast path model no memory.
-MEMTRACEABLE: FrozenSet[str] = (
-    frozenset(name for name in ALGORITHMS if name.startswith("gpu-"))
-    | frozenset(_SYSTEM_NAMES)
-    | frozenset(_MULTICORE_NAMES)
-    | frozenset({"semi-external"})
-)
-
-
-#: algorithms whose runner accepts ``critpath=True`` (the causal
-#: critical-path analyzer with what-if projections,
-#: :mod:`repro.obs.critpath`): the single-GPU peeling variants, whose
-#: per-block kernel timings the analyzer replays exactly, and the
-#: multi-GPU runners, whose coordinator cost terms it attributes to
-#: compute-, straggler-, or exchange-bound rounds.  The system
-#: emulations charge logical kernels without per-block timings, and the
-#: CPU baselines model no device timeline, so neither can be analyzed.
-CRITPATHABLE: FrozenSet[str] = (
-    frozenset(f"gpu-{name}" for name in variant_names())
-    | frozenset({"gpu-multi2", "gpu-multi4"})
-)
+#: run keyword -> the algorithms whose runner accepts it.
+#:
+#: * ``sanitize`` (``docs/SANITIZER.md``): the simulated-GPU kernels get
+#:   the dynamic racecheck; the system emulations and the native fast
+#:   path get the static lint sweep; the CPU baselines model no device.
+#: * ``staticheck`` and ``dataflow`` (``docs/STATIC_ANALYSIS.md``): the
+#:   single-GPU variants, whose kernels have static certificates.  The
+#:   multi-GPU runner composes per-device runs the checkers do not
+#:   model; ring-buffer configs reject ``staticheck`` at run time.
+#: * ``profile`` (:mod:`repro.profile`): the single-GPU variants
+#:   (per-launch roofline attribution), the system emulations (coarse
+#:   ``source="charge"`` records) and the multicore baselines
+#:   (per-epoch bound classes, ``repro.cpu-epochs/v1``).
+#: * ``engine`` (``docs/SIMULATOR.md``): every runner whose kernels
+#:   run on a simulated device; engines are byte-identical, so only
+#:   host time changes.
+#: * ``memtrace`` (:mod:`repro.memtrace`): everything that models
+#:   memory — simulated device memory (GPU runners, system emulations)
+#:   or modelled host working arrays (multicore baselines, the
+#:   semi-external disk path).
+#: * ``critpath`` (:mod:`repro.obs.critpath`): the single-GPU variants,
+#:   whose per-block timings the analyzer replays, and the multi-GPU
+#:   runners, whose coordinator terms it attributes per round.
+CAPABILITIES: Mapping[str, FrozenSet[str]] = {
+    "sanitize": _ALL_GPU | _SYSTEM_NAMES | {"fast"},
+    "staticheck": _SINGLE_GPU,
+    "dataflow": _SINGLE_GPU,
+    "profile": _SINGLE_GPU | _SYSTEM_NAMES | _MULTICORE_NAMES,
+    "engine": _ALL_GPU,
+    "memtrace": (_ALL_GPU | _SYSTEM_NAMES | _MULTICORE_NAMES
+                 | {"semi-external"}),
+    "critpath": _SINGLE_GPU | {"gpu-multi2", "gpu-multi4"},
+}
 
 
 def algorithm_names() -> Tuple[str, ...]:

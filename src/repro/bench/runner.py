@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api import MEMTRACEABLE, decompose
+from repro.api import CAPABILITIES, decompose
 from repro.errors import (
     BufferOverflowError,
     DeviceOutOfMemoryError,
@@ -38,10 +38,10 @@ class Outcome:
     """One cell of a paper table.
 
     ``peak_bytes`` / ``attribution`` carry the exact memory telemetry
-    behind ``peak_memory_mb`` when the program is memtraceable
-    (:data:`repro.api.MEMTRACEABLE`): ``attribution`` maps every array
-    live at the peak (plus the ``(context)`` base) to its bytes, and
-    sums exactly to ``peak_bytes``.
+    behind ``peak_memory_mb`` when the program accepts ``memtrace``
+    (``repro.api.CAPABILITIES``): ``attribution`` maps every array live
+    at the peak (plus the ``(context)`` base) to its bytes, and sums
+    exactly to ``peak_bytes``.
     """
 
     algorithm: str
@@ -108,7 +108,7 @@ def run_program(
     result: Optional[DecompositionResult] = None
     for rep in range(max(1, repeats)):
         kwargs = _kwargs_for(algorithm, budget_ms)
-        if algorithm in MEMTRACEABLE:
+        if algorithm in CAPABILITIES["memtrace"]:
             # memory telemetry is observability-only (byte-identical
             # simulated time and peak), so every bench run carries it
             kwargs["memtrace"] = True

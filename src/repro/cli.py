@@ -48,8 +48,8 @@ records of their logical kernels.
 exact attribution breakdown of the memory peak.  With a ``FILE``
 argument the ``repro.memtrace/v1`` JSON report is written there too.
 Error findings (double-free, use-after-free) make the exit status 1.
-Supported for everything that allocates simulated device memory
-(``repro.api.MEMTRACEABLE``).
+Supported for everything that models memory
+(``repro.api.CAPABILITIES["memtrace"]``).
 
 ``--critpath [FILE]`` runs the causal critical-path analyzer (see the
 "Critical path & what-if" section of ``docs/OBSERVABILITY.md``) and
@@ -62,11 +62,11 @@ additionally classified compute-, straggler-, or exchange-bound.
 With a ``FILE`` argument the ``repro.critpath/v1`` JSON record is
 written there too.  The validator re-derives the whole record exactly;
 violations exit 1.  Supported for the simulated peeling algorithms
-(``repro.api.CRITPATHABLE``).
+(``repro.api.CAPABILITIES["critpath"]``).
 
 ``--engine NAME`` selects the simulator execution engine for the
-``gpu-*`` algorithms (``repro.api.ENGINEABLE``): ``reference``,
-``vectorized`` (the default) or ``jit``.  Engines are byte-identical
+``gpu-*`` algorithms (``repro.api.CAPABILITIES["engine"]``):
+``reference`` or ``vectorized`` (the default).  Engines are byte-identical
 by contract — the same simulated milliseconds, counters and memory
 peaks — so the flag only changes host wall-clock time; see
 ``docs/SIMULATOR.md``.
@@ -83,6 +83,10 @@ the semi-external disk path side by side.  Invariant violations exit
 1.  ``--report`` subsumes the other telemetry flags and cannot be
 combined with them.
 
+Each run flag sets one ``decompose`` keyword (``_RUN_FLAGS``) and is
+accepted only by the algorithms that ``repro.api.CAPABILITIES`` lists
+for that keyword; any other algorithm exits 2.
+
 ``repro obs diff OLD NEW`` compares two run-report artifacts section
 by section and prints what changed (simulated time, device cycles,
 memory peak, bound-class flips); regressions exit 1.
@@ -97,22 +101,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api import (
-    CRITPATHABLE,
-    DATAFLOWABLE,
-    ENGINEABLE,
-    MEMTRACEABLE,
-    PROFILABLE,
-    SANITIZABLE,
-    STATICHECKABLE,
-    algorithm_names,
-    decompose,
-)
+from repro.api import CAPABILITIES, algorithm_names, decompose
 from repro.graph import datasets
 from repro.gpusim.engine import DEFAULT_ENGINE, available_engines
 from repro.graph.io import read_edgelist
 
 __all__ = ["main", "build_parser"]
+
+#: ``(flag, keyword)``: each run flag sets one ``decompose`` keyword,
+#: is accepted only by the algorithms in ``CAPABILITIES[keyword]``, and
+#: cannot be combined with ``--report``
+_RUN_FLAGS = (
+    ("--sanitize", "sanitize"),
+    ("--staticheck", "staticheck"),
+    ("--dataflow", "dataflow"),
+    ("--ncu", "profile"),
+    ("--engine", "engine"),
+    ("--memtrace", "memtrace"),
+    ("--critpath", "critpath"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,6 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
              "artifact (the schema CI's gate scripts upload)",
     )
     return parser
+
+
+def _given_run_flags(args) -> list[tuple[str, str, object]]:
+    """``(flag, keyword, value)`` for every run flag given."""
+    given = []
+    for flag, keyword in _RUN_FLAGS:
+        value = getattr(args, flag[2:])
+        if value is None or value is False:
+            continue
+        # --engine passes its name; the others switch an instrument on
+        given.append((flag, keyword, value if flag == "--engine" else True))
+    return given
 
 
 def _summarise(args, graph, result) -> None:
@@ -375,18 +394,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(name)
         return 0
 
+    run_flags = _given_run_flags(args)
     report_algorithms: list[str] = []
     if args.report is not None:
-        incompatible = [flag for flag, on in (
-            ("--profile", args.profile is not None),
-            ("--sanitize", args.sanitize),
-            ("--staticheck", args.staticheck),
-            ("--dataflow", args.dataflow),
-            ("--ncu", args.ncu is not None),
-            ("--memtrace", args.memtrace is not None),
-            ("--critpath", args.critpath is not None),
-            ("--engine", args.engine is not None),
-        ) if on]
+        incompatible = ["--profile"] if args.profile is not None else []
+        incompatible += [flag for flag, _, _ in run_flags]
         if incompatible:
             print("error: --report already merges every telemetry "
                   "vertical and cannot be combined with "
@@ -406,43 +418,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: unknown algorithm {args.algorithm!r}{hint}",
               file=sys.stderr)
         return 2
-    if args.sanitize and args.algorithm not in SANITIZABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--sanitize (supported: {', '.join(sorted(SANITIZABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.staticheck and args.algorithm not in STATICHECKABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--staticheck (supported: "
-              f"{', '.join(sorted(STATICHECKABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.dataflow and args.algorithm not in DATAFLOWABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--dataflow (supported: "
-              f"{', '.join(sorted(DATAFLOWABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.ncu is not None and args.algorithm not in PROFILABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--ncu (supported: {', '.join(sorted(PROFILABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.engine is not None and args.algorithm not in ENGINEABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--engine (supported: {', '.join(sorted(ENGINEABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.memtrace is not None and args.algorithm not in MEMTRACEABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--memtrace (supported: {', '.join(sorted(MEMTRACEABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.critpath is not None and args.algorithm not in CRITPATHABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--critpath (supported: {', '.join(sorted(CRITPATHABLE))})",
-              file=sys.stderr)
-        return 2
+    for flag, keyword, _ in run_flags:
+        supported = CAPABILITIES[keyword]
+        if args.algorithm not in supported:
+            print(f"error: algorithm {args.algorithm!r} does not support "
+                  f"{flag} (supported: {', '.join(sorted(supported))})",
+                  file=sys.stderr)
+            return 2
     if args.dataset:
         try:
             graph = datasets.load(args.dataset)
@@ -475,21 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         return 0
 
-    run_kwargs = {}
-    if args.engine is not None:
-        run_kwargs["engine"] = args.engine
-    if args.sanitize:
-        run_kwargs["sanitize"] = True
-    if args.staticheck:
-        run_kwargs["staticheck"] = True
-    if args.dataflow:
-        run_kwargs["dataflow"] = True
-    if args.ncu is not None:
-        run_kwargs["profile"] = True
-    if args.memtrace is not None:
-        run_kwargs["memtrace"] = True
-    if args.critpath is not None:
-        run_kwargs["critpath"] = True
+    run_kwargs = {keyword: value for _, keyword, value in run_flags}
     if args.profile:
         from repro.obs import start_tracing, stop_tracing
 

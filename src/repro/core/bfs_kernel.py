@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Generator
 import numpy as np
 
 from repro.core.buffers import BlockBufferView
+from repro.core.run import DeviceRun
 from repro.core.variants import VariantConfig
 from repro.errors import ReproError
 from repro.gpusim.context import WarpContext
@@ -57,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.csr import CSRGraph
     from repro.obs.tracer import Tracer
     from repro.result import DecompositionResult
-    from repro.sanitize.report import SanitizerReport
 
 __all__ = ["bfs_kernel", "gpu_bfs", "bfs_bounds", "BFS_REACHABILITY"]
 
@@ -264,120 +264,37 @@ def gpu_bfs(
 ) -> "DecompositionResult":
     """Run level-synchronous BFS from ``source`` on the simulator.
 
-    The same observability and verification options as
-    :func:`~repro.core.host.gpu_peel`: ``sanitize`` runs every launch
-    under the dynamic race detector, ``staticheck`` arms the
-    differential checker with the ``bfs`` program's certificate,
+    The same device and instrument arguments as
+    :func:`~repro.core.host.gpu_peel`, wired by the same
+    :class:`~repro.core.run.DeviceRun`: ``staticheck`` arms the
+    differential checker with the ``bfs`` program's certificate and
     ``dataflow`` checks every launch against the kernel's dataflow
-    certificate, and ``profile``/``memtrace``/``engine`` behave as for
-    peeling.  ``critpath`` builds the causal critical-path analysis of
-    :mod:`repro.obs.critpath` on ``result.critpath`` (implies
-    ``profile``); the ``bfs`` contract declares no ``floors``, so the
-    analyzer brackets its projections against a zero static floor —
+    certificate.  The ``bfs`` contract declares no ``floors``, so
+    ``critpath`` brackets its projections against a zero static floor —
     admission alone is enough, no analyzer edits.  Returns a
     :class:`~repro.result.DecompositionResult` whose ``core`` array
     holds BFS levels (``-1`` = unreachable).
     """
-    from repro.gpusim.device import Device
-    from repro.result import DecompositionResult
-
     n = graph.num_vertices
     if n and not 0 <= source < n:
         raise ReproError(
             f"BFS source {source} out of range for {n} vertices"
         )
     cfg = _bfs_variants()["bfs-base"]
-    want_profile = profile or critpath  # the analyzer needs block timings
-    if device is None:
-        device = Device(
-            spec=spec,
-            cost_model=cost_model,
-            tracer=tracer,
-            sanitize=sanitize,
-            profile=want_profile,
-            memtrace=memtrace,
-            engine=engine,
-        )
-    elif tracer is not None:
-        device.tracer = tracer
-    if want_profile and device.profiler is None:
-        from repro.profile.profiler import KernelProfiler
-
-        device.profiler = KernelProfiler()
-    spec = device.spec
-    profiler = device.profiler
-    if profiler is not None:
-        profiler.annotate(variant=cfg.name, algorithm="gpu-bfs")
-    memtracer = device.memtracer
-    if memtracer is not None:
-        memtracer.annotate(variant=cfg.name, algorithm="gpu-bfs")
-
-    checker = None
-    if staticheck:
-        from repro.staticheck.certificate import certify_variant
-        from repro.staticheck.differential import DifferentialChecker
-
-        checker = DifferentialChecker(
-            cfg, spec, n, len(graph.neighbors), graph.max_degree,
-            buffer_capacity=buffer_capacity,
-            certificate=certify_variant(cfg, program="bfs"),
-        )
-    dflow = None
-    if dataflow:
-        from repro.staticheck.dataflow import DataflowChecker
-
-        dflow = DataflowChecker(
-            cfg,
-            engine=device.engine.name,
-            monitored=device.sanitizer is not None,
-            program="bfs",
-        )
-
-    def _static_report() -> "SanitizerReport | None":
-        if checker is None:
-            return dflow.report if dflow is not None else None
-        if dflow is not None:
-            checker.report.merge(dflow.report)
-        return checker.report
-
+    run = DeviceRun(
+        graph, cfg, "bfs", "gpu-bfs",
+        device=device, spec=spec, cost_model=cost_model, tracer=tracer,
+        engine=engine, buffer_capacity=buffer_capacity,
+        sanitize=sanitize, staticheck=staticheck, dataflow=dataflow,
+        profile=profile, memtrace=memtrace, critpath=critpath,
+    )
     dist = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        if memtracer is not None:
-            memtracer.finish(device.elapsed_ms)
-        return DecompositionResult(
-            core=dist,
-            algorithm="gpu-bfs",
-            sanitizer=(
-                device.sanitizer.report
-                if device.sanitizer is not None else None
-            ),
-            staticheck=_static_report(),
-            profile=profiler.report() if profiler is not None else None,
-            memtrace=memtracer.report() if memtracer is not None else None,
-        )
+        return run.empty_result(dist)
 
-    cpath = None
-    if critpath:
-        from repro.obs.critpath import CritPathCollector
-        from repro.staticheck.bounds import launch_env
-
-        cpath = CritPathCollector(
-            spec=spec,
-            cost=device.cost_model,
-            algorithm="gpu-bfs",
-            variant=cfg.name,
-            track=device.name,
-            cfg=cfg,
-            env=launch_env(
-                n, len(graph.neighbors), graph.max_degree, spec, cfg,
-                buffer_capacity=buffer_capacity,
-            ),
-            base_cycles=device.total_cycles,
-            base_launches=device.kernel_launches,
-        )
-
-    grid_dim = spec.default_grid_dim
-    capacity = buffer_capacity or spec.block_buffer_capacity
+    device = run.device
+    grid_dim = device.spec.default_grid_dim
+    capacity = buffer_capacity or device.spec.block_buffer_capacity
 
     offsets_d = device.malloc("offsets", graph.offsets)
     neighbors_d = device.malloc("neighbors", graph.neighbors)
@@ -389,33 +306,18 @@ def gpu_bfs(
 
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
-    frontier_per_level: list[int] = []
     level = 0
-    tr = device.tracer
     while frontier.size:
-        frontier_per_level.append(int(frontier.size))
-        if profiler is not None:
-            profiler.set_round(level)
-        if memtracer is not None:
-            memtracer.set_round(level)
-        span = (
-            tr.begin(f"level {level}", device.elapsed_ms, cat="round")
-            if tr is not None else None
-        )
+        run.begin_round(level, f"level {level}")
         frontier_d = device.malloc("frontier", frontier)
-        stats = device.launch(
+        run.launch(
             bfs_kernel,
-            args=(
+            (
                 offsets_d, neighbors_d, visited_d, frontier_d,
                 int(frontier.size), buf_d, tails_d, capacity, cfg,
             ),
+            level,
         )
-        if checker is not None:
-            checker.observe("bfs_kernel", stats)
-        if dflow is not None:
-            dflow.observe("bfs_kernel", stats)
-        if cpath is not None:
-            cpath.observe_launch("bfs_kernel", stats, round_index=level)
         tails = device.read_back(tails_d)
         chunks = device.read_back(buf_d)
         nxt = np.concatenate([
@@ -423,53 +325,19 @@ def gpu_bfs(
             for b in range(grid_dim)
         ]) if tails.any() else np.empty(0, dtype=np.int64)
         device.free("frontier")
-        if tr is not None:
-            tr.end(span, device.elapsed_ms,
-                   args={"level": level, "frontier": int(frontier.size)})
-            tr.sample("frontier", device.elapsed_ms, int(frontier.size))
+        run.end_round({"level": level, "frontier": int(frontier.size)})
         level += 1
         dist[nxt] = level
         frontier = nxt
 
-    if profiler is not None:
-        profiler.set_round(None)
-    if memtracer is not None:
-        memtracer.set_round(None)
-        device.free_all()
-        memtracer.finish(device.elapsed_ms)
-    counters = {
-        "host.levels": float(level),
-        "kernel.bfs.launches": float(level),
-        "frontier.peak": float(max(frontier_per_level, default=0)),
-        "frontier.total": float(sum(frontier_per_level)),
-        f"engine.{device.engine.name}": 1.0,
-    }
-    counters.update(device.counters())
-    return DecompositionResult(
-        core=dist,
-        algorithm="gpu-bfs",
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
-        rounds=level,
-        stats={
-            "kernel_launches": device.kernel_launches,
-            "variant": cfg.name,
-            "engine": device.engine.name,
-            "frontier_per_round": frontier_per_level,
+    frontiers = run.frontier_per_round
+    return run.result(
+        dist,
+        stats={},
+        counters={
+            "host.levels": float(level),
+            "kernel.bfs.launches": float(level),
+            "frontier.peak": float(max(frontiers, default=0)),
+            "frontier.total": float(sum(frontiers)),
         },
-        counters=counters,
-        trace=tr,
-        sanitizer=(
-            device.sanitizer.report if device.sanitizer is not None else None
-        ),
-        staticheck=_static_report(),
-        profile=profiler.report() if profiler is not None else None,
-        memtrace=memtracer.report() if memtracer is not None else None,
-        critpath=(
-            cpath.build(
-                elapsed_ms=device.elapsed_ms,
-                kernel_launches=device.kernel_launches,
-            )
-            if cpath is not None else None
-        ),
     )

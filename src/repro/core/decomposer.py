@@ -7,7 +7,10 @@ execution mode once, then decompose graphs.
   real milliseconds, no cost model.
 * ``mode="simulate"`` — runs the paper's CUDA kernels on the SIMT
   simulator, producing simulated time/memory metrics and honouring the
-  chosen ablation variant.
+  chosen ablation variant.  ``options`` (a
+  :class:`~repro.core.host.GpuPeelOptions`) carries that mode's
+  tunables — variant, buffer capacity, time budget, race fuzzing; the
+  instruments below are keyword arguments only.
 
 Pass ``trace=True`` to record each ``decompose`` call with a fresh
 :class:`~repro.obs.tracer.Tracer` (see ``docs/OBSERVABILITY.md``): the
@@ -125,7 +128,7 @@ class KCoreDecomposer:
         self.profile = profile
         self.memtrace = memtrace
         #: execution engine for ``simulate`` mode — ``"reference"``,
-        #: ``"vectorized"`` (default), ``"jit"``, or a prebuilt
+        #: ``"vectorized"`` (default), or a prebuilt
         #: :class:`~repro.gpusim.engine.ExecutionEngine`.  ``fast``
         #: mode runs no simulator kernels, so the engine is unused.
         self.engine = engine

@@ -20,12 +20,12 @@ sample — the per-round decay Perfetto plots directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 import repro.core.fastsim  # noqa: F401  (registers vectorized executors)
 from repro.core.loop_kernel import loop_kernel
+from repro.core.run import DeviceRun
 from repro.core.scan_kernel import scan_kernel
 from repro.core.variants import VariantConfig, get_variant
 from repro.errors import ReproError
@@ -37,28 +37,17 @@ from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer
 from repro.result import DecompositionResult
 
-if TYPE_CHECKING:
-    from repro.sanitize.report import SanitizerReport
-
 __all__ = ["gpu_peel", "GpuPeelOptions"]
-
-
-def _attach_report(
-    want_report: bool, result: DecompositionResult
-) -> DecompositionResult:
-    """Wrap ``result`` with its unified run report when requested."""
-    if not want_report:
-        return result
-    from dataclasses import replace
-
-    from repro.obs.runreport import RunReport
-
-    return replace(result, report=RunReport.from_result(result))
 
 
 @dataclass(frozen=True)
 class GpuPeelOptions:
-    """Tunables of a simulated-GPU peeling run."""
+    """Tunables of a simulated-GPU peeling run.
+
+    Instruments (``sanitize``, ``profile``, ``report``, ...) and the
+    execution engine are :func:`gpu_peel` keyword arguments, not
+    options.
+    """
 
     #: kernel variant name or config (Table II column)
     variant: str | VariantConfig = "ours"
@@ -72,59 +61,6 @@ class GpuPeelOptions:
     preempt_prob: float = 0.0
     #: RNG seed for the fuzzing schedule
     seed: int = 0
-    #: run every kernel launch under the dynamic race detector and
-    #: attach the :class:`~repro.sanitize.report.SanitizerReport` to the
-    #: result (``docs/SANITIZER.md``); costs host time only — simulated
-    #: time is unchanged
-    sanitize: bool = False
-    #: check every launch against the variant's static resource
-    #: certificate and attach the differential-checker report to
-    #: ``result.staticheck`` (``docs/STATIC_ANALYSIS.md``); like
-    #: ``sanitize``, costs host time only — simulated time is unchanged
-    staticheck: bool = False
-    #: run the static dataflow analyzer (lane-uniformity abstract
-    #: interpretation, :mod:`repro.staticheck.dataflow`) over both
-    #: kernels for the chosen variant and check every launch against
-    #: its certificates — race-freedom obligations, the
-    #: divergence/coalescing bracket, and the engine-precondition
-    #: prediction against ``KernelStats.served_by``.  Findings land on
-    #: ``result.staticheck`` (merged with the differential checker's
-    #: when both are enabled); host time only, simulated time unchanged
-    dataflow: bool = False
-    #: profile every launch (speed-of-light bound attribution, see
-    #: :mod:`repro.profile`) and attach the
-    #: :class:`~repro.profile.report.ProfileReport` to
-    #: ``result.profile``; observability-only — simulated time is
-    #: byte-identical with profiling on or off
-    profile: bool = False
-    #: record every device allocation's lifetime plus an exact
-    #: attribution breakdown of the memory peak (see
-    #: :mod:`repro.memtrace`) and attach the
-    #: :class:`~repro.memtrace.report.MemtraceReport` to
-    #: ``result.memtrace``; observability-only — simulated time,
-    #: counters, and the peak itself are byte-identical with memory
-    #: tracing on or off
-    memtrace: bool = False
-    #: execution engine for every kernel launch (``"reference"``,
-    #: ``"vectorized"``, ``"jit"``, or ``None`` for the default); all
-    #: engines produce byte-identical simulated results, so this only
-    #: changes host wall-clock time — see ``docs/SIMULATOR.md``
-    engine: "str | ExecutionEngine | None" = None
-    #: merge every telemetry vertical into a unified, validated
-    #: ``repro.runreport/v1`` record on ``result.report`` (see
-    #: :mod:`repro.obs.runreport`); implies ``profile`` and
-    #: ``memtrace``.  Observability-only — simulated time, counters,
-    #: and core numbers are byte-identical with reporting on or off
-    report: bool = False
-    #: reconstruct the causal critical path of the run — per-launch
-    #: DAG nodes with per-SM lane slack, exact cycle accounting, static
-    #: floor certificates and the ranked what-if speedup-ceiling table
-    #: (see :mod:`repro.obs.critpath`) — on ``result.critpath``.
-    #: Implies ``profile`` (the analyzer needs per-block timings).
-    #: Observability-only — simulated time, counters, and core numbers
-    #: are byte-identical with the analyzer on or off.  Empty graphs
-    #: launch no kernels and attach ``None``.
-    critpath: bool = False
 
 
 def gpu_peel(
@@ -135,14 +71,14 @@ def gpu_peel(
     cost_model: CostModel | None = None,
     options: GpuPeelOptions | None = None,
     tracer: Tracer | None = None,
-    sanitize: bool | None = None,
-    staticheck: bool | None = None,
-    dataflow: bool | None = None,
-    profile: bool | None = None,
-    memtrace: bool | None = None,
+    sanitize: bool = False,
+    staticheck: bool = False,
+    dataflow: bool = False,
+    profile: bool = False,
+    memtrace: bool = False,
     engine: "str | ExecutionEngine | None" = None,
-    report: bool | None = None,
-    critpath: bool | None = None,
+    report: bool = False,
+    critpath: bool = False,
 ) -> DecompositionResult:
     """Run the paper's GPU peeling algorithm on the simulator.
 
@@ -153,44 +89,40 @@ def gpu_peel(
             :class:`VariantConfig`.
         device: a pre-built device (so callers can share a memory pool
             or inspect metrics); otherwise one is created from ``spec``
-            and ``cost_model``.
+            and ``cost_model``.  The requested instruments it lacks are
+            attached to it.
         options: further tunables; ``options.variant`` is overridden by
             the explicit ``variant`` argument when both are given.
         tracer: an explicit :class:`~repro.obs.tracer.Tracer` for this
             run (``KCoreDecomposer(trace=True)`` passes one); without
             it, a freshly created device still picks up the process-wide
             active tracer, and a pre-built ``device`` keeps its own.
-        sanitize: run every launch under the dynamic race detector
-            (overrides ``options.sanitize`` when given); the collected
+        sanitize: run every launch under the dynamic race detector; the
             :class:`~repro.sanitize.report.SanitizerReport` lands on
             ``result.sanitizer``.
         staticheck: check every launch's measured ``KernelStats``
-            against the variant's static resource certificate
-            (overrides ``options.staticheck`` when given); the
+            against the variant's static resource certificate; the
             differential checker's report lands on
             ``result.staticheck``.  Not available for ring-buffer
             variants, whose buffers have no static slot bound.
         dataflow: check every launch against the static dataflow
-            certificates (overrides ``options.dataflow`` when given):
-            race-freedom proofs/obligations, the divergence/coalescing
-            bracket, and the engine-precondition tier prediction (see
-            :mod:`repro.staticheck.dataflow`).  Findings merge into
-            ``result.staticheck``.  Unlike ``staticheck`` this *is*
-            available for ring-buffer variants — their undischarged
-            obligations surface as ``unproven-race-freedom`` warnings.
-        profile: collect a speed-of-light profile of every launch
-            (overrides ``options.profile`` when given); the
+            certificates: race-freedom proofs/obligations, the
+            divergence/coalescing bracket, and the engine-precondition
+            tier prediction (see :mod:`repro.staticheck.dataflow`).
+            Findings merge into ``result.staticheck``.  Unlike
+            ``staticheck`` this *is* available for ring-buffer variants
+            — their undischarged obligations surface as
+            ``unproven-race-freedom`` warnings.
+        profile: collect a speed-of-light profile of every launch; the
             :class:`~repro.profile.report.ProfileReport` — per-launch
             bound classification, per-kernel and per-round aggregation,
             flamegraph export — lands on ``result.profile``.
         memtrace: record the lifetime of every device allocation and
-            attribute the memory peak exactly (overrides
-            ``options.memtrace`` when given); the
+            attribute the memory peak exactly; the
             :class:`~repro.memtrace.report.MemtraceReport` lands on
             ``result.memtrace``.
-        engine: execution engine for every kernel launch (overrides
-            ``options.engine`` when given): ``"reference"``,
-            ``"vectorized"``, ``"jit"``, an
+        engine: execution engine for every kernel launch:
+            ``"reference"``, ``"vectorized"``, an
             :class:`~repro.gpusim.engine.ExecutionEngine` instance, or
             ``None`` for the default.  Results are byte-identical
             across engines; only host wall-clock time changes.  Ignored
@@ -198,17 +130,19 @@ def gpu_peel(
             its own engine.
         report: merge every enabled telemetry vertical into one
             validated ``repro.runreport/v1`` record on
-            ``result.report`` (overrides ``options.report`` when
-            given); implies ``profile`` and ``memtrace`` so the report
-            always covers kernels, cycles and the memory peak.  See
-            the "Run reports" section of ``docs/OBSERVABILITY.md``.
+            ``result.report``; implies ``profile`` and ``memtrace`` so
+            the report always covers kernels, cycles and the memory
+            peak.  See the "Run reports" section of
+            ``docs/OBSERVABILITY.md``.
         critpath: reconstruct the run's causal critical path and
-            what-if projections (overrides ``options.critpath`` when
-            given); the validated
+            what-if projections; the validated
             :class:`~repro.obs.critpath.CritPathReport` lands on
             ``result.critpath``.  Implies ``profile``.  See the
             "Critical path & what-if" section of
             ``docs/OBSERVABILITY.md``.
+
+    Every instrument is observability-only: simulated time, counters
+    and core numbers are byte-identical with any of them on or off.
 
     Returns:
         A :class:`DecompositionResult` whose ``simulated_ms`` /
@@ -221,145 +155,20 @@ def gpu_peel(
     if variant == "ours" and opts.variant != "ours":
         chosen = opts.variant  # explicit argument wins over options
     cfg = chosen if isinstance(chosen, VariantConfig) else get_variant(chosen)
-    want_sanitize = opts.sanitize if sanitize is None else sanitize
-    want_staticheck = opts.staticheck if staticheck is None else staticheck
-    want_dataflow = opts.dataflow if dataflow is None else dataflow
-    want_profile = opts.profile if profile is None else profile
-    want_memtrace = opts.memtrace if memtrace is None else memtrace
-    want_engine = opts.engine if engine is None else engine
-    want_report = opts.report if report is None else report
-    want_critpath = opts.critpath if critpath is None else critpath
-    if want_report:
-        # a run report always covers the kernel profile and the memory
-        # peak attribution; both are observability-only
-        want_profile = True
-        want_memtrace = True
-    if want_critpath:
-        # the critical-path analyzer consumes per-block timings, which
-        # only ride along with a profiler attached
-        want_profile = True
-    if want_staticheck and cfg.ring_buffer:
-        raise ReproError(
-            "staticheck is not available for ring-buffer variants: a "
-            "wrapping buffer has no static slot bound (see "
-            "docs/STATIC_ANALYSIS.md)"
-        )
-
-    if device is None:
-        device = Device(
-            spec=spec,
-            cost_model=cost_model,
-            time_budget_ms=opts.time_budget_ms,
-            preempt_prob=opts.preempt_prob,
-            seed=opts.seed,
-            tracer=tracer,
-            sanitize=want_sanitize,
-            profile=want_profile,
-            memtrace=want_memtrace,
-            engine=want_engine,
-        )
-    else:
-        if tracer is not None:
-            device.tracer = tracer
-        if want_sanitize and device.sanitizer is None:
-            from repro.sanitize.racecheck import KernelSanitizer
-
-            device.sanitizer = KernelSanitizer()
-        if want_profile and device.profiler is None:
-            from repro.profile.profiler import KernelProfiler
-
-            device.profiler = KernelProfiler()
-        if want_memtrace and device.memtracer is None:
-            from repro.memtrace.tracker import MemoryTracker
-
-            # late attach: anything already resident on the shared
-            # device is opaque history, folded into the base
-            mt = MemoryTracker()
-            mt.attach(device.memory.in_use, ts_ms=device.elapsed_ms)
-            device.memtracer = mt
-    profiler = device.profiler
-    if profiler is not None:
-        profiler.annotate(variant=cfg.name, algorithm=f"gpu-{cfg.name}")
-    memtracer = device.memtracer
-    if memtracer is not None:
-        memtracer.annotate(variant=cfg.name, algorithm=f"gpu-{cfg.name}")
-    spec = device.spec
-    if cfg.prefetch and spec.warps_per_block < 2:
-        raise ReproError(
-            "the VP variant needs at least 2 warps per block "
-            f"(block_dim >= {2 * spec.warp_size})"
-        )
-
+    run = DeviceRun(
+        graph, cfg, "kcore", f"gpu-{cfg.name}",
+        device=device, spec=spec, cost_model=cost_model, tracer=tracer,
+        time_budget_ms=opts.time_budget_ms, preempt_prob=opts.preempt_prob,
+        seed=opts.seed, engine=engine, buffer_capacity=opts.buffer_capacity,
+        sanitize=sanitize, staticheck=staticheck, dataflow=dataflow,
+        profile=profile, memtrace=memtrace, report=report, critpath=critpath,
+    )
     n = graph.num_vertices
-    checker = None
-    if want_staticheck:
-        from repro.staticheck.differential import DifferentialChecker
-
-        checker = DifferentialChecker(
-            cfg, spec, n, len(graph.neighbors), graph.max_degree,
-            buffer_capacity=opts.buffer_capacity,
-        )
-    dflow = None
-    if want_dataflow:
-        from repro.staticheck.dataflow import DataflowChecker
-
-        dflow = DataflowChecker(
-            cfg,
-            engine=device.engine.name,
-            monitored=device.sanitizer is not None,
-            preempt_prob=opts.preempt_prob,
-        )
-
-    def _static_report() -> "SanitizerReport | None":
-        if checker is None and dflow is None:
-            return None
-        if checker is None:
-            return dflow.report
-        if dflow is not None:
-            checker.report.merge(dflow.report)
-        return checker.report
-
     if n == 0:
-        if memtracer is not None:
-            memtracer.finish(device.elapsed_ms)
-        return _attach_report(want_report, DecompositionResult(
-            core=np.empty(0, dtype=np.int64),
-            algorithm=f"gpu-{cfg.name}",
-            sanitizer=(
-                device.sanitizer.report
-                if device.sanitizer is not None else None
-            ),
-            staticheck=_static_report(),
-            profile=(
-                profiler.report() if profiler is not None else None
-            ),
-            memtrace=(
-                memtracer.report() if memtracer is not None else None
-            ),
-        ))
+        return run.empty_result(np.empty(0, dtype=np.int64))
 
-    cpath = None
-    if want_critpath:
-        from repro.obs.critpath import CritPathCollector
-        from repro.staticheck.bounds import launch_env
-
-        cpath = CritPathCollector(
-            spec=spec,
-            cost=device.cost_model,
-            algorithm=f"gpu-{cfg.name}",
-            variant=cfg.name,
-            track=device.name,
-            cfg=cfg,
-            env=launch_env(
-                n, len(graph.neighbors), graph.max_degree, spec, cfg,
-                buffer_capacity=opts.buffer_capacity,
-            ),
-            # a shared device may carry prior work; the analyzer folds
-            # its cycles from the same starting point the device does
-            base_cycles=device.total_cycles,
-            base_launches=device.kernel_launches,
-        )
-
+    device = run.device
+    spec = device.spec
     grid_dim = spec.default_grid_dim
     capacity = opts.buffer_capacity or spec.block_buffer_capacity
     shared_capacity = spec.shared_buffer_capacity if cfg.shared_buffer else 0
@@ -379,11 +188,9 @@ def gpu_peel(
             "compaction_scratch", 3 * grid_dim * spec.default_block_dim
         )
 
-    tr = device.tracer
     scan_cycles = 0.0
     loop_cycles = 0.0
     buffer_peak = 0.0
-    frontier_per_round: list[int] = []
     count = 0
     k = 0
     max_rounds = graph.max_degree + 2  # k_max <= max degree
@@ -393,117 +200,53 @@ def gpu_peel(
                 f"peeling made no progress after {k} rounds "
                 f"({count}/{n} vertices removed)"
             )
-        round_span = (
-            tr.begin(f"round k={k}", device.elapsed_ms, cat="round")
-            if tr is not None else None
-        )
-        if profiler is not None:
-            profiler.set_round(k)
-        if memtracer is not None:
-            memtracer.set_round(k)
-        stats = device.launch(
-            scan_kernel, args=(k, deg_d, buf_d, tails_d, n, capacity, cfg)
+        run.begin_round(k, f"round k={k}")
+        stats = run.launch(
+            scan_kernel, (k, deg_d, buf_d, tails_d, n, capacity, cfg), k
         )  # Line 6
-        if checker is not None:
-            checker.observe("scan_kernel", stats)
-        if dflow is not None:
-            dflow.observe("scan_kernel", stats)
-        if cpath is not None:
-            cpath.observe_launch("scan_kernel", stats, round_index=k)
         scan_cycles += stats.cycles
-        if stats.buffer_peak > buffer_peak:
-            buffer_peak = stats.buffer_peak
-        stats = device.launch(
+        buffer_peak = max(buffer_peak, stats.buffer_peak)
+        stats = run.launch(
             loop_kernel,
-            args=(
+            (
                 k, offsets_d, neighbors_d, deg_d, buf_d, tails_d,
                 count_d, capacity, shared_capacity, cfg,
             ),
+            k,
         )  # Line 7
-        if checker is not None:
-            checker.observe("loop_kernel", stats)
-        if dflow is not None:
-            dflow.observe("loop_kernel", stats)
-        if cpath is not None:
-            cpath.observe_launch("loop_kernel", stats, round_index=k)
         loop_cycles += stats.cycles
-        if stats.buffer_peak > buffer_peak:
-            buffer_peak = stats.buffer_peak
+        buffer_peak = max(buffer_peak, stats.buffer_peak)
         new_count = int(device.read_back(count_d)[0])  # Line 8
-        frontier_per_round.append(new_count - count)
-        if tr is not None:
-            tr.end(round_span, device.elapsed_ms,
-                   args={"k": k, "frontier": new_count - count,
-                         "removed": new_count})
-            tr.sample("frontier", device.elapsed_ms, new_count - count)
+        run.end_round({"k": k, "frontier": new_count - count,
+                       "removed": new_count})
         count = new_count
         k += 1  # Line 9
 
-    if profiler is not None:
-        profiler.set_round(None)
-    if memtracer is not None:
-        memtracer.set_round(None)
     core = device.read_back(deg_d)  # Line 10
-    if memtracer is not None:
-        # release the run's arrays so every lifetime closes (the peak
-        # is already booked); untraced devices keep their contents for
-        # post-run inspection, as before
-        device.free_all()
-        memtracer.finish(device.elapsed_ms)
     effective_capacity = capacity + shared_capacity
-    counters = {
-        "host.rounds": float(k),
-        "kernel.scan.launches": float(k),
-        "kernel.loop.launches": float(k),
-        "kernel.scan.cycles": scan_cycles,
-        "kernel.loop.cycles": loop_cycles,
-        "frontier.peak": float(max(frontier_per_round, default=0)),
-        "frontier.total": float(count),
-        "frontier.mean": float(count) / k if k else 0.0,
-        "buffer.peak_fill": buffer_peak,
-        "buffer.capacity": float(effective_capacity),
-        "buffer.peak_occupancy": (
-            buffer_peak / effective_capacity if effective_capacity else 0.0
-        ),
-        # engine attribution: which execution engine produced this run
-        # (a tag, not a measurement — the values are engine-invariant)
-        f"engine.{device.engine.name}": 1.0,
-    }
-    counters.update(device.counters())
-    if tr is not None:
-        for name, value in counters.items():
-            if not name.startswith("device."):  # device.* already live
-                tr.put(name, value)
-    return _attach_report(want_report, DecompositionResult(
-        core=core,
-        algorithm=f"gpu-{cfg.name}",
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
-        rounds=k,
+    return run.result(
+        core,
         stats={
-            "kernel_launches": device.kernel_launches,
             "scan_cycles": scan_cycles,
             "loop_cycles": loop_cycles,
             "buffer_capacity": capacity,
             "grid_dim": grid_dim,
             "block_dim": spec.default_block_dim,
-            "variant": cfg.name,
-            "engine": device.engine.name,
-            "frontier_per_round": frontier_per_round,
         },
-        counters=counters,
-        trace=tr,
-        sanitizer=(
-            device.sanitizer.report if device.sanitizer is not None else None
-        ),
-        staticheck=_static_report(),
-        profile=profiler.report() if profiler is not None else None,
-        memtrace=memtracer.report() if memtracer is not None else None,
-        critpath=(
-            cpath.build(
-                elapsed_ms=device.elapsed_ms,
-                kernel_launches=device.kernel_launches,
-            )
-            if cpath is not None else None
-        ),
-    ))
+        counters={
+            "host.rounds": float(k),
+            "kernel.scan.launches": float(k),
+            "kernel.loop.launches": float(k),
+            "kernel.scan.cycles": scan_cycles,
+            "kernel.loop.cycles": loop_cycles,
+            "frontier.peak": float(max(run.frontier_per_round, default=0)),
+            "frontier.total": float(count),
+            "frontier.mean": float(count) / k if k else 0.0,
+            "buffer.peak_fill": buffer_peak,
+            "buffer.capacity": float(effective_capacity),
+            "buffer.peak_occupancy": (
+                buffer_peak / effective_capacity if effective_capacity
+                else 0.0
+            ),
+        },
+    )

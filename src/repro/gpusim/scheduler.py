@@ -80,7 +80,7 @@ class KernelStats:
 
     ``served_by`` names the engine tier that actually executed the
     launch: ``"reference"`` for the interpreter (this module), or the
-    engine name (``"vectorized"``/``"jit"``) when a registered batched
+    engine name (``"vectorized"``) when a registered batched
     executor served it.  A vectorized engine that routes a launch to
     the interpreter — structural fallback, attached monitor, preemption
     — leaves the field at ``"reference"``, which is how the

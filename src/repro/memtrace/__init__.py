@@ -11,13 +11,13 @@ Enable it anywhere in the stack:
 
 * ``Device(memtrace=True)`` — attach a
   :class:`~repro.memtrace.tracker.MemoryTracker` to one device;
-* ``gpu_peel(graph, memtrace=True)`` / ``GpuPeelOptions(memtrace=True)``
-  / ``KCoreDecomposer(mode="simulate", memtrace=True)`` — the report
+* ``gpu_peel(graph, memtrace=True)`` /
+  ``KCoreDecomposer(mode="simulate", memtrace=True)`` — the report
   lands on ``result.memtrace``;
 * the system emulations (``gunrock_decompose(memtrace=True)``, ...)
   and ``multi_gpu_peel(memtrace=True)`` (one worker section per GPU);
 * CLI ``--memtrace [FILE]`` for any algorithm in
-  ``repro.api.MEMTRACEABLE``.
+  ``repro.api.CAPABILITIES["memtrace"]``.
 
 Like every observability layer here, memtrace never perturbs the run:
 simulated time, counters, core numbers, and the peak itself are

@@ -777,7 +777,7 @@ def collect_run_report(
     the results into one report.
 
     Each algorithm gets every observability vertical it supports
-    (profile, memtrace — per the :mod:`repro.api` capability sets),
+    (profile, memtrace, critpath — per :data:`repro.api.CAPABILITIES`),
     plus a fresh process-wide tracer per run when ``trace`` is on so
     the report's trace cross-checks are exercised; all of it is
     observability-only, so the results are byte-identical to plain
@@ -788,13 +788,10 @@ def collect_run_report(
 
     results = []
     for name in algorithms:
-        kwargs: Dict[str, Any] = {}
-        if name in api.PROFILABLE:
-            kwargs["profile"] = True
-        if name in api.MEMTRACEABLE:
-            kwargs["memtrace"] = True
-        if name in api.CRITPATHABLE:
-            kwargs["critpath"] = True
+        kwargs: Dict[str, Any] = {
+            key: True for key in ("profile", "memtrace", "critpath")
+            if name in api.CAPABILITIES[key]
+        }
         if trace:
             start_tracing()  # a fresh tracer per run: no cross-talk
             try:

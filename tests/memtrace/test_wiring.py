@@ -4,7 +4,7 @@ bench runner, and CLI."""
 import numpy as np
 import pytest
 
-from repro.api import MEMTRACEABLE, decompose
+from repro.api import CAPABILITIES, decompose
 from repro.core.decomposer import KCoreDecomposer
 from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import multi_gpu_peel
@@ -35,8 +35,11 @@ def test_memtrace_off_by_default(graph):
 
 
 def test_memtrace_via_options(graph):
-    result = gpu_peel(graph, options=GpuPeelOptions(memtrace=True))
+    # the instrument is a keyword; options alongside it keep their say
+    result = gpu_peel(graph, options=GpuPeelOptions(variant="vp"),
+                      memtrace=True)
     assert result.memtrace is not None
+    assert result.memtrace.variant == "vp"
 
 
 def test_memtrace_records_rounds_and_kernel_scopes(graph):
@@ -64,7 +67,7 @@ def test_decomposer_memtrace_flag(graph):
 
 
 def test_every_memtraceable_algorithm_reports_exact_attribution(graph):
-    for name in sorted(MEMTRACEABLE):
+    for name in sorted(CAPABILITIES["memtrace"]):
         result = decompose(graph, name, memtrace=True)
         report = result.memtrace
         assert report is not None, name
@@ -74,11 +77,12 @@ def test_every_memtraceable_algorithm_reports_exact_attribution(graph):
 
 
 def test_memtraceable_covers_variants_and_systems():
-    assert "gpu-ours" in MEMTRACEABLE
-    assert "gpu-multi2" in MEMTRACEABLE
+    memtraceable = CAPABILITIES["memtrace"]
+    assert "gpu-ours" in memtraceable
+    assert "gpu-multi2" in memtraceable
     assert {"vetga", "medusa-mpm", "medusa-peel", "gunrock",
-            "gswitch"} <= MEMTRACEABLE
-    assert "bz" not in MEMTRACEABLE  # CPU programs have no device
+            "gswitch"} <= memtraceable
+    assert "bz" not in memtraceable  # CPU programs have no device
 
 
 def test_system_emulation_attributes_init_scope(graph):

@@ -16,7 +16,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.api import CRITPATHABLE, decompose, variant_names
+from repro.api import CAPABILITIES, decompose, variant_names
 from repro.cli import main
 from repro.core.bfs_kernel import gpu_bfs
 from repro.core.decomposer import KCoreDecomposer
@@ -147,11 +147,12 @@ def test_decomposer_threads_the_flag(graph):
 
 
 def test_critpathable_registry():
-    assert "gpu-ours" in CRITPATHABLE
-    assert "gpu-multi2" in CRITPATHABLE
-    assert "gpu-multi4" in CRITPATHABLE
-    assert "bz" not in CRITPATHABLE
-    assert CRITPATHABLE == frozenset(
+    critpathable = CAPABILITIES["critpath"]
+    assert "gpu-ours" in critpathable
+    assert "gpu-multi2" in critpathable
+    assert "gpu-multi4" in critpathable
+    assert "bz" not in critpathable
+    assert critpathable == frozenset(
         {f"gpu-{name}" for name in variant_names()}
         | {"gpu-multi2", "gpu-multi4"}
     )

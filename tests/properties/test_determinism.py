@@ -39,7 +39,6 @@ def peel_setups(draw):
         variant=variant,
         preempt_prob=draw(st.sampled_from([0.0, 0.2, 0.5])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
-        sanitize=True,
     )
     return graph, options
 
@@ -48,7 +47,7 @@ def peel_setups(draw):
 @settings(max_examples=12, deadline=None)
 def test_clean_kernels_match_bz_under_any_schedule(setup):
     graph, options = setup
-    result = gpu_peel(graph, options=options)
+    result = gpu_peel(graph, options=options, sanitize=True)
     assert result.sanitizer.clean, result.sanitizer.summary()
     assert np.array_equal(result.core, bz_core_numbers(graph))
 
@@ -57,8 +56,8 @@ def test_clean_kernels_match_bz_under_any_schedule(setup):
 @settings(max_examples=8, deadline=None)
 def test_same_schedule_replays_identically(setup):
     graph, options = setup
-    first = gpu_peel(graph, options=options)
-    second = gpu_peel(graph, options=options)
+    first = gpu_peel(graph, options=options, sanitize=True)
+    second = gpu_peel(graph, options=options, sanitize=True)
     assert np.array_equal(first.core, second.core)
     assert first.simulated_ms == second.simulated_ms
     assert first.rounds == second.rounds
@@ -69,8 +68,8 @@ def test_same_schedule_replays_identically(setup):
 @settings(max_examples=8, deadline=None)
 def test_sanitizer_never_perturbs_simulated_time(setup):
     graph, options = setup
-    checked = gpu_peel(graph, options=options)
-    plain = gpu_peel(graph, options=options, sanitize=False)
+    checked = gpu_peel(graph, options=options, sanitize=True)
+    plain = gpu_peel(graph, options=options)
     assert plain.sanitizer is None
     assert checked.simulated_ms == plain.simulated_ms
     # `engine.served.*` legitimately differs: a monitored launch is

@@ -115,8 +115,8 @@ class TestShippedKernelsClean:
         assert np.array_equal(result.core, reference.core)
 
     def test_clean_under_preempt_fuzzing(self, graph):
-        options = GpuPeelOptions(preempt_prob=0.3, seed=7, sanitize=True)
-        result = gpu_peel(graph, options=options)
+        options = GpuPeelOptions(preempt_prob=0.3, seed=7)
+        result = gpu_peel(graph, options=options, sanitize=True)
         assert result.sanitizer.clean, result.sanitizer.summary()
 
     def test_multi_gpu_shares_one_report(self, graph):

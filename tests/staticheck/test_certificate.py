@@ -174,7 +174,7 @@ class TestDifferentialChecker:
 
 def test_options_staticheck_flag_is_honoured():
     graph = gen.erdos_renyi(60, 4.0, seed=1)
-    result = gpu_peel(graph, options=GpuPeelOptions(staticheck=True))
+    result = gpu_peel(graph, options=GpuPeelOptions(), staticheck=True)
     assert result.staticheck is not None
     assert result.staticheck.clean
     plain = gpu_peel(graph)

@@ -172,9 +172,8 @@ def test_fig1_launches_agree_with_the_certificates(variant):
 
 def test_dataflow_merges_with_the_resource_tier():
     graph, _ = fig1_graph()
-    both = gpu_peel(graph, options=GpuPeelOptions(
-        staticheck=True, dataflow=True))
-    only = gpu_peel(graph, options=GpuPeelOptions(dataflow=True))
+    both = gpu_peel(graph, staticheck=True, dataflow=True)
+    only = gpu_peel(graph, dataflow=True)
     assert both.staticheck.clean
     # both tiers observe every launch, so the merged count doubles
     assert both.staticheck.launches_checked \

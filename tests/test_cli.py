@@ -88,12 +88,17 @@ def test_sanitize_clean_run(tmp_path, capsys):
     assert "clean" in out
 
 
-def test_sanitize_unsupported_algorithm(tmp_path, capsys):
-    path = tmp_path / "g.txt"
-    path.write_text("0 1\n1 2\n0 2\n")
-    assert main(["--input", str(path), "--algorithm", "bz",
-                 "--sanitize"]) == 2
-    assert "--sanitize" in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [
+    ["--sanitize"], ["--staticheck"], ["--dataflow"], ["--ncu"],
+    ["--engine", "reference"], ["--memtrace"], ["--critpath"],
+], ids=lambda flags: flags[0])
+def test_unsupported_algorithm(tmp_path, capsys, flags):
+    src = tmp_path / "g.txt"
+    src.write_text("0 1\n1 2\n0 2\n")
+    assert main(["--input", str(src), "--algorithm", "bz", *flags]) == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err
+    assert "supported: " in err
 
 
 def test_staticheck_without_source_dumps_certificates(capsys):
@@ -152,14 +157,6 @@ def test_json_unwritable_path_fails_cleanly(tmp_path, capsys):
     out = missing / "findings.json"
     assert main(["--staticheck", "--json", str(out)]) == 1
     assert "cannot write findings" in capsys.readouterr().err
-
-
-def test_staticheck_unsupported_algorithm(tmp_path, capsys):
-    path = tmp_path / "g.txt"
-    path.write_text("0 1\n1 2\n0 2\n")
-    assert main(["--input", str(path), "--algorithm", "pkc",
-                 "--staticheck"]) == 2
-    assert "--staticheck" in capsys.readouterr().err
 
 
 def test_profile_creates_missing_parent_dirs(tmp_path, capsys):
@@ -222,13 +219,6 @@ def test_ncu_unwritable_path_is_a_clear_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_ncu_unsupported_algorithm(tmp_path, capsys):
-    src = tmp_path / "g.txt"
-    src.write_text("0 1\n1 2\n0 2\n")
-    assert main(["--input", str(src), "--algorithm", "bz", "--ncu"]) == 2
-    assert "--ncu" in capsys.readouterr().err
-
-
 def test_memtrace_prints_timeline(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text("0 1\n1 2\n0 2\n2 3\n")
@@ -262,14 +252,6 @@ def test_memtrace_works_for_system_emulations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Memory telemetry: gswitch" in out
     assert "gswitch.init" in out
-
-
-def test_memtrace_unsupported_algorithm(tmp_path, capsys):
-    src = tmp_path / "g.txt"
-    src.write_text("0 1\n1 2\n0 2\n")
-    assert main(["--input", str(src), "--algorithm", "bz",
-                 "--memtrace"]) == 2
-    assert "--memtrace" in capsys.readouterr().err
 
 
 # -- unified run reports (--report) ------------------------------------------

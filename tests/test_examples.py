@@ -1,33 +1,43 @@
-"""Smoke tests: the example scripts must run end to end.
+"""Smoke tests: every example script must run end to end.
 
-The two quick examples run in-process on every test pass; the longer
-scenario scripts are exercised by their own integration machinery (and
-by the benchmark suite, which covers the same code paths).
+Each script runs in-process once; the output checks below reuse that
+run.
 """
 
+import contextlib
+import functools
+import io
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+SCRIPTS = sorted(path.name for path in EXAMPLES.glob("*.py"))
 
 
-def _run(name: str, capsys) -> str:
-    runpy.run_path(str(EXAMPLES / name), run_name="__main__")
-    return capsys.readouterr().out
+@functools.lru_cache(maxsize=None)
+def _output(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(EXAMPLES / name), run_name="__main__")
+    return out.getvalue()
 
 
-def test_quickstart(capsys):
-    out = _run("quickstart.py", capsys)
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_example_runs(name):
+    assert _output(name).strip(), name
+
+
+def test_quickstart():
+    out = _output("quickstart.py")
     assert "Core numbers:" in out
     assert "Simulated GPU run" in out
     assert "web-Google analogue" in out
 
 
-def test_gpu_anatomy(capsys):
-    out = _run("gpu_anatomy.py", capsys)
+def test_gpu_anatomy():
+    out = _output("gpu_anatomy.py")
     assert "Ablation (Table II, this graph):" in out
     assert "Buffer overflow" in out
 
