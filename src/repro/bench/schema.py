@@ -22,7 +22,7 @@ them); ``qualitative`` is a free-form dict of booleans/numbers that a
 bench uses to record the shape claims its assertions checked.
 
 :func:`validate_record` returns a list of problems (empty = valid);
-``scripts/check_bench_json.py`` and the tier-1 test
+``scripts/gate.py bench_json`` and the tier-1 test
 ``tests/test_bench_json.py`` are thin wrappers around it.
 """
 
@@ -56,7 +56,8 @@ def _validate_profile_baseline(record: Dict[str, Any]) -> List[str]:
 
     The deep arithmetic checks live with the profiler
     (:mod:`repro.profile.report`); here we only keep the committed
-    baseline well-formed enough for ``check_perf_regression.py``.
+    baseline well-formed enough for the ``perf`` gate of
+    ``scripts/gate.py``.
     """
     errors: List[str] = []
     if not isinstance(record.get("dataset"), str) or not record["dataset"]:
@@ -94,9 +95,9 @@ def _validate_trajectory(record: Dict[str, Any]) -> List[str]:
     ``engine_speedup`` (a dated host wall-clock comparison of the
     execution engines, see ``docs/SIMULATOR.md``), ``runreport`` (the
     run-report gate's per-algorithm summary, see
-    ``scripts/check_runreport.py``), ``critpath`` (the critical-path
+    ``scripts/gate.py runreport``), ``critpath`` (the critical-path
     gate's per-program speedup ceilings and multi-GPU round
-    attribution, see ``scripts/check_critpath.py``), or any
+    attribution, see ``scripts/gate.py critpath``), or any
     combination — at least one must be present.
     """
     errors: List[str] = []
@@ -223,7 +224,7 @@ def _validate_memory_baseline(record: Dict[str, Any]) -> List[str]:
 
     Pins the exact peak bytes of every kernel variant and system
     emulation on one dataset, plus Table V's ordering claims; consumed
-    by ``scripts/check_memory_regression.py``.
+    by ``scripts/gate.py memory``.
     """
     errors: List[str] = []
     if not isinstance(record.get("dataset"), str) or not record["dataset"]:

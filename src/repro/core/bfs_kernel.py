@@ -7,7 +7,7 @@ coverage, closed-form bounds, dataflow race-freedom certificate,
 differential checking) purely by registering a
 :class:`~repro.staticheck.contracts.KernelContract` at import time.
 No analyzer module names ``bfs_kernel``; if one did, the registry
-refactor would have failed its point (``scripts/check_admission.py``
+refactor would have failed its point (``scripts/gate.py admission``
 gates exactly this).
 
 The kernel itself is a level-synchronous frontier expansion, shaped

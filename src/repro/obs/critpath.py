@@ -43,7 +43,7 @@ merge) — the communication attribution ROADMAP item 5 asks for before
 the partitioned engine lands.
 
 See the "Critical path & what-if" section of ``docs/OBSERVABILITY.md``
-and the CI gate ``scripts/check_critpath.py``.
+and the CI gate ``scripts/gate.py critpath``.
 """
 
 from __future__ import annotations

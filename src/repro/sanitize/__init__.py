@@ -16,7 +16,7 @@ silent: they produce wrong core numbers, not crashes.  This package
 * **static lint** (:mod:`repro.sanitize.lint`) — parse kernel modules
   and enforce the simulator's structural rules (legal yields, no wall
   clock, no RNG, no host-array mutation, barrier-separated shared
-  read-back).  ``scripts/lint_kernels.py`` runs it over every shipped
+  read-back).  ``scripts/gate.py lint`` runs it over every shipped
   kernel in CI.
 
 Both produce :class:`SanitizerReport` objects; a decomposition run

@@ -418,5 +418,5 @@ def lint_paths(paths: Iterable[str | Path]) -> SanitizerReport:
 
 
 def lint_repo(src_root: str | Path | None = None) -> SanitizerReport:
-    """Lint all shipped kernel modules (what ``scripts/lint_kernels.py`` runs)."""
+    """Lint all shipped kernel modules (what ``scripts/gate.py lint`` runs)."""
     return lint_paths(default_kernel_paths(src_root))

@@ -197,7 +197,8 @@ class SanitizerReport:
             raise SanitizerFindingsError(self)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly rendering (the ``lint_kernels --json`` artifact)."""
+        """JSON-friendly rendering (the body of a ``repro.findings/v1``
+        artifact)."""
         return {
             "clean": self.clean,
             "launches_checked": self.launches_checked,

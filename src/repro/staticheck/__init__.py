@@ -8,7 +8,7 @@ against the device capacity, the exact device-global-memory bound of
 Table V, and site inventories (atomics shared vs global, divergence,
 coalesced vs scattered access).  A differential checker asserts on
 every traced launch that the certificate dominates the dynamic
-measurement, and ``scripts/check_static_bounds.py`` gates CI on the
+measurement, and ``scripts/gate.py static_bounds`` gates CI on the
 certificates against the committed bench JSON.
 
 Package layout:

@@ -568,7 +568,7 @@ _KCORE_PARAMS = ("n", "adj", "dmax", "G", "W", "S", "cap", "scap", "P")
 
 #: ring-buffer representatives whose wraparound aliasing the dataflow
 #: tier *declares* unprovable (the honest-unproven set of the
-#: admission gate; ``scripts/check_dataflow.py`` pins the same pair)
+#: admission gate; ``scripts/gate.py dataflow`` pins the same pair)
 _RING_REPRESENTATIVES = ("ours", "bc")
 
 

@@ -21,7 +21,7 @@ symbolic bounds — nothing is executed — and are checked two ways:
 
 * dynamically, by :mod:`repro.staticheck.differential` on every traced
   launch;
-* in CI, by ``scripts/check_static_bounds.py`` against the committed
+* in CI, by ``scripts/gate.py static_bounds`` against the committed
   bench JSON.
 """
 
@@ -196,10 +196,7 @@ class VariantCertificate:
     """One program's kernel certificates plus its memory bound.
 
     ``kernel_certs`` is an open mapping keyed by kernel name — any
-    registered program fits, not just the scan/loop pair.  The
-    :attr:`scan` / :attr:`loop` properties and the per-kernel-name
-    keys of :meth:`to_dict` are the JSON-compat shim that keeps the
-    committed k-core baselines (and their consumers) valid.
+    registered program fits, not just the scan/loop pair.
     """
 
     variant: str
@@ -211,16 +208,6 @@ class VariantCertificate:
     device_memory_words: Expr
     #: owning program contract
     program: str = "kcore"
-
-    @property
-    def scan(self) -> KernelCertificate:
-        """Compat shim: the k-core scan kernel's certificate."""
-        return self.certificate_for("scan_kernel")
-
-    @property
-    def loop(self) -> KernelCertificate:
-        """Compat shim: the k-core loop kernel's certificate."""
-        return self.certificate_for("loop_kernel")
 
     @property
     def kernels(self) -> Tuple[KernelCertificate, ...]:

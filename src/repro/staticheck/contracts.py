@@ -36,7 +36,7 @@ The analyzers (:mod:`~repro.staticheck.bounds`,
 importing kernel modules by name, so admitting a new kernel — see
 ``repro/core/bfs_kernel.py`` and the "Authoring a verifiable kernel"
 guide in ``docs/STATIC_ANALYSIS.md`` — requires **zero analyzer
-edits**: registration *is* admission, and ``scripts/check_admission.py``
+edits**: registration *is* admission, and ``scripts/gate.py admission``
 gates in CI that every registered contract actually certifies.
 
 This module stays dependency-light (only the variant and symbolic

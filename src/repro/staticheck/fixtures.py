@@ -1,7 +1,7 @@
 """Known-bad fixtures for the dataflow analyzer's detectors.
 
 Each fixture is deliberately wrong in exactly one way, so the CI gate
-(``scripts/check_dataflow.py``) and the test suite can prove every
+(``scripts/gate.py dataflow``) and the test suite can prove every
 detector actually *fires* — a gate that only ever sees clean kernels
 would pass vacuously.  Three fixtures, one per detector:
 

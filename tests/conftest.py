@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +55,17 @@ def small_graph_battery() -> list[tuple[str, CSRGraph]]:
             [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)]
         )),
     ]
+
+
+@pytest.fixture(scope="session")
+def gate():
+    """``scripts/gate.py``, the CI gate runner, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gate.py"
+    spec = importlib.util.spec_from_file_location("gate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations here
+    spec.loader.exec_module(module)
+    return module
 
 
 BATTERY = small_graph_battery()

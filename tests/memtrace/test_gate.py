@@ -1,29 +1,19 @@
 """Memory-regression gate tests: passes fresh, fails on doctored input.
 
-Loads ``scripts/check_memory_regression.py`` the same way CI runs it
-and drives :func:`main` against small purpose-built baselines (three
-variants + one system on the smallest dataset) so the failure modes
-the acceptance criteria demand — an injected 2x peak and a flipped
-Table V ordering — are demonstrated by tests, not just by hand.
+Drives the ``memory`` gate of ``scripts/gate.py`` — the runner CI
+uses — against small purpose-built baselines (three variants + one
+system on the smallest dataset) so the failure modes the acceptance
+criteria demand — an injected 2x peak and a flipped Table V ordering —
+are demonstrated by tests, not just by hand.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GATE = REPO_ROOT / "scripts" / "check_memory_regression.py"
 BASELINE = REPO_ROOT / "benchmarks" / "results" / "memory_baseline.json"
-
-
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location("memgate", GATE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +46,9 @@ def write(tmp_path, record):
     return str(path)
 
 
-def run(gate, path, *extra):
-    return gate.main([path, "--quick", "--no-trajectory", *extra])
+def run(gate, path, **options):
+    options.setdefault("trajectory", None)
+    return gate.run_gate("memory", baseline=path, quick=True, **options)
 
 
 def test_committed_baseline_is_schema_valid(committed_baseline):
@@ -104,10 +95,9 @@ def test_gate_writes_artifacts(gate, committed_baseline, tmp_path):
     from repro.memtrace import validate_memtrace_file
 
     path = write(tmp_path, small_baseline(committed_baseline))
-    report = tmp_path / "timelines.txt"
-    memjson = tmp_path / "ours.json"
-    assert run(gate, path, "--report", str(report),
-               "--json", str(memjson)) == 0
+    report = tmp_path / "memory_timelines.txt"
+    memjson = tmp_path / "memtrace.json"
+    assert run(gate, path, artifacts=tmp_path) == 0
     assert "Memory telemetry" in report.read_text()
     assert validate_memtrace_file(memjson) == []
 
@@ -117,8 +107,7 @@ def test_gate_appends_peaks_trajectory(gate, committed_baseline, tmp_path):
 
     baseline = write(tmp_path, small_baseline(committed_baseline))
     trajectory = tmp_path / "trajectory.json"
-    assert gate.main([baseline, "--quick",
-                      "--trajectory", str(trajectory)]) == 0
+    assert run(gate, baseline, trajectory=trajectory) == 0
     record = json.loads(trajectory.read_text())
     assert SIBLING_SCHEMAS["repro.bench-trajectory/v1"](record) == []
     (entry,) = record["records"]
@@ -127,9 +116,7 @@ def test_gate_appends_peaks_trajectory(gate, committed_baseline, tmp_path):
 
 
 def test_gate_rejects_missing_or_invalid_baseline(gate, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        gate.main([str(tmp_path / "missing.json"), "--quick"])
-    assert exc.value.code == 2
+    assert run(gate, tmp_path / "missing.json") == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope"}))
-    assert gate.main([str(bad), "--quick"]) == 2
+    assert run(gate, bad) == 2

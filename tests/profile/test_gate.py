@@ -1,9 +1,8 @@
-"""CI-gate tests: scripts/check_perf_regression.py passes on the
+"""CI-gate tests: the ``perf`` gate of scripts/gate.py passes on the
 committed baseline and demonstrably fails on doctored budgets."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -14,15 +13,9 @@ RESULTS = REPO_ROOT / "benchmarks" / "results"
 BASELINE = RESULTS / "profile_baseline.json"
 
 
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location(
-        "check_perf_regression",
-        REPO_ROOT / "scripts" / "check_perf_regression.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def run(gate, baseline, **options):
+    options.setdefault("trajectory", None)
+    return gate.run_gate("perf", baseline=baseline, **options)
 
 
 def _doctor(tmp_path, mutate, only=("ours",)):
@@ -40,7 +33,7 @@ def _doctor(tmp_path, mutate, only=("ours",)):
 
 def test_gate_passes_on_committed_baseline(gate, tmp_path, capsys):
     trajectory = tmp_path / "trajectory.json"
-    assert gate.main([str(BASELINE), "--trajectory", str(trajectory)]) == 0
+    assert run(gate, BASELINE, trajectory=trajectory) == 0
     assert "OK" in capsys.readouterr().out
     record = json.loads(trajectory.read_text())
     assert record["schema"] == gate.TRAJECTORY_SCHEMA
@@ -58,7 +51,7 @@ def test_gate_fails_on_2x_slowdown(gate, tmp_path, capsys):
         record["variants"]["ours"]["cycles"] /= 2.0
 
     baseline = _doctor(tmp_path, halve_budget)
-    assert gate.main([baseline, "--quick", "--no-trajectory"]) == 1
+    assert run(gate, baseline, quick=True) == 1
     assert "performance regression" in capsys.readouterr().err
 
 
@@ -67,7 +60,7 @@ def test_gate_fails_on_stale_baseline(gate, tmp_path, capsys):
         record["variants"]["ours"]["cycles"] *= 2.0
 
     baseline = _doctor(tmp_path, double_budget)
-    assert gate.main([baseline, "--quick", "--no-trajectory"]) == 1
+    assert run(gate, baseline, quick=True) == 1
     assert "stale baseline" in capsys.readouterr().err
 
 
@@ -78,7 +71,7 @@ def test_gate_fails_on_flipped_bound_class(gate, tmp_path, capsys):
         bounds["loop_kernel"] = "memory"
 
     baseline = _doctor(tmp_path, flip_bound)
-    assert gate.main([baseline, "--quick", "--no-trajectory"]) == 1
+    assert run(gate, baseline, quick=True) == 1
     assert "roofline balance moved" in capsys.readouterr().err
 
 
@@ -86,10 +79,8 @@ def test_gate_writes_ci_artifacts(gate, tmp_path, capsys):
     report = tmp_path / "artifacts" / "sol_report.txt"
     flame = tmp_path / "artifacts" / "profile.folded"
     baseline = _doctor(tmp_path, lambda record: None)
-    assert gate.main([
-        baseline, "--quick", "--no-trajectory",
-        "--report", str(report), "--flamegraph", str(flame),
-    ]) == 0
+    assert run(gate, baseline, quick=True,
+               artifacts=tmp_path / "artifacts") == 0
     assert "Speed-of-Light" in report.read_text()
     folded = flame.read_text().strip().splitlines()
     assert folded and all(
@@ -100,16 +91,38 @@ def test_gate_writes_ci_artifacts(gate, tmp_path, capsys):
 def test_gate_appends_to_existing_trajectory(gate, tmp_path):
     trajectory = tmp_path / "trajectory.json"
     baseline = _doctor(tmp_path, lambda record: None)
-    assert gate.main([baseline, "--quick",
-                      "--trajectory", str(trajectory)]) == 0
-    assert gate.main([baseline, "--quick",
-                      "--trajectory", str(trajectory)]) == 0
+    assert run(gate, baseline, quick=True, trajectory=trajectory) == 0
+    assert run(gate, baseline, quick=True, trajectory=trajectory) == 0
     record = json.loads(trajectory.read_text())
     assert len(record["records"]) == 2
 
 
+@pytest.mark.parametrize("history", [
+    {"schema": "repro.bench-trajectory/v0", "records": [{}] * 37},
+    {"schema": "repro.bench-trajectory/v1", "records": {"0": {}}},
+], ids=["other-schema", "non-list-records"])
+def test_gate_refuses_to_overwrite_foreign_trajectory(
+    gate, tmp_path, capsys, history
+):
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps(history))
+    before = trajectory.read_bytes()
+    baseline = _doctor(tmp_path, lambda record: None)
+    assert run(gate, baseline, quick=True, trajectory=trajectory) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert trajectory.read_bytes() == before
+
+
+def test_update_keeps_every_pinned_block(gate, tmp_path):
+    baseline = tmp_path / "profile_baseline.json"
+    baseline.write_bytes(BASELINE.read_bytes())
+    assert run(gate, baseline, quick=True, update=True) == 0
+    repinned = json.loads(baseline.read_text())
+    committed = json.loads(BASELINE.read_text())
+    assert list(repinned) == list(committed)
+    assert repinned["vp_check"] == committed["vp_check"]
+
+
 def test_gate_exits_2_for_missing_baseline(gate, capsys):
-    with pytest.raises(SystemExit) as exc:
-        gate.main(["/nonexistent/profile_baseline.json"])
-    assert exc.value.code == 2
+    assert run(gate, "/nonexistent/profile_baseline.json") == 2
     assert "no such file" in capsys.readouterr().err

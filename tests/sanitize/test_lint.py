@@ -162,17 +162,12 @@ class TestShippedKernelsPass:
 
     def test_cli_script_clean_on_repo(self):
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint_kernels.py")],
+            [sys.executable, str(REPO_ROOT / "scripts" / "gate.py"), "lint"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
-    def test_cli_script_fails_on_fixtures(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint_kernels.py"),
-             str(FIXTURES)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert "illegal-yield" in proc.stdout
+    def test_cli_script_fails_on_fixtures(self, gate, capsys):
+        assert gate.run_gate("lint", paths=[FIXTURES]) == 1
+        assert "illegal-yield" in capsys.readouterr().out

@@ -32,8 +32,8 @@ def test_certify_all_covers_the_eleven_variants():
     assert len(certs) == 11
     assert set(certs) == set(VARIANTS) | set(EXTENSION_VARIANTS)
     for cert in certs.values():
-        assert cert.scan.kernel == "scan_kernel"
-        assert cert.loop.kernel == "loop_kernel"
+        assert cert.certificate_for("scan_kernel").kernel == "scan_kernel"
+        assert cert.certificate_for("loop_kernel").kernel == "loop_kernel"
 
 
 def test_ring_variants_are_not_certifiable():
@@ -63,16 +63,15 @@ def test_atomic_inventory_tells_the_bc_story():
     Ours is shared between them (the dispatch is data-driven), so the
     discriminating signal is the compaction helper's reachability."""
     certs = certify_all()
-    ours_sites = {
-        s.function for s in certs["ours"].loop.shared_atomic_sites
-    }
-    bc = certs["bc"]
+    ours_loop = certs["ours"].certificate_for("loop_kernel")
+    ours_sites = {s.function for s in ours_loop.shared_atomic_sites}
+    bc_loop = certs["bc"].certificate_for("loop_kernel")
     assert "compaction:warp_compact_ballot" not in {
         s.function
-        for s in certs["ours"].loop.coalesced_sites
+        for s in ours_loop.coalesced_sites
     }
-    assert "warp_compact_ballot" in bc.loop.reachable
-    assert "warp_compact_ballot" not in certs["ours"].loop.reachable
+    assert "warp_compact_ballot" in bc_loop.reachable
+    assert "warp_compact_ballot" not in ours_loop.reachable
     assert ours_sites  # the per-lane atomicAdd append exists
 
 
@@ -81,9 +80,10 @@ def test_scan_issued_bound_orders_ours_bc_ec():
     spec = DeviceSpec()
     env = launch_env(5000, 40000, 60, spec, VARIANTS["ours"])
     issued = {
-        name: certs[name].scan.bounds.issued.evaluate(env)
+        name: certs[name].certificate_for("scan_kernel").bounds.issued
         for name in ("ours", "bc", "ec")
     }
+    issued = {name: expr.evaluate(env) for name, expr in issued.items()}
     assert issued["ours"] < issued["bc"] < issued["ec"]
 
 
@@ -109,10 +109,12 @@ def test_shared_fit_finding_fires_when_footprint_cannot_fit():
     # force an impossible footprint: a shared buffer larger than the
     # whole per-block shared memory
     env = dict(env, scap=float(spec.shared_memory_per_block_bytes))
-    findings = cert.loop.check_shared_fit(spec, env)
+    scan = cert.certificate_for("scan_kernel")
+    loop = cert.certificate_for("loop_kernel")
+    findings = loop.check_shared_fit(spec, env)
     assert len(findings) == 1
     assert findings[0].detector == "static-resource"
-    assert cert.scan.check_shared_fit(spec, env) == []  # scan has no B
+    assert scan.check_shared_fit(spec, env) == []  # scan has no B
 
 
 def test_render_certificates_lists_every_variant():

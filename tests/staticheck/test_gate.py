@@ -1,26 +1,19 @@
-"""CI-gate tests: scripts/check_static_bounds.py passes on the
-committed bench JSON and demonstrably fails on doctored data."""
+"""CI-gate tests: the ``static_bounds`` gate of scripts/gate.py passes
+on the committed bench JSON and demonstrably fails on doctored data;
+the ``admission`` gate's verdict depends only on the call it is in."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
-
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 RESULTS = REPO_ROOT / "benchmarks" / "results"
 
 
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location(
-        "check_static_bounds", REPO_ROOT / "scripts" / "check_static_bounds.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def run(gate, *tables):
+    names = ("table2", "table5")
+    return gate.run_gate("static_bounds", **dict(zip(names, tables)))
 
 
 def _doctor(tmp_path, name, mutate):
@@ -32,7 +25,7 @@ def _doctor(tmp_path, name, mutate):
 
 
 def test_gate_passes_on_committed_json(gate, capsys):
-    assert gate.main([]) == 0
+    assert run(gate) == 0
     assert "OK" in capsys.readouterr().out
 
 
@@ -44,7 +37,7 @@ def test_gate_fails_when_ours_bc_ec_ordering_shifts(gate, tmp_path, capsys):
         cells[i_ours], cells[i_ec] = cells[i_ec], cells[i_ours]
 
     table2 = _doctor(tmp_path, "table2_ablation", swap_ours_and_ec)
-    assert gate.main([table2]) == 1
+    assert run(gate, table2) == 1
     err = capsys.readouterr().err
     assert "ordering shifted" in err
 
@@ -59,7 +52,7 @@ def test_gate_fails_when_trackers_winner_shifts(gate, tmp_path, capsys):
                 # longer strictly wins
 
     table2 = _doctor(tmp_path, "table2_ablation", ours_wins_trackers)
-    assert gate.main([table2]) == 1
+    assert run(gate, table2) == 1
     assert "latency-boundness" in capsys.readouterr().err
 
 
@@ -69,7 +62,7 @@ def test_gate_fails_when_certificate_ceiling_is_violated(gate, tmp_path,
         record["rows"][0]["cells"][0] = "999999.0"
 
     table2 = _doctor(tmp_path, "table2_ablation", absurd_time)
-    assert gate.main([table2]) == 1
+    assert run(gate, table2) == 1
     err = capsys.readouterr().err
     assert "ceiling" in err
 
@@ -82,9 +75,19 @@ def test_gate_fails_when_memory_row_breaks_certificate(gate, tmp_path,
         record["rows"][0]["cells"][i_sm] = "9.99"
 
     table5 = _doctor(tmp_path, "table5_memory", inflate_sm)
-    assert gate.main([str(RESULTS / "table2_ablation.json"), table5]) == 1
+    assert run(gate, RESULTS / "table2_ablation.json", table5) == 1
     assert "certified" in capsys.readouterr().err
 
 
 def test_gate_exits_2_for_missing_file(gate, capsys):
-    assert gate.main(["/nonexistent/table2.json"]) == 2
+    assert run(gate, "/nonexistent/table2.json") == 2
+
+
+def test_admission_failure_does_not_leak_into_the_next_call(
+    gate, monkeypatch, capsys
+):
+    monkeypatch.setattr(gate.admission, "certify_program", lambda name: {})
+    assert gate.run_gate("admission", quick=True) == 1
+    assert "certified zero variants" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert gate.run_gate("admission", quick=True) == 0

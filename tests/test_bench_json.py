@@ -2,13 +2,11 @@
 
 Tier-1 guard for the machine-readable side of the bench harness: the
 ``repro.bench/v1`` records written next to every ``.txt`` table must
-round-trip through :mod:`repro.bench.schema`, and the standalone
-``scripts/check_bench_json.py`` wrapper must agree with the library.
+round-trip through :mod:`repro.bench.schema`, and the ``bench_json``
+gate of ``scripts/gate.py`` must agree with the library.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.bench.schema import (
@@ -21,7 +19,6 @@ from repro.bench.schema import (
 from repro.bench import tables
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-CHECKER = REPO_ROOT / "scripts" / "check_bench_json.py"
 
 
 def sample_record():
@@ -85,24 +82,18 @@ def test_file_name_must_match_record_name(tmp_path):
     assert any("does not match" in p for p in problems)
 
 
-def test_checker_script_ok_and_fail(tmp_path):
+def test_checker_script_ok_and_fail(gate, tmp_path, capsys):
     good = tmp_path / "table9_sample.json"
     good.write_text(json.dumps(sample_record()))
-    proc = subprocess.run(
-        [sys.executable, str(CHECKER), str(good)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "OK" in proc.stdout
+    returncode = gate.run_gate("bench_json", targets=[good])
+    out, err = capsys.readouterr()
+    assert returncode == 0, err
+    assert "OK" in out
 
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    proc = subprocess.run(
-        [sys.executable, str(CHECKER), str(bad)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 1
-    assert "unreadable" in proc.stderr
+    assert gate.run_gate("bench_json", targets=[bad]) == 1
+    assert "unreadable" in capsys.readouterr().err
 
 
 def test_checked_in_results_validate():
