@@ -6,37 +6,47 @@ can be computed at a master GPU.  Moreover, the updates may cause new
 border vertices to be in k-shell, so more than one round may be needed
 to compute a k-shell."
 
-The implementation follows that sketch exactly:
+The implementation follows that sketch with an owner-compute layout:
 
 * vertices are partitioned into contiguous, edge-balanced ranges; each
   worker device holds its slice of the CSR arrays plus a full-length
-  replica of the degree array;
+  replica of the degree array.  The replica is *exact* for the
+  worker's own vertices and *lazy* for the others (ghosts): a ghost
+  only ever sits at or above its true degree, so the worker at most
+  over-decrements it;
 * per peel round ``k``, the *master* identifies the current k-shell
   frontier from its aggregated degree array, seeds each owner's block
-  buffers with its members, and the workers run the unmodified ``loop``
-  kernel over their partition (remote neighbors are decremented in the
-  local replica; appends are disabled — crossings surface at the next
-  aggregation instead);
+  buffers with its members, and the workers run the unmodified
+  ``loop`` kernel over their partition with their ownership window.
+  An owned vertex whose exact replica drops to ``k`` is appended and
+  peeled inside the launch, as on one GPU; ghosts are decremented but
+  never appended.  The master reads back the ids each owner collected
+  (one word each) and marks them dead with core ``k``;
 * after each sub-round, each worker sends the master ``(id, delta)``
-  pairs for the vertices its kernel decremented; the master sums them,
-  clamps vertices over-decremented below ``k`` back to ``k`` — the
-  cross-device analogue of the Fig. 6 restore trick — and broadcasts
-  ``(id, value)`` pairs for the vertices whose degree changed.  Both
-  transfers and the reduction are charged per word actually moved, so
+  pairs for the vertices whose replica moved since its last exchange.
+  The master keeps a host-side copy of each replica as of that
+  exchange, so the deltas are the replica minus that copy.  It drops
+  pairs for dead vertices, sums the rest, clamps vertices
+  over-decremented below ``k`` back to ``k`` — the cross-device
+  analogue of the Fig. 6 restore trick — and sends each alive vertex
+  whose degree changed to its owner only, as an ``(id, value)`` pair.
+  Transfers and the reduction are charged per word actually moved, so
   a sub-round that touches few border vertices exchanges little;
-* sub-rounds repeat while the aggregation exposes new k-shell members,
-  exactly as the sketch warns ("more than one round may be needed").
-  The master finds each frontier with work proportional to what
-  changed, not to ``n`` per round.  It keeps a lazy degree-bucket
-  queue, as BZ does: a counting sort of the initial degrees (charged
-  ``n`` once), plus one entry in its new degree's bucket for every
-  alive vertex a broadcast moves to a degree above ``k``.  The first
-  sub-round of round ``k`` is charged the entries of bucket ``k``,
-  stale ones included.  Every alive vertex outside a frontier sits
-  above ``k``, so a later sub-round's new members are among the
-  vertices the previous broadcast changed, and the master filters
-  only those.  A filter that finds nothing carries its charge to the
-  next sub-round that finds a frontier.
+* sub-rounds repeat while the aggregation exposes new k-shell members
+  — vertices pushed to ``k`` only by other devices' decrements, exactly
+  as the sketch warns ("more than one round may be needed").  With one
+  device the owner holds every vertex, so each non-empty round takes
+  one sub-round.  The master finds each frontier with work
+  proportional to what changed, not to ``n`` per round.  It keeps a
+  lazy degree-bucket queue, as BZ does: a counting sort of the initial
+  degrees (charged ``n`` once), plus one entry in its new degree's
+  bucket for every alive vertex a broadcast moves to a degree above
+  ``k``.  The first sub-round of round ``k`` is charged the entries of
+  bucket ``k``, stale ones included.  Every alive vertex outside a
+  frontier sits above ``k``, so a later sub-round's new members are
+  among the vertices the previous broadcast changed, and the master
+  filters only those.  A filter that finds nothing carries its charge
+  to the next sub-round that finds a frontier.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from repro.core.variants import VariantConfig, get_variant
 from repro.errors import ReproError
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device
-from repro.gpusim.engine import ExecutionEngine
+from repro.gpusim.engine import ExecutionEngine, get_engine
 from repro.gpusim.spec import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.result import DecompositionResult
@@ -139,6 +149,7 @@ def multi_gpu_peel(
     byte-identical with or without it.
     """
     cfg = variant if isinstance(variant, VariantConfig) else get_variant(variant)
+    ranges = partition_ranges(graph, num_devices)
     spec = spec or DeviceSpec()
     opts = options or MultiGpuOptions()
     sanitizer = None
@@ -174,11 +185,20 @@ def multi_gpu_peel(
         return DecompositionResult(
             core=np.empty(0, dtype=np.int64),
             algorithm=algorithm,
+            stats={
+                "engine": get_engine(engine).name,
+                "num_devices": num_devices,
+                "sub_rounds": 0,
+                "exchange_words": 0,
+                "broadcast_words": 0,
+                "partition_ranges": ranges,
+                "per_device_ms": [0.0] * num_devices,
+                "per_device_peak_bytes": [0] * num_devices,
+            },
             sanitizer=sanitizer.report if sanitizer is not None else None,
             memtrace=_memtrace_report(),
         )
 
-    ranges = partition_ranges(graph, num_devices)
     devices = [
         Device(
             spec=spec, cost_model=cost_model, sanitizer=sanitizer,
@@ -203,12 +223,13 @@ def multi_gpu_peel(
             "offsets": device.malloc("offsets", local_offsets),
             "neighbors": device.malloc("neighbors", local_neighbors),
             "deg": device.malloc("deg", graph.degrees),  # full replica
+            # host-side copy of the replica as of its last exchange
+            "base": graph.degrees.astype(np.int64),
             "buf": device.malloc(
                 "buf", spec.default_grid_dim * spec.block_buffer_capacity
             ),
             "tails": device.malloc("buf_tails", spec.default_grid_dim),
             "count": device.malloc("gpu_count", 1),
-            "collected": 0,
         })
 
     capacity = spec.block_buffer_capacity
@@ -223,6 +244,9 @@ def multi_gpu_peel(
     k = 0
     sub_rounds = 0
     exchange_words = 0
+    broadcast_words = 0
+    # each worker's first vertex, then n: cuts a sorted id list by owner
+    owner_starts = [lo for lo, _ in ranges] + [n]
     max_rounds = graph.max_degree + 2
     # the master's lazy degree buckets, kept as entry counts (live and
     # stale): a counting sort of the initial degrees, charged n once
@@ -248,7 +272,7 @@ def multi_gpu_peel(
                 frontier = np.flatnonzero(alive & (master_deg == k))
                 pending_cycles += int(bucket_entries[k])
             else:
-                frontier = changed[alive[changed] & (master_deg[changed] <= k)]
+                frontier = changed[master_deg[changed] <= k]
                 pending_cycles += changed.size
             if frontier.size == 0:
                 break  # the next charged filter pays for this one
@@ -259,6 +283,7 @@ def multi_gpu_peel(
             removed += frontier.size
             coordinator_cycles += filter_cycles
             gathered: list[tuple[np.ndarray, np.ndarray]] = []
+            collected: list[np.ndarray] = []
             worker_ms = []
             seed_cycles = []
             round_launches: list[dict | None] = []
@@ -281,21 +306,23 @@ def multi_gpu_peel(
                 coordinator_cycles += seed
                 stats = None
                 if mine.size:
-                    # own_range (lo, lo): offsets index from lo, but the
-                    # ownership window is empty, disabling appends
                     stats = device.launch(
                         loop_kernel,
                         args=(k, w["offsets"], w["neighbors"], w["deg"],
                               w["buf"], w["tails"], w["count"], capacity,
-                              shared_capacity, cfg, (lo, lo)),
+                              shared_capacity, cfg, (lo, hi)),
                     )
-                    # the replica still equals the master's degrees
+                    # the replica still equals its last-exchange copy
                     # everywhere the kernel did not decrement
                     deg = w["deg"].data
-                    touched = np.flatnonzero(deg != master_deg)
-                    gathered.append(
-                        (touched, deg[touched] - master_deg[touched])
-                    )
+                    base = w["base"]
+                    touched = np.flatnonzero(deg != base)
+                    gathered.append((touched, deg[touched] - base[touched]))
+                    base[touched] = deg[touched]
+                    # an owned replica is exact at launch, so an owned
+                    # alive vertex now at k was appended and peeled here
+                    own = touched[(touched >= lo) & (touched < hi)]
+                    collected.append(own[alive[own] & (deg[own] == k)])
                 worker_ms.append(device.elapsed_ms - before_ms)
                 round_launches.append(
                     None if stats is None
@@ -303,36 +330,43 @@ def multi_gpu_peel(
                           "stats": stats}
                 )
             # ---- master aggregation of border-vertex degree updates ----
+            # the owners' collected ids are read back: core = k
+            peeled = np.concatenate(collected)
+            alive[peeled] = False
+            removed += peeled.size
+            master_deg[peeled] = k
             pairs = sum(touched.size for touched, _ in gathered)
+            # pairs for dead vertices are dropped: each keeps its core
+            gathered = [(t[alive[t]], d[alive[t]]) for t, d in gathered]
             # sorted union by sort + adjacent compare: ~10x faster than
             # np.unique's hashing on a few thousand ids
-            ids = np.sort(
-                np.concatenate([frontier] + [t for t, _ in gathered])
-            )
-            candidates = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-            pre = master_deg[candidates]
+            ids = np.sort(np.concatenate([t for t, _ in gathered]))
+            first = np.ones(ids.size, dtype=bool)
+            first[1:] = ids[1:] != ids[:-1]
+            live = ids[first]
+            pre = master_deg[live]
             for touched, delta in gathered:  # ids are unique per worker
                 master_deg[touched] += delta
             # cross-device restore: an alive vertex driven below k by
             # concurrent remote decrements belongs to the k-shell
-            live = candidates[alive[candidates]]
             master_deg[live] = np.maximum(master_deg[live], k)
-            master_deg[frontier] = k  # collected this sub-round: core = k
-            # decrements only lower degrees, so every vertex a worker
-            # touched is in ``changed`` and the replicas end up equal to
-            # the master's array
-            changed = candidates[master_deg[candidates] != pre]
+            # decrements only lower degrees, so every alive vertex a
+            # worker touched is in ``changed``.  Only its owner hears of
+            # it, which keeps owned replicas exact; ghosts stay lazy
+            changed = live[master_deg[live] != pre]
             values = master_deg[changed]
-            for w in workers:
-                w["deg"].data[changed] = values
-            # route each alive vertex moved above k to its new bucket;
-            # one at k is in the next sub-round's filter over changed
-            routed = values[alive[changed] & (values > k)]
+            cuts = np.searchsorted(changed, owner_starts)
+            for w, a, b in zip(workers, cuts[:-1], cuts[1:]):
+                w["deg"].data[changed[a:b]] = values[a:b]
+                w["base"][changed[a:b]] = values[a:b]
+            # route each vertex moved above k to its new bucket; one at
+            # k is in the next sub-round's filter over changed
             bucket_entries += np.bincount(
-                routed, minlength=bucket_entries.size
+                values[values > k], minlength=bucket_entries.size
             )
-            words = 2 * pairs + 2 * num_devices * changed.size
+            words = 2 * pairs + peeled.size + 2 * changed.size
             exchange_words += words
+            broadcast_words += 2 * changed.size
             exchange_cycles = (
                 words * opts.transfer_cycles_per_word
                 + pairs * opts.reduce_cycles_per_word
@@ -399,6 +433,7 @@ def multi_gpu_peel(
             "num_devices": num_devices,
             "sub_rounds": sub_rounds,
             "exchange_words": exchange_words,
+            "broadcast_words": broadcast_words,
             "partition_ranges": ranges,
             "per_device_ms": [d.elapsed_ms for d in devices],
             "per_device_peak_bytes": [d.peak_memory_bytes for d in devices],

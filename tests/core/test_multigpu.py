@@ -15,11 +15,12 @@ from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import path_graph
-from tests.conftest import BATTERY, assert_cores_equal
+from tests.conftest import BATTERY, BATTERY_IDS, assert_cores_equal
 
-#: worker-side observables captured before the sparse exchange landed;
-#: rewrite with ``PYTHONPATH=src python -m tests.core.test_multigpu``
-#: only for a change that is meant to move the workers
+#: worker-side observables, re-captured when owners began peeling
+#: their own k-shell inside the launch; rewrite with
+#: ``PYTHONPATH=src python -m tests.core.test_multigpu`` only for a
+#: change that is meant to move the workers
 WORKER_PIN = (
     Path(__file__).resolve().parent / "golden" / "multigpu_worker_side.json"
 )
@@ -81,6 +82,26 @@ class TestCorrectness:
     def test_empty_graph(self):
         result = multi_gpu_peel(CSRGraph.empty(0), num_devices=2)
         assert result.num_vertices == 0
+        # the same stats keys as a non-empty run, at zero
+        assert result.stats == {
+            "engine": "vectorized",
+            "num_devices": 2,
+            "sub_rounds": 0,
+            "exchange_words": 0,
+            "broadcast_words": 0,
+            "partition_ranges": [(0, 0), (0, 0)],
+            "per_device_ms": [0.0, 0.0],
+            "per_device_peak_bytes": [0, 0],
+        }
+        nonempty = multi_gpu_peel(path_graph(3), num_devices=2)
+        assert result.stats.keys() == nonempty.stats.keys()
+
+    @pytest.mark.parametrize("devices", [0, -3])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_needs_a_device(self, devices, n):
+        """An empty graph is validated like any other."""
+        with pytest.raises(ReproError, match="at least one partition"):
+            multi_gpu_peel(path_graph(n), num_devices=devices)
 
     def test_border_heavy_graph(self):
         """A graph whose dense core straddles the partition boundary —
@@ -98,6 +119,17 @@ class TestReporting:
         result = multi_gpu_peel(graph, num_devices=2)
         # every non-empty round needs at least one sub-round
         assert result.stats["sub_rounds"] >= result.kmax
+
+    @pytest.mark.parametrize("name", ["web-Google"] + BATTERY_IDS)
+    def test_one_owner_peels_each_shell_in_one_sub_round(self, name):
+        """With one device the owner holds every vertex, so it collects
+        the whole k-shell inside the launch: one sub-round per
+        non-empty round, that is, per distinct core number."""
+        graph = dict(_pin_graphs())[name]
+        result = multi_gpu_peel(graph, num_devices=1)
+        cores = bz_core_numbers(graph)
+        assert_cores_equal(result.core, cores, name)
+        assert result.stats["sub_rounds"] == np.unique(cores).size, name
 
     def test_per_device_metrics(self, er_graph):
         graph, _ = er_graph
@@ -142,10 +174,17 @@ class TestSparseExchange:
 
     On the path 0-1-2 both leaves form round 1's first frontier and
     sit on different workers, so each worker decrements the centre in
-    its replica.  The master sums the two ``(id, delta)`` pairs to a
-    degree of 0, clamps it back to ``k = 1`` and broadcasts that one
-    changed vertex.  The second sub-round filters only that vertex,
-    finds it in the 1-shell, and its sweep touches nothing.
+    its replica and sends one ``(id, delta)`` pair for it.  At 2
+    devices the ranges are ``(0, 2), (2, 3)``: the centre's owner also
+    holds leaf 0, so its exact replica drops to ``k = 1`` and the
+    centre is appended and peeled inside the launch.  The master reads
+    back its id (one word), drops both pairs of the now dead centre
+    and broadcasts nothing.  At 4 devices the ranges are ``(0, 1),
+    (1, 2), (2, 2), (2, 3)``: the centre's owner holds no leaf, so the
+    master sums the two pairs to a degree of 0, clamps it back to
+    ``k`` and sends that one changed vertex to its owner only.  The
+    second sub-round filters only that vertex, finds it in the
+    1-shell, and its sweep touches nothing.
 
     The master's degree buckets are built by a counting sort charged
     ``n``.  Round 0 reads the empty bucket 0 and finds nothing, so the
@@ -163,32 +202,38 @@ class TestSparseExchange:
         r = self.OPTS.reduce_cycles_per_word
         n = graph.num_vertices
         gathered = 2  # the centre, once from each leaf's worker
-        changed = 1  # the clamped centre
-        words = 2 * gathered + 2 * devices * changed
+        # the centre: collected by its owner, or clamped and sent to it
+        collected, changed = (1, 0) if devices == 2 else (0, 1)
+        words = 2 * gathered + collected + 2 * changed
         build, bucket0, bucket1 = n, 0, 2
         rounds = [
             (rnd["k"], rnd["frontier"], rnd["filter_cycles"],
              rnd["exchange_cycles"])
             for rnd in result.critpath.record["rounds"]
         ]
-        assert rounds == [
+        expected = [
             (1, 2, float(build + bucket0 + bucket1),
              words * t + gathered * r),
-            (1, 1, float(changed), 0.0),
         ]
+        if changed:
+            expected.append((1, 1, float(changed), 0.0))
+        assert rounds == expected
         assert result.stats["exchange_words"] == words
+        assert result.stats["broadcast_words"] == 2 * changed
 
     #: graph edges and the expected ``(k, frontier, filter_cycles)`` rows
     BUCKET_CASES = {
         # the path 0-1-2 plus a disjoint K4 (vertices 3-6): round 1 pays
         # the build (n = 7), the empty bucket 0 and bucket 1's two
-        # leaves, then filters the clamped centre.  The centre's initial
-        # entry in bucket 2 is stale by round 2, which finds nothing;
-        # round 3 pays for that entry plus the K4's four in bucket 3
+        # leaves.  The path lies in worker 0's range at every device
+        # count, so the centre is collected inside the launch and
+        # nothing changes.  The centre's initial entry in bucket 2 is
+        # stale by round 2, which finds nothing; round 3 pays for that
+        # entry plus the K4's four in bucket 3
         "empty-round": (
             [(0, 1), (1, 2)]
             + [(a, b) for a in range(3, 7) for b in range(a + 1, 7)],
-            [(1, 2, 7.0 + 0 + 2), (1, 1, 1.0), (3, 4, 1.0 + 4)],
+            [(1, 2, 7.0 + 0 + 2), (3, 4, 1.0 + 4)],
         ),
         # the triangle 0-1-2 with a leaf 3 on vertex 2: round 1 pays the
         # build (n = 4) and bucket 1's leaf; removing it lowers vertex 2
@@ -217,18 +262,18 @@ class TestSparseExchange:
     def test_idle_worker_gathers_nothing(self):
         """At 4 devices worker 2 owns no vertex and workers 1 and 2 own
         no first-sub-round frontier: they launch nothing and add no
-        gathered pair, so only the broadcast grows with the device
-        count."""
-        two = multi_gpu_peel(path_graph(3), num_devices=2)
+        gathered pair.  The one changed vertex, the clamped centre, is
+        sent to its owner alone, so the idle devices add no broadcast
+        words either."""
         four = multi_gpu_peel(path_graph(3), num_devices=4, critpath=True)
         assert four.stats["partition_ranges"][2] == (2, 2)
         first = four.critpath.record["rounds"][0]
         assert [launch is None for launch in first["launches"]] == [
             False, True, True, False,
         ]
-        # two more devices each receive the one changed (id, value) pair
-        extra = four.stats["exchange_words"] - two.stats["exchange_words"]
-        assert extra == 2 * (4 - 2) * 1
+        gathered, changed = 2, 1  # the centre, from each leaf's worker
+        assert four.stats["broadcast_words"] == 2 * changed
+        assert four.stats["exchange_words"] == 2 * gathered + 2 * changed
 
 
 # -- work-efficient frontier --------------------------------------------------
@@ -265,16 +310,41 @@ def test_filter_work_is_bounded_by_changes(graph, devices):
     """The master's frontier filters examine at most the initial
     bucket entries, one routed entry per changed vertex and each
     sub-round's changed vertices once: ``2n + 2·Σ|changed|``, whatever
-    the number of rounds.  Every sub-round broadcasts its changed
-    vertices to each device, so ``Σ|changed| ≤ exchange_words / (2 ·
-    devices)``."""
+    the number of rounds.  Every changed vertex is broadcast as one
+    ``(id, value)`` pair to its owner, so ``2·Σ|changed|`` is
+    ``broadcast_words``."""
     result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
     assert_cores_equal(result.core, bz_core_numbers(graph), "bucketed")
     filtered = sum(
         rnd["filter_cycles"] for rnd in result.critpath.record["rounds"]
     )
     n = graph.num_vertices
-    assert filtered <= 2 * n + result.stats["exchange_words"] / devices
+    assert filtered <= 2 * n + result.stats["broadcast_words"]
+
+
+@st.composite
+def sparse_random_graphs(draw):
+    """Random graphs big enough that a k-shell spans several partitions
+    and is reached across several borders."""
+    return gen.erdos_renyi(
+        draw(st.integers(min_value=30, max_value=120)),
+        draw(st.floats(min_value=2.0, max_value=8.0)),
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+    )
+
+
+@given(
+    st.one_of(graphs_with_gaps(), sparse_random_graphs()),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_agrees_with_bz_at_every_device_count(graph, devices):
+    """Owners peel inside the launch while ghosts stay lazy: the cores
+    must not depend on how many devices share the graph.  An owner
+    whose replica of its own vertices went stale would re-append dead
+    vertices; the random graphs reach that within a few examples."""
+    result = multi_gpu_peel(graph, num_devices=devices)
+    assert_cores_equal(result.core, bz_core_numbers(graph), f"multi-{devices}")
 
 
 # -- worker side pinned across aggregation changes ---------------------------

@@ -90,12 +90,13 @@ def test_engines_agree_under_observability_hooks(graph, variant):
     assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes
 
 
-@given(graphs(), st.integers(min_value=2, max_value=4))
-@settings(max_examples=6, deadline=None)
-def test_multi_gpu_peel_is_engine_invariant(graph, num_devices):
-    ref = multi_gpu_peel(graph, num_devices=num_devices,
+@given(graphs(), st.integers(min_value=1, max_value=8),
+       st.sampled_from(ALL_VARIANTS))
+@settings(max_examples=8, deadline=None)
+def test_multi_gpu_peel_is_engine_invariant(graph, num_devices, variant):
+    ref = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
                          engine="reference")
-    vec = multi_gpu_peel(graph, num_devices=num_devices,
+    vec = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
                          engine="vectorized")
     assert_byte_identical(ref, vec)
 
