@@ -4,9 +4,10 @@ This module is the ``vectorized`` engine's fast path (see
 :mod:`repro.gpusim.engine` and ``docs/SIMULATOR.md``).  Instead of
 stepping one generator per warp through the reference scheduler, each
 executor computes a whole launch — every device-memory side effect and
-every cost-model tally — with batched numpy array operations, then
-returns the same :class:`~repro.gpusim.scheduler.KernelStats` the
-reference interpreter would have produced, byte for byte.
+every cost-model tally — in one pass (numpy array operations for the
+scan, a turn-level replay for the loop), then returns the same
+:class:`~repro.gpusim.scheduler.KernelStats` the reference interpreter
+would have produced, byte for byte.
 
 How exactness is preserved
 --------------------------
@@ -21,17 +22,17 @@ ordering semantics (concurrent ``atomicSub`` on shared neighbors), so
 the executor replays the reference FIFO scheduler exactly — but at
 *turn* granularity, with a few integer state updates per turn instead
 of a generator resumption.  The expensive part of a turn (a warp's
-whole adjacency sweep) is deferred into an ordered *event* list and
-batched: when a block next reads its buffer tail ``e``, all pending
-events are flushed in emission order with one numpy pass.  Candidacy
-has a closed form under that order: the first ``deg0(u) - k`` touches
-of a vertex ``u`` decrement it, and the touch with rank
-``deg0(u) - k - 1`` observes ``k + 1`` and appends ``u`` (the
-``newly`` set of Alg. 3 Line 22).  This is exact because, with no
-preemption, a warp's read -> atomicSub window never interleaves
-(events are atomic in the schedule), which also means the Fig. 6
-restore path cannot fire — unless an adjacency list contains duplicate
-neighbors, a case the executor detects up front and declines.
+whole adjacency sweep) is deferred into an ordered *event* list: when
+a block next reads its buffer tail ``e``, the pending events are
+flushed one by one in emission order, each sweeping its adjacency 32
+lanes per trip with the lanes' atomics applied in lane order.  Events
+never interleave: with no preemption, a warp's read -> atomicSub
+window runs without a yield (events are atomic in the schedule), so
+emission order is the reference's touch order, and the Fig. 6 restore
+path cannot fire.  Within one trip every touched vertex is distinct,
+so the degree each lane reads is the value its atomic observes —
+unless an adjacency list contains duplicate neighbors, a case the
+executor detects up front and declines.
 
 Fallback discipline
 -------------------
@@ -75,11 +76,7 @@ from repro.gpusim.engine import (
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.scheduler import KernelStats
-from repro.gpusim.vectorized import (
-    assemble_stats,
-    contiguous_transactions,
-    grouped_distinct_segments,
-)
+from repro.gpusim.vectorized import assemble_stats, contiguous_transactions
 
 __all__ = ["register"]
 
@@ -259,17 +256,6 @@ def _contig_trans_vec(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Vectorized :func:`~repro.gpusim.vectorized.contiguous_transactions`."""
     out = (start + length - 1) // 32 - start // 32 + 1
     return np.where(length > 0, out, 0)
-
-
-def _expand_edges(
-    starts: np.ndarray, degs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand per-event CSR slices to per-edge (event, offset, position)."""
-    total = int(degs.sum())
-    eid = np.repeat(np.arange(degs.size, dtype=np.int64), degs)
-    base = _exclusive_cumsum(degs)
-    off = np.arange(total, dtype=np.int64) - base[eid]
-    return eid, off, starts[eid] + off
 
 
 def _adjacency_has_duplicates(
@@ -752,15 +738,10 @@ class _LoopRun:
         self.staged = _StagedArrays()
         self.deg_staged = self.staged.data(self.deg)
         self.buf_staged = self.staged.data(self.buf)
-        # scalar-flush support: the staged degree array doubles as a
-        # Python list (built lazily, kept authoritative between vector
-        # flushes) when the CSR is small enough for list mirroring;
+        # the flushes read and write degrees through a Python list built
+        # at the launch's first flush and authoritative from then on;
         # ``deg_dirty`` lists the entries the list holds that the array
         # does not yet, so write-back costs the decrements, not ``n``
-        self.scalar_ok = (
-            self.offsets.data.size <= 200_000
-            and self.neighbors.data.size <= 2_000_000
-        )
         self.deg_list: Optional[List[int]] = None
         self.deg_dirty: List[int] = []
         self.blocks = [_LoopBlock(i, self.warps) for i in range(self.grid)]
@@ -770,108 +751,16 @@ class _LoopRun:
         self.ev_slot: List[int] = []  # -1 for value events (VP)
         self.ev_value: List[int] = []
 
-    # -- event plumbing -------------------------------------------------
-
-    def emit(self, block: _LoopBlock, gwid: int, slot: int, value: int) -> None:
-        self.ev_block.append(block.idx)
-        self.ev_gwid.append(gwid)
-        self.ev_slot.append(slot)
-        self.ev_value.append(value)
-        block.pending += 1
-
     def flush(self) -> None:
         if not self.ev_block:
             return
-        if not _try_flush_scalar(self):
-            _flush_events(self)
+        _flush(self)
         self.ev_block.clear()
         self.ev_gwid.clear()
         self.ev_slot.clear()
         self.ev_value.clear()
         for block in self.blocks:
             block.pending = 0
-
-
-def _resolve_slot_events(
-    run: _LoopRun, ev_block: np.ndarray, ev_gwid: np.ndarray
-) -> np.ndarray:
-    """Resolve buffer reads for slot events + charge the read costs.
-
-    Per-warp/per-block charges are folded with ``np.bincount`` rather
-    than ``np.ufunc.at`` — both sum the same exact dyadic values, so
-    the totals are bit-identical, but ``bincount`` is far cheaper on
-    the small index sets a flush batch produces.
-    """
-    acc = run.acc
-    grid = run.grid
-    nwarps = grid * run.warps
-    ev_slot = np.asarray(run.ev_slot, dtype=np.int64)
-    values = np.asarray(run.ev_value, dtype=np.int64)
-    is_slot = ev_slot >= 0
-    if not np.any(is_slot):
-        return values
-    sl_block = ev_block[is_slot]
-    sl_gwid = ev_gwid[is_slot]
-    sl_slot = ev_slot[is_slot]
-    if not run.cfg.shared_buffer:
-        # plain view.read: one dependent gload of one word
-        per_warp = np.bincount(sl_gwid, minlength=nwarps)
-        acc.issued += per_warp
-        acc.path += per_warp * (1.0 + run.launch.cost.global_load_latency)
-        per_block = np.bincount(sl_block, minlength=grid)
-        acc.mem_transactions += per_block
-        acc.mem_accesses += per_block
-        acc.mem_active_lanes += per_block
-        acc.mem_ideal_transactions += per_block
-        values[is_slot] = run.buf_staged[sl_block * run.capacity + sl_slot]
-        return values
-    # SM view.read: e_init fetch + Fig. 7 translation, then shared or
-    # shifted-global access per event
-    e_init = np.asarray(
-        [run.blocks[i].e_init for i in range(run.grid)], dtype=np.int64
-    )[sl_block]
-    per_warp = np.bincount(sl_gwid, minlength=nwarps)
-    acc.issued += per_warp * 5.0  # smem_get + charge(4)
-    acc.path += per_warp * 5.0
-    scap = run.shared_capacity
-    in_shared = (sl_slot >= e_init) & (sl_slot < e_init + scap)
-    resolved = np.empty(sl_slot.size, dtype=np.int64)
-    if np.any(in_shared):
-        sh_warp = np.bincount(sl_gwid[in_shared], minlength=nwarps)
-        acc.issued += sh_warp  # sload
-        acc.path += sh_warp
-        sh_slots = sl_slot[in_shared] - e_init[in_shared]
-        sh_blocks = sl_block[in_shared]
-        resolved[in_shared] = np.asarray(
-            [
-                run.shared.arrays[blk]["B"][slot]
-                for blk, slot in zip(sh_blocks, sh_slots)
-            ],
-            dtype=np.int64,
-        ) if sh_blocks.size else np.zeros(0, dtype=np.int64)
-    out_shared = ~in_shared
-    if np.any(out_shared):
-        g = sl_gwid[out_shared]
-        blkk = sl_block[out_shared]
-        gl_warp = np.bincount(g, minlength=nwarps)
-        acc.issued += gl_warp
-        acc.path += gl_warp * (1.0 + run.launch.cost.global_load_latency)
-        gl_block = np.bincount(blkk, minlength=grid)
-        acc.mem_transactions += gl_block
-        acc.mem_accesses += gl_block
-        acc.mem_active_lanes += gl_block
-        acc.mem_ideal_transactions += gl_block
-        gpos = sl_slot[out_shared].copy()
-        gpos[gpos >= e_init[out_shared]] -= scap
-        if int(gpos.max(initial=0)) >= run.capacity:
-            raise FallbackToReference("loop buffer read overflow")
-        resolved[out_shared] = run.buf_staged[blkk * run.capacity + gpos]
-    values[is_slot] = resolved
-    return values
-
-
-#: flush batches touching at most this many edges take the scalar path
-_SCALAR_EDGE_LIMIT = 4096
 
 
 def _scalar_list(array: DeviceArray, attr: str) -> List[int]:
@@ -892,79 +781,20 @@ def _scalar_list(array: DeviceArray, attr: str) -> List[int]:
     return lst
 
 
-def _try_flush_scalar(run: _LoopRun) -> bool:
-    """Flush a small batch by direct sequential emulation.
+def _flush(run: _LoopRun) -> None:
+    """Replay all pending events in emission order, one by one.
 
-    A flush batch holds at most one event per warp (≤ 64), so most
-    batches sweep a few hundred edges — far below the scale where the
-    vectorised closed forms in :func:`_flush_events` pay for their
-    fixed numpy dispatch cost.  This path replays the batch the way
-    the reference interpreter does — event by event, trip by trip,
-    serialising the atomics in lane order — which is *trivially*
-    order-identical, and every charge is the same dyadic rational the
-    vector path folds, so the sums match bit for bit.
-
-    First a cost-free peek resolves the frontier vertices and sizes
-    the batch; batches over :data:`_SCALAR_EDGE_LIMIT` edges (or with
-    anything the peek cannot cheaply validate) return ``False`` and
-    fall through to the vector path, which also owns raising the
-    fallback errors with the correct charges applied.
-    """
-    if not run.scalar_ok:
-        return False
-    cap = run.capacity
-    cfg = run.cfg
-    sm = cfg.shared_buffer
-    scap = run.shared_capacity if sm else 0
-    buf = run.buf_staged
-    # -- peek: resolve values + bounds without charging ----------------
-    vals: List[int] = []
-    if sm:
-        shared = run.shared.arrays
-        for b, slot, val in zip(run.ev_block, run.ev_slot, run.ev_value):
-            if slot < 0:
-                vals.append(val)
-                continue
-            e_init = run.blocks[b].e_init
-            if e_init <= slot < e_init + scap:
-                vals.append(int(shared[b]["B"][slot - e_init]))
-            else:
-                gpos = slot - scap if slot >= e_init else slot
-                if gpos >= cap:
-                    return False  # vector path raises the fallback
-                vals.append(int(buf[b * cap + gpos]))
-    else:
-        for b, slot, val in zip(run.ev_block, run.ev_slot, run.ev_value):
-            vals.append(val if slot < 0 else int(buf[b * cap + slot]))
-    offs = _scalar_list(run.offsets, "_fastsim_offs")
-    osz = len(offs)
-    base = run.base
-    bounds: List[Tuple[int, int]] = []
-    total = 0
-    for v in vals:
-        rel = v - base
-        if rel < 0 or rel + 1 >= osz:
-            return False  # vector path raises the fallback
-        s = offs[rel]
-        e = offs[rel + 1]
-        bounds.append((s, e))
-        total += e - s
-    if total > _SCALAR_EDGE_LIMIT:
-        return False
-    _flush_scalar(run, vals, bounds)
-    return True
-
-
-def _flush_scalar(
-    run: _LoopRun, vals: List[int], bounds: List[Tuple[int, int]]
-) -> None:
-    """Sequential (reference-order) execution of a small flush batch.
-
-    Assumes the launch-level no-duplicate-adjacency guard: within one
-    trip every touched vertex is distinct, so the pre-trip degree
-    snapshot is the value each lane's atomic observes.  Charges are
-    accumulated in Python scalars and folded into the accounting
-    arrays in one vector step per metric.
+    One event is one warp's full adjacency sweep of one frontier
+    vertex (Alg. 3 Lines 12-24), replayed the way the reference
+    interpreter runs it: buffer read, bounds load, then trip by trip,
+    serialising the atomics in lane order.  Assumes the launch-level
+    no-duplicate-adjacency guard: within one trip every touched vertex
+    is distinct, so the pre-trip degree is the value each lane's
+    atomic observes.  Charges are the same dyadic rationals the
+    interpreter adds, accumulated in Python scalars and folded into
+    the accounting arrays in one vector step per metric, so the sums
+    match bit for bit.  A fallback raised mid-batch is safe: the
+    launch's staged state is discarded with it.
     """
     acc = run.acc
     cost = run.launch.cost
@@ -982,12 +812,16 @@ def _flush_scalar(
     scan_cost = 0.0 if compaction == "none" else (
         3.0 if compaction == "ballot" else 11.0
     )
+    offs = _scalar_list(run.offsets, "_fastsim_offs")
+    osz = len(offs)
     nbrs = _scalar_list(run.neighbors, "_fastsim_nbrs")
     if run.deg_list is None:
         run.deg_list = run.deg_staged.tolist()
     deg = run.deg_list
     dirty = run.deg_dirty
     buf = run.buf_staged
+    shared = run.shared.arrays
+    base = run.base
     own = run.own_range
     lo, hi = own if own is not None else (0, 0)
     wi = [0.0] * nwarps  # issued
@@ -999,34 +833,39 @@ def _flush_scalar(
     bat = [0.0] * grid  # atomic_cycles
     bcf = [0.0] * grid  # atomic_conflicts
     bpk = [0.0] * grid  # buffer_peak (running max)
-    for i, (v, (s, e)) in enumerate(zip(vals, bounds)):
-        b = run.ev_block[i]
-        g = run.ev_gwid[i]
+    for b, g, slot, v in zip(
+        run.ev_block, run.ev_gwid, run.ev_slot, run.ev_value
+    ):
         blk = run.blocks[b]
-        # -- the buffer read (charges only; value came from the peek) --
-        if run.ev_slot[i] >= 0:
+        # -- the buffer read (value events carry their vertex) ---------
+        if slot >= 0:
             if sm:
                 wi[g] += 5.0  # smem_get(e_init) + charge(4)
                 wp[g] += 5.0
-                if blk.e_init <= run.ev_slot[i] < blk.e_init + scap:
+                e_init = blk.e_init
+                if e_init <= slot < e_init + scap:
                     wi[g] += 1.0  # sload
                     wp[g] += 1.0
-                else:
-                    wi[g] += 1.0  # shifted gload
-                    wp[g] += 1.0 + gll
-                    bt[b] += 1.0
-                    ba[b] += 1.0
-                    bl[b] += 1.0
-                    bi[b] += 1.0
-            else:
-                wi[g] += 1.0  # plain gload of one word
+                    v = int(shared[b]["B"][slot - e_init])
+                    slot = -1
+                elif slot >= e_init:
+                    slot -= scap  # Fig. 7: global slots above the window
+                if slot >= cap:
+                    raise FallbackToReference("loop buffer read overflow")
+            if slot >= 0:
+                wi[g] += 1.0  # gload of one word
                 wp[g] += 1.0 + gll
                 bt[b] += 1.0
                 ba[b] += 1.0
                 bl[b] += 1.0
                 bi[b] += 1.0
+                v = int(buf[b * cap + slot])
         # -- Line 13: bounds load (two consecutive offsets words) ------
-        rel = v - run.base
+        rel = v - base
+        if rel < 0 or rel + 1 >= osz:
+            raise FallbackToReference("frontier vertex outside CSR slice")
+        s = offs[rel]
+        e = offs[rel + 1]
         wi[g] += 1.0
         wp[g] += 1.0 + gll
         bt[b] += float((rel + 1) // 32 - rel // 32 + 1)
@@ -1105,7 +944,7 @@ def _flush_scalar(
                 if n_sh:
                     wi[g] += 1.0  # sstore
                     wp[g] += 1.0
-                    window = run.shared.arrays[b]["B"]
+                    window = shared[b]["B"]
                     for j in range(n_sh):
                         window[loc - blk.e_init + j] = newly[j]
                 n_gl = nw - n_sh
@@ -1140,277 +979,13 @@ def _flush_scalar(
 
 
 def _sync_deg(run: _LoopRun) -> None:
-    """Write the scalar path's decrements back to the staged array."""
+    """Write the flushes' decrements back to the staged array."""
     dirty = run.deg_dirty
     if dirty:
         deg = run.deg_list
         assert deg is not None
         run.deg_staged[dirty] = [deg[x] for x in dirty]
         dirty.clear()
-
-
-def _flush_events(run: _LoopRun) -> None:
-    """Batch-execute all pending events in emission order.
-
-    One event is one warp's full adjacency sweep of one frontier
-    vertex (Alg. 3 Lines 12-24).  See the module docstring for why the
-    rank closed form reproduces the reference order exactly.
-    """
-    acc = run.acc
-    cost = run.launch.cost
-    k = run.k
-    grid = run.grid
-    nwarps = grid * run.warps
-    _sync_deg(run)
-    ev_block = np.asarray(run.ev_block, dtype=np.int64)
-    ev_gwid = np.asarray(run.ev_gwid, dtype=np.int64)
-    v = _resolve_slot_events(run, ev_block, ev_gwid)
-
-    # Line 13: the bounds load (two consecutive offsets words)
-    rel = v - run.base
-    offs = run.offsets.data
-    if int(rel.min(initial=0)) < 0 or int(rel.max(initial=-1)) + 1 >= offs.size:
-        raise FallbackToReference("frontier vertex outside CSR slice")
-    starts = offs[rel]
-    ends = offs[rel + 1]
-    ev_per_warp = np.bincount(ev_gwid, minlength=nwarps)
-    acc.issued += ev_per_warp
-    acc.path += ev_per_warp * (1.0 + cost.global_load_latency)
-    ev_per_block = np.bincount(ev_block, minlength=grid)
-    acc.mem_transactions += np.bincount(
-        ev_block,
-        weights=_contig_trans_vec(
-            rel, np.full(rel.size, 2, dtype=np.int64)
-        ).astype(np.float64),
-        minlength=grid,
-    )
-    acc.mem_accesses += ev_per_block
-    acc.mem_active_lanes += 2.0 * ev_per_block
-    acc.mem_ideal_transactions += ev_per_block
-
-    degs = (ends - starts).astype(np.int64)
-    if int(degs.sum()) == 0:
-        return
-
-    # -- expand every event's adjacency slice to edge granularity ------
-    eid, off, pos = _expand_edges(starts, degs)
-    u = run.neighbors.data[pos]
-
-    # trips: 32 lanes per trip, in (event, trip, lane) order — exactly
-    # the global touch order of the reference schedule
-    trips_per_event = -(-degs // 32)
-    trip_base = _exclusive_cumsum(trips_per_event)
-    gtid = trip_base[eid] + off // 32
-    total_trips = int(trips_per_event.sum())
-    trip_event = np.repeat(
-        np.arange(degs.size, dtype=np.int64), trips_per_event
-    )
-    tw = np.arange(total_trips, dtype=np.int64) - trip_base[trip_event]
-    trip_pos0 = starts[trip_event] + 32 * tw
-    trip_l = np.minimum(32, ends[trip_event] - trip_pos0).astype(np.int64)
-    trip_gwid = ev_gwid[trip_event]
-    trip_block = ev_block[trip_event]
-
-    # -- candidacy by rank (see module docstring) ----------------------
-    order = np.argsort(u, kind="stable")
-    su = u[order]
-    bounds = np.empty(su.size, dtype=bool)
-    bounds[0] = True
-    bounds[1:] = su[1:] != su[:-1]
-    group = np.cumsum(bounds) - 1
-    rank_sorted = (
-        np.arange(su.size, dtype=np.int64) - np.flatnonzero(bounds)[group]
-    )
-    rank = np.empty(u.size, dtype=np.int64)
-    rank[order] = rank_sorted
-    d0 = run.deg_staged[u]
-    cand = rank < (d0 - k)
-    newly = cand & (rank == d0 - k - 1)
-    if run.own_range is not None:
-        lo, hi = run.own_range
-        newly &= (u >= lo) & (u < hi)
-    np.subtract.at(run.deg_staged, u[cand], 1)
-    run.deg_list = None  # stale; the next scalar flush rebuilds it
-
-    # -- per-trip costs -------------------------------------------------
-    # sync_warp + neighbors gload + deg gload + charge(4), every trip
-    t_issued = np.full(total_trips, 7.0)
-    t_path = np.full(
-        total_trips, 7.0 + 2 * cost.global_load_latency
-    )
-    nbr_trans = _contig_trans_vec(trip_pos0, trip_l)
-    deg_trans = grouped_distinct_segments(gtid, u, total_trips)
-    trips_per_block = np.bincount(trip_block, minlength=grid)
-    acc.mem_transactions += np.bincount(
-        trip_block, weights=(nbr_trans + deg_trans).astype(np.float64),
-        minlength=grid,
-    )
-    acc.mem_accesses += 2.0 * trips_per_block
-    acc.mem_active_lanes += 2.0 * np.bincount(
-        trip_block, weights=trip_l.astype(np.float64), minlength=grid
-    )
-    acc.mem_ideal_transactions += 2.0 * trips_per_block
-
-    csel = np.flatnonzero(cand)
-    if csel.size:
-        trip_c = np.bincount(gtid[csel], minlength=total_trips)
-        has_c = trip_c > 0
-        hcf = has_c.astype(np.float64)
-        # Line 21: atomicSub on the candidates (distinct addresses: no
-        # conflicts, base cycles only)
-        at_trans = grouped_distinct_segments(
-            gtid[csel], u[csel], total_trips
-        )
-        t_issued += hcf
-        t_path += hcf * cost.global_atomic_base
-        hc_per_block = np.bincount(trip_block, weights=hcf, minlength=grid)
-        acc.atomic_cycles += hc_per_block * cost.global_atomic_base
-        acc.mem_transactions += np.bincount(
-            trip_block, weights=at_trans.astype(np.float64), minlength=grid
-        )
-        acc.mem_accesses += hc_per_block
-        acc.mem_active_lanes += np.bincount(
-            trip_block, weights=trip_c.astype(np.float64), minlength=grid
-        )
-        acc.mem_ideal_transactions += hc_per_block
-
-    compaction = run.cfg.compaction
-    if compaction != "none":
-        # the warp-wide scan runs on every trip, appends or not
-        scan_cost = 3.0 if compaction == "ballot" else 11.0
-        t_issued += scan_cost
-        t_path += scan_cost
-    nsel = np.flatnonzero(newly)
-    per_block_nw = None
-    if nsel.size:
-        trip_nw = np.bincount(gtid[nsel], minlength=total_trips)
-        has_nw = trip_nw > 0
-        hnf = has_nw.astype(np.float64)
-        if compaction == "none":
-            t_issued += hnf
-            sa = np.where(has_nw, 2.0 + 0.25 * (trip_nw - 1), 0.0)
-            t_path += sa
-            acc.atomic_cycles += np.bincount(
-                trip_block, weights=sa, minlength=grid
-            )
-            acc.atomic_conflicts += np.bincount(
-                trip_block,
-                weights=np.where(has_nw, trip_nw - 1, 0).astype(np.float64),
-                minlength=grid,
-            )
-        else:
-            t_issued += hnf * 3.0  # atomic + shfl + charge
-            t_path += hnf * 4.0
-            acc.atomic_cycles += np.bincount(
-                trip_block, weights=hnf * 2.0, minlength=grid
-            )
-
-        # -- append locations ------------------------------------------
-        e_before = np.asarray(
-            [blk.e for blk in run.blocks], dtype=np.int64
-        )
-        seg = _segmented_exclusive_cumsum(trip_nw, trip_block)
-        trip_loc = e_before[trip_block] + seg
-        per_block_nw = np.bincount(
-            trip_block, weights=trip_nw, minlength=run.grid
-        ).astype(np.int64)
-        scap = run.shared_capacity if run.cfg.shared_buffer else 0
-        effective = run.capacity + scap
-        if np.any(
-            (trip_loc + trip_nw)[has_nw] > effective
-        ):
-            raise FallbackToReference("loop buffer overflow; reference raises")
-
-        # write instruction + transaction accounting per appending trip
-        wr = has_nw
-        wr_gwid = trip_gwid[wr]
-        wr_block = trip_block[wr]
-        wr_loc = trip_loc[wr]
-        wr_nw = trip_nw[wr]
-        if not run.cfg.shared_buffer:
-            wr_warp = np.bincount(wr_gwid, minlength=nwarps)
-            acc.issued += wr_warp  # gstore
-            acc.path += wr_warp
-            wr_trans = _contig_trans_vec(
-                wr_block * run.capacity + wr_loc, wr_nw
-            )
-            wr_per_block = np.bincount(wr_block, minlength=grid)
-            acc.mem_transactions += np.bincount(
-                wr_block, weights=wr_trans.astype(np.float64), minlength=grid
-            )
-            acc.mem_accesses += wr_per_block
-            acc.mem_active_lanes += np.bincount(
-                wr_block, weights=wr_nw.astype(np.float64), minlength=grid
-            )
-            acc.mem_ideal_transactions += wr_per_block
-        else:
-            e_init = np.asarray(
-                [blk.e_init for blk in run.blocks], dtype=np.int64
-            )[wr_block]
-            wr_warp = np.bincount(wr_gwid, minlength=nwarps)
-            acc.issued += wr_warp * 5.0  # smem_get(e_init) + charge(4)
-            acc.path += wr_warp * 5.0
-            # locations start at >= e_init, so the split is purely
-            # "below the window top goes to shared, the rest shifts
-            # down by scap"
-            n_sh = np.clip(e_init + scap - wr_loc, 0, wr_nw)
-            any_sh = n_sh > 0
-            sh_warp = np.bincount(wr_gwid[any_sh], minlength=nwarps)
-            acc.issued += sh_warp  # sstore
-            acc.path += sh_warp
-            n_gl = wr_nw - n_sh
-            any_gl = n_gl > 0
-            gl_warp = np.bincount(wr_gwid[any_gl], minlength=nwarps)
-            acc.issued += gl_warp  # gstore
-            acc.path += gl_warp
-            gl_start = (
-                wr_block * run.capacity
-                + np.maximum(wr_loc, e_init + scap) - scap
-            )
-            gl_trans = _contig_trans_vec(gl_start, n_gl)
-            gl_per_block = np.bincount(wr_block[any_gl], minlength=grid)
-            acc.mem_transactions += np.bincount(
-                wr_block[any_gl], weights=gl_trans[any_gl].astype(np.float64),
-                minlength=grid,
-            )
-            acc.mem_accesses += gl_per_block
-            acc.mem_active_lanes += np.bincount(
-                wr_block[any_gl], weights=n_gl[any_gl].astype(np.float64),
-                minlength=grid,
-            )
-            acc.mem_ideal_transactions += gl_per_block
-        np.maximum.at(
-            acc.buffer_peak, wr_block, (wr_loc + wr_nw).astype(np.float64)
-        )
-
-        # -- commit the appended vertices ------------------------------
-        ap_u = u[nsel]
-        ap_trip = gtid[nsel]
-        ap_slot = trip_loc[ap_trip] + _segmented_exclusive_cumsum(
-            np.ones(ap_u.size, dtype=np.int64), ap_trip
-        )
-        ap_block = trip_block[ap_trip]
-        if scap:
-            e_init_b = np.asarray(
-                [blk.e_init for blk in run.blocks], dtype=np.int64
-            )[ap_block]
-            in_sh = ap_slot < e_init_b + scap
-            for blk_idx, slot, vtx in zip(
-                ap_block[in_sh], (ap_slot - e_init_b)[in_sh], ap_u[in_sh]
-            ):
-                run.shared.arrays[int(blk_idx)]["B"][int(slot)] = int(vtx)
-            gl = ~in_sh
-            run.buf_staged[
-                ap_block[gl] * run.capacity + ap_slot[gl] - scap
-            ] = ap_u[gl]
-        else:
-            run.buf_staged[ap_block * run.capacity + ap_slot] = ap_u
-
-    acc.issued += np.bincount(trip_gwid, weights=t_issued, minlength=nwarps)
-    acc.path += np.bincount(trip_gwid, weights=t_path, minlength=nwarps)
-    if per_block_nw is not None:
-        for blk in run.blocks:
-            blk.e += int(per_block_nw[blk.idx])
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
@@ -1493,7 +1068,7 @@ def _replay_drain(run: _LoopRun) -> None:
       (``s + wid >= e``) re-arrives at the barrier *before* that
       round's emitters, so the block's pop order permutes; ``worder``
       tracks it, because the order in which warps emit (not the slots
-      they emit) fixes the global candidacy ranks.
+      they emit) fixes the order of the atomics.
 
     Per-turn charges (identical +5/+5 per HEAD visit, +1/+1 per
     Thread-0 BODY turn) are counted in Python ints and folded in one

@@ -8,11 +8,9 @@ with numpy.  Those executors (registered per kernel; see
 accounting **bit-for-bit**, and this module centralises the pieces
 that are kernel-agnostic:
 
-* closed-form 128-byte transaction counts for contiguous and
-  scattered index sets, exactly matching
+* the closed-form 128-byte transaction count of a contiguous index
+  range, exactly matching
   :meth:`~repro.gpusim.context.WarpContext._count_transactions`;
-* per-group distinct-segment counting for batching many warp accesses
-  into one ``np.unique`` pass;
 * the end-of-launch fold from per-warp accumulators and per-block
   :class:`~repro.gpusim.costmodel.BlockTiming` records into a
   :class:`~repro.gpusim.scheduler.KernelStats`, mirroring
@@ -32,9 +30,7 @@ under every engine.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Sequence
 
 from repro.gpusim.costmodel import BlockTiming, CostModel
 from repro.gpusim.scheduler import KernelStats
@@ -44,8 +40,6 @@ __all__ = [
     "WORDS_PER_TRANSACTION",
     "assemble_stats",
     "contiguous_transactions",
-    "grouped_distinct_segments",
-    "scattered_transactions",
 ]
 
 #: words per 128-byte transaction at 4-byte IDs — must track
@@ -64,38 +58,6 @@ def contiguous_transactions(start: int, length: int) -> int:
     first = start // WORDS_PER_TRANSACTION
     last = (start + length - 1) // WORDS_PER_TRANSACTION
     return last - first + 1
-
-
-def scattered_transactions(idx: np.ndarray) -> int:
-    """Transactions of one warp access to arbitrary indices."""
-    if idx.size == 0:
-        return 0
-    return int(np.unique(idx // WORDS_PER_TRANSACTION).size)
-
-
-def grouped_distinct_segments(
-    group_keys: np.ndarray, idx: np.ndarray, num_groups: int
-) -> np.ndarray:
-    """Distinct 32-word segments per group, for many accesses at once.
-
-    ``group_keys[i]`` assigns element ``idx[i]`` to one warp access
-    (e.g. a ``(job, trip)`` pair encoded as an integer in
-    ``[0, num_groups)``); the result's ``g``-th entry is what the
-    reference interpreter's
-    :meth:`~repro.gpusim.context.WarpContext._count_transactions`
-    would have returned for group ``g``'s indices.  One sort replaces
-    ``num_groups`` separate ``np.unique`` calls.
-    """
-    counts = np.zeros(num_groups, dtype=np.int64)
-    if idx.size == 0:
-        return counts
-    segs = idx // WORDS_PER_TRANSACTION
-    # unique (group, segment) pairs == per-group distinct segments
-    combo = group_keys * np.int64(2**40) + segs
-    unique_combo = np.unique(combo)
-    groups = unique_combo // np.int64(2**40)
-    np.add.at(counts, groups, 1)
-    return counts
 
 
 def assemble_stats(

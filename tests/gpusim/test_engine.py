@@ -21,6 +21,7 @@ from repro.gpusim.engine import (
     get_engine,
 )
 from repro.graph.examples import fig1_graph
+from tests.properties.test_engines import assert_byte_identical
 
 
 def test_available_engines_reference_first():
@@ -205,3 +206,31 @@ def test_unknown_engine_name_via_gpu_peel():
     graph, _ = fig1_graph()
     with pytest.raises((ValueError, ReproError), match="unknown"):
         gpu_peel(graph, engine="warp-drive")
+
+
+@pytest.fixture(scope="module")
+def big_hub():
+    """One hub with 5,399 edges: a loop flush sweeps over 5,000 edges."""
+    from repro.graph import generators as gen
+
+    return gen.hub_and_spokes(
+        6000, num_hubs=1, hub_degree_fraction=0.9, tail_degree=6.0, seed=11
+    )
+
+
+@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec+sm"))
+def test_big_hub_flush_matches_reference(big_hub, variant):
+    ref = gpu_peel(big_hub, variant=variant, engine="reference")
+    vec = gpu_peel(big_hub, variant=variant, engine="vectorized")
+    assert_byte_identical(ref, vec)
+    launches = vec.counters["kernel.scan.launches"] \
+        + vec.counters["kernel.loop.launches"]
+    assert vec.counters["engine.served.vectorized"] == launches
+
+
+def test_big_hub_multi_gpu_matches_reference(big_hub):
+    from repro.core.multigpu import multi_gpu_peel
+
+    ref = multi_gpu_peel(big_hub, num_devices=2, engine="reference")
+    vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
+    assert_byte_identical(ref, vec)
