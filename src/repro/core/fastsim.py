@@ -34,6 +34,15 @@ so the degree each lane reads is the value its atomic observes —
 unless an adjacency list contains duplicate neighbors, a case the
 executor detects up front and declines.
 
+The flush has two implementations with one behaviour: ``_flush`` in
+Python, and its line-for-line C translation ``fastsim_flush.c``,
+built once into a per-user cache with the system ``cc`` and loaded
+with :mod:`ctypes` at the first flush of a process.  The C flush serves
+whenever its library loads; the Python one serves otherwise and is
+the reference the tests pin the C flush against.  Both add the same
+double charges in the same order (no ``-ffast-math``, no FMA
+contraction), so their sums are bit-identical.
+
 Fallback discipline
 -------------------
 
@@ -44,9 +53,11 @@ raising :class:`~repro.gpusim.engine.FallbackToReference` with zero
 observable effects — the engine then re-runs the launch on the
 reference interpreter.  Declined launches: ring-buffer variants
 (wraparound head/tail semantics), virtual warping (``vw > 1``),
-duplicate in-adjacency neighbors, and predicted buffer overflow (the
+duplicate in-adjacency neighbors, predicted buffer overflow (the
 reference run raises :class:`~repro.errors.BufferOverflowError` at the
-exact offending write, with the exact partial state).  Shared-memory
+exact offending write, with the exact partial state), and CSR rows or
+neighbor ids outside their arrays (the reference's numpy indexing
+raises or wraps; the C flush never reads out of bounds).  Shared-memory
 exhaustion is *not* a fallback: the staged allocations replicate
 :meth:`~repro.gpusim.context.BlockState.alloc_shared` order exactly,
 fire the same memtracker callbacks, and raise the same
@@ -60,7 +71,14 @@ duplicate-neighbor pre-check can be cached per array pair.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import ctypes
+import functools
+import os
+import platform
+import shutil
+import tempfile
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +96,7 @@ from repro.gpusim.memory import DeviceArray
 from repro.gpusim.scheduler import KernelStats
 from repro.gpusim.vectorized import assemble_stats, contiguous_transactions
 
-__all__ = ["register"]
+__all__ = ["native_flush_available", "register"]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +225,8 @@ class _StagedArrays:
     def data(self, array: DeviceArray) -> np.ndarray:
         entry = self._staged.get(id(array))
         if entry is None:
-            entry = (array, array.data.copy())
+            # a contiguous int64 copy: the native flush writes it in place
+            entry = (array, np.array(array.data, dtype=np.int64))
             self._staged[id(array)] = entry
         return entry[1]
 
@@ -750,11 +769,18 @@ class _LoopRun:
         self.ev_gwid: List[int] = []
         self.ev_slot: List[int] = []  # -1 for value events (VP)
         self.ev_value: List[int] = []
+        self.native: Optional[_NativeArgs] = None  # built at first flush
 
     def flush(self) -> None:
         if not self.ev_block:
             return
-        _flush(self)
+        fn = _native_flush()
+        # a launch the Python flush has started stays on it: its degree
+        # list, not the staged array, then holds the current degrees
+        if fn is not None and self.deg_list is None:
+            _flush_native(self, fn)
+        else:
+            _flush(self)
         self.ev_block.clear()
         self.ev_gwid.clear()
         self.ev_slot.clear()
@@ -794,7 +820,9 @@ def _flush(run: _LoopRun) -> None:
     interpreter adds, accumulated in Python scalars and folded into
     the accounting arrays in one vector step per metric, so the sums
     match bit for bit.  A fallback raised mid-batch is safe: the
-    launch's staged state is discarded with it.
+    launch's staged state is discarded with it.  This is the reference
+    for the C flush (``fastsim_flush.c``), which declines on exactly
+    the same events with the same messages.
     """
     acc = run.acc
     cost = run.launch.cost
@@ -809,15 +837,15 @@ def _flush(run: _LoopRun) -> None:
     scap = run.shared_capacity if sm else 0
     effective = cap + scap
     compaction = cfg.compaction
-    scan_cost = 0.0 if compaction == "none" else (
-        3.0 if compaction == "ballot" else 11.0
-    )
+    scan_cost = _scan_cost(compaction)
     offs = _scalar_list(run.offsets, "_fastsim_offs")
     osz = len(offs)
     nbrs = _scalar_list(run.neighbors, "_fastsim_nbrs")
+    nsz = len(nbrs)
     if run.deg_list is None:
         run.deg_list = run.deg_staged.tolist()
     deg = run.deg_list
+    dsz = len(deg)
     dirty = run.deg_dirty
     buf = run.buf_staged
     shared = run.shared.arrays
@@ -866,6 +894,8 @@ def _flush(run: _LoopRun) -> None:
             raise FallbackToReference("frontier vertex outside CSR slice")
         s = offs[rel]
         e = offs[rel + 1]
+        if s < e and (s < 0 or e > nsz):
+            raise FallbackToReference("loop replay index out of bounds")
         wi[g] += 1.0
         wp[g] += 1.0 + gll
         bt[b] += float((rel + 1) // 32 - rel // 32 + 1)
@@ -876,6 +906,8 @@ def _flush(run: _LoopRun) -> None:
         for pos0 in range(s, e, 32):
             l = min(32, e - pos0)
             u_list = nbrs[pos0 : pos0 + l]
+            if min(u_list) < 0 or max(u_list) >= dsz:
+                raise FallbackToReference("loop replay index out of bounds")
             # sync_warp + neighbors gload + deg gload + charge(4)
             wi[g] += 7.0 + scan_cost
             wp[g] += 7.0 + 2.0 * gll + scan_cost
@@ -976,6 +1008,232 @@ def _flush(run: _LoopRun) -> None:
         # the log's memory
         run.deg_staged[:] = deg
         dirty.clear()
+
+
+def _scan_cost(compaction: str) -> float:
+    """Per-trip instruction cost of the append scheme's warp scan."""
+    if compaction == "none":
+        return 0.0
+    return 3.0 if compaction == "ballot" else 11.0
+
+
+# ---------------------------------------------------------------------------
+# the native flush: ``_flush`` in C, compiled on first use
+# ---------------------------------------------------------------------------
+
+_FLUSH_SOURCE = Path(__file__).with_name("fastsim_flush.c")
+#: no -ffast-math and no FMA contraction: the C sums must be the
+#: Python flush's double operations, in the same order
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_DIGEST = 32  # sha256 of the library, appended to the cached file
+
+
+class _FlushCtx(ctypes.Structure):
+    """``flush_ctx`` of ``fastsim_flush.c``, field for field."""
+
+    _fields_ = [
+        ("offs", ctypes.c_void_p), ("osz", ctypes.c_int64),
+        ("nbrs", ctypes.c_void_p), ("nsz", ctypes.c_int64),
+        ("deg", ctypes.c_void_p), ("dsz", ctypes.c_int64),
+        ("buf", ctypes.c_void_p), ("bsz", ctypes.c_int64),
+        ("windows", ctypes.c_void_p), ("wlen", ctypes.c_int64),
+        ("blk_e", ctypes.c_void_p), ("blk_e_init", ctypes.c_void_p),
+        ("grid", ctypes.c_int64), ("nwarps", ctypes.c_int64),
+        ("k", ctypes.c_int64), ("cap", ctypes.c_int64),
+        ("scap", ctypes.c_int64), ("sm", ctypes.c_int64),
+        ("no_compaction", ctypes.c_int64), ("base", ctypes.c_int64),
+        ("owned", ctypes.c_int64), ("lo", ctypes.c_int64),
+        ("hi", ctypes.c_int64),
+        ("gll", ctypes.c_double), ("gab", ctypes.c_double),
+        ("scan_cost", ctypes.c_double),
+        ("acc", ctypes.c_void_p * 9), ("sums", ctypes.c_void_p),
+    ]
+
+
+def _cache_dir() -> Path:
+    return Path.home() / ".cache" / "repro"
+
+
+def _sha256(data: bytes) -> bytes:
+    # imported here: a process that never flushes never loads OpenSSL
+    import hashlib
+
+    return hashlib.sha256(data).digest()
+
+
+def _open_verified(path: Path) -> Optional[ctypes.CDLL]:
+    """Load ``path`` only if its digest trailer matches its content.
+
+    A file this module did not finish writing (truncated, foreign, or
+    from a crashed build) fails the check and is never ``dlopen``-ed.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    body, digest = data[:-_DIGEST], data[-_DIGEST:]
+    if not body or _sha256(body) != digest:
+        return None
+    return ctypes.CDLL(str(path))
+
+
+def _build(cc: str, path: Path) -> None:
+    """Compile the flush to ``path``: temp file, digest, atomic rename.
+
+    Raises :class:`OSError` when the compiler fails.
+    """
+    import subprocess  # only here: a cached library needs no compiler
+
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        try:
+            subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp, str(_FLUSH_SOURCE)],
+                check=True, capture_output=True, timeout=300,
+            )
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"{cc} failed to build {path.name}") from exc
+        data = Path(tmp).read_bytes()
+        Path(tmp).write_bytes(data + _sha256(data))
+        # concurrent builds each rename a complete file into place
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _library_path(cache_dir: Path) -> Path:
+    """The cached library's name: a hash of the C source, the flags and
+    the machine type, so an edited source is rebuilt, never reused."""
+    key = _sha256(b"\0".join([
+        _FLUSH_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+        platform.machine().encode(),
+    ])).hex()[:24]
+    return cache_dir / f"fastsim-flush-{key}.so"
+
+
+def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
+    """The compiled flush from ``cache_dir``, building it if needed.
+
+    Returns ``None`` (the Python flush serves) when no ``cc`` is on
+    ``PATH``, the build fails, or another user owns or can write the
+    cache directory.
+    """
+    try:
+        path = _library_path(cache_dir)
+        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = cache_dir.stat()
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None  # another user could plant a library here
+        lib = _open_verified(path)
+        if lib is None:
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            _build(cc, path)
+            lib = _open_verified(path)
+    except OSError:
+        return None
+    if lib is None:
+        return None
+    fn = lib.repro_flush
+    fn.argtypes = [ctypes.POINTER(_FlushCtx), ctypes.c_void_p, ctypes.c_int64]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _native_flush() -> Optional[Callable[..., int]]:
+    """The native flush, loaded at the first flush of the process."""
+    return _load_native(_cache_dir())
+
+
+def native_flush_available() -> bool:
+    """True when loop flushes run in C, False when in Python.
+
+    Loads (and on first use compiles) the library; see
+    ``docs/SIMULATOR.md``, "The vectorized engine".
+    """
+    return _native_flush() is not None
+
+
+class _NativeArgs:
+    """A launch's ``flush_ctx`` and the arrays it points into.
+
+    Built at the launch's first native flush, after every block's init
+    turn: from then on only flushes move a block's tail ``e``, so
+    ``blk_e`` is copied back after each flush and never in.  The
+    staged arrays and the accumulators are only ever updated in place,
+    so the addresses taken here hold for the whole launch.
+    """
+
+    def __init__(self, run: _LoopRun) -> None:
+        def addr(a: np.ndarray) -> int:
+            return int(a.ctypes.data)
+
+        cfg = run.cfg
+        acc = run.acc
+        sm = cfg.shared_buffer
+        # read-only CSR arrays: int64 and contiguous, copied if not
+        self.offs = np.ascontiguousarray(run.offsets.data, dtype=np.int64)
+        self.nbrs = np.ascontiguousarray(run.neighbors.data, dtype=np.int64)
+        windows = [run.shared.arrays[b]["B"] for b in range(run.grid)] \
+            if sm else []
+        self.windows = np.array([addr(w) for w in windows], dtype=np.uintp)
+        self.blk_e = np.array([b.e for b in run.blocks], dtype=np.int64)
+        self.blk_e_init = np.array(
+            [b.e_init for b in run.blocks], dtype=np.int64
+        )
+        nwarps = run.grid * run.warps
+        self.sums = np.empty(2 * nwarps + 7 * run.grid, dtype=np.float64)
+        accs = (
+            acc.issued, acc.path, acc.mem_transactions, acc.mem_accesses,
+            acc.mem_active_lanes, acc.mem_ideal_transactions,
+            acc.atomic_cycles, acc.atomic_conflicts, acc.buffer_peak,
+        )
+        own = run.own_range
+        lo, hi = own if own is not None else (0, 0)
+        cost = run.launch.cost
+        self.ctx = _FlushCtx(
+            offs=addr(self.offs), osz=self.offs.size,
+            nbrs=addr(self.nbrs), nsz=self.nbrs.size,
+            deg=addr(run.deg_staged), dsz=run.deg_staged.size,
+            buf=addr(run.buf_staged), bsz=run.buf_staged.size,
+            windows=addr(self.windows),
+            wlen=min((w.size for w in windows), default=0),
+            blk_e=addr(self.blk_e), blk_e_init=addr(self.blk_e_init),
+            grid=run.grid, nwarps=nwarps, k=run.k, cap=run.capacity,
+            scap=run.shared_capacity, sm=int(sm),
+            no_compaction=int(cfg.compaction == "none"),
+            base=run.base, owned=int(own is not None), lo=lo, hi=hi,
+            gll=cost.global_load_latency, gab=cost.global_atomic_base,
+            scan_cost=_scan_cost(cfg.compaction),
+            acc=(ctypes.c_void_p * 9)(*[addr(a) for a in accs]),
+            sums=addr(self.sums),
+        )
+
+
+def _flush_native(run: _LoopRun, fn: Callable[..., int]) -> None:
+    """:func:`_flush` in C, on the same staged arrays and accumulators."""
+    args = run.native
+    if args is None:
+        args = run.native = _NativeArgs(run)
+    ev = np.array(
+        (run.ev_block, run.ev_gwid, run.ev_slot, run.ev_value),
+        dtype=np.int64,
+    )
+    code = fn(args.ctx, ev.ctypes.data, ev.shape[1])
+    if code == 1:
+        raise FallbackToReference("loop buffer read overflow")
+    if code == 2:
+        raise FallbackToReference("frontier vertex outside CSR slice")
+    if code == 3:
+        raise FallbackToReference("loop buffer overflow; reference raises")
+    if code:
+        raise FallbackToReference("loop replay index out of bounds")
+    for blk, e in zip(run.blocks, args.blk_e.tolist()):
+        blk.e = e
 
 
 def _sync_deg(run: _LoopRun) -> None:

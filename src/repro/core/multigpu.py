@@ -29,7 +29,9 @@ The implementation follows that sketch with an owner-compute layout:
   pairs for dead vertices, sums the rest, clamps vertices
   over-decremented below ``k`` back to ``k`` — the cross-device
   analogue of the Fig. 6 restore trick — and sends each alive vertex
-  whose degree changed to its owner only, as an ``(id, value)`` pair.
+  whose degree changed to its owner only, as an ``(id, value)`` pair,
+  unless the owner's replica already holds that value (the owner was
+  the only device to decrement it and no clamp applied).
   Transfers and the reduction are charged per word actually moved, so
   a sub-round that touches few border vertices exchanges little;
 * sub-rounds repeat while the aggregation exposes new k-shell members
@@ -40,11 +42,11 @@ The implementation follows that sketch with an owner-compute layout:
   proportional to what changed, not to ``n`` per round.  It keeps a
   lazy degree-bucket queue, as BZ does: a counting sort of the initial
   degrees (charged ``n`` once), plus one entry in its new degree's
-  bucket for every alive vertex a broadcast moves to a degree above
+  bucket for every alive vertex an aggregation moves to a degree above
   ``k``.  The first sub-round of round ``k`` is charged the entries of
   bucket ``k``, stale ones included.  Every alive vertex outside a
   frontier sits above ``k``, so a later sub-round's new members are
-  among the vertices the previous broadcast changed, and the master
+  among the vertices the previous aggregation changed, and the master
   filters only those.  A filter that finds nothing carries its charge
   to the next sub-round that finds a frontier.
 """
@@ -261,7 +263,7 @@ def multi_gpu_peel(
         if trackers is not None:
             for mt in trackers:
                 mt.set_round(k)
-        # vertices the previous sub-round's broadcast set
+        # vertices the previous sub-round's aggregation changed
         changed: np.ndarray | None = None
         while True:  # sub-rounds of round k
             # master: the current k-shell frontier (clamping guarantees
@@ -356,17 +358,24 @@ def multi_gpu_peel(
             changed = live[master_deg[live] != pre]
             values = master_deg[changed]
             cuts = np.searchsorted(changed, owner_starts)
+            sent = 0
             for w, a, b in zip(workers, cuts[:-1], cuts[1:]):
-                w["deg"].data[changed[a:b]] = values[a:b]
-                w["base"][changed[a:b]] = values[a:b]
+                ids, vals = changed[a:b], values[a:b]
+                # an owner that alone decremented a vertex already holds
+                # its new value: only stale replica entries are sent
+                stale = w["base"][ids] != vals
+                ids, vals = ids[stale], vals[stale]
+                w["deg"].data[ids] = vals
+                w["base"][ids] = vals
+                sent += ids.size
             # route each vertex moved above k to its new bucket; one at
             # k is in the next sub-round's filter over changed
             bucket_entries += np.bincount(
                 values[values > k], minlength=bucket_entries.size
             )
-            words = 2 * pairs + peeled.size + 2 * changed.size
+            words = 2 * pairs + peeled.size + 2 * sent
             exchange_words += words
-            broadcast_words += 2 * changed.size
+            broadcast_words += 2 * sent
             exchange_cycles = (
                 words * opts.transfer_cycles_per_word
                 + pairs * opts.reduce_cycles_per_word

@@ -259,6 +259,26 @@ class TestSparseExchange:
         assert rows == expected
         assert_cores_equal(result.core, bz_core_numbers(graph), case)
 
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    def test_an_owner_is_not_sent_what_it_holds(self, devices):
+        """The triangle 0-1-2 with a leaf 3 on vertex 2: round 1 peels
+        the leaf, whose worker decrements vertex 2 from 3 to 2 and
+        sends one pair.  At 1 and 2 devices that worker owns vertex 2
+        too, so its replica already holds 2 and nothing is sent back:
+        2 words.  At 4 devices vertex 2 has another owner, which is
+        sent the new value: 4 words."""
+        graph = CSRGraph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
+        result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+        t = self.OPTS.transfer_cycles_per_word
+        r = self.OPTS.reduce_cycles_per_word
+        sent = 0 if devices < 4 else 1
+        first = result.critpath.record["rounds"][0]
+        assert (first["k"], first["frontier"]) == (1, 1)
+        assert first["exchange_cycles"] == (2 + 2 * sent) * t + r
+        # round 2 peels the triangle whole: no alive vertex changes
+        assert result.stats["broadcast_words"] == 2 * sent
+        assert_cores_equal(result.core, bz_core_numbers(graph), "sent")
+
     def test_idle_worker_gathers_nothing(self):
         """At 4 devices worker 2 owns no vertex and workers 1 and 2 own
         no first-sub-round frontier: they launch nothing and add no
@@ -310,16 +330,20 @@ def test_filter_work_is_bounded_by_changes(graph, devices):
     """The master's frontier filters examine at most the initial
     bucket entries, one routed entry per changed vertex and each
     sub-round's changed vertices once: ``2n + 2·Σ|changed|``, whatever
-    the number of rounds.  Every changed vertex is broadcast as one
-    ``(id, value)`` pair to its owner, so ``2·Σ|changed|`` is
-    ``broadcast_words``."""
+    the number of rounds.  Every changed vertex was touched by some
+    worker, so ``|changed|`` is at most the sub-round's gathered pairs,
+    and ``2·Σpairs`` plus the read-back words is what the exchange
+    charges beyond the broadcast."""
     result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
     assert_cores_equal(result.core, bz_core_numbers(graph), "bucketed")
     filtered = sum(
         rnd["filter_cycles"] for rnd in result.critpath.record["rounds"]
     )
     n = graph.num_vertices
-    assert filtered <= 2 * n + result.stats["broadcast_words"]
+    gathered_words = (
+        result.stats["exchange_words"] - result.stats["broadcast_words"]
+    )
+    assert filtered <= 2 * n + gathered_words
 
 
 @st.composite

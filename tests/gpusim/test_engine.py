@@ -21,7 +21,11 @@ from repro.gpusim.engine import (
     get_engine,
 )
 from repro.graph.examples import fig1_graph
-from tests.properties.test_engines import assert_byte_identical
+from tests.properties.test_engines import (
+    FLUSHES,
+    assert_byte_identical,
+    use_flush,
+)
 
 
 def test_available_engines_reference_first():
@@ -221,16 +225,20 @@ def big_hub():
 @pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec+sm"))
 def test_big_hub_flush_matches_reference(big_hub, variant):
     ref = gpu_peel(big_hub, variant=variant, engine="reference")
-    vec = gpu_peel(big_hub, variant=variant, engine="vectorized")
-    assert_byte_identical(ref, vec)
-    launches = vec.counters["kernel.scan.launches"] \
-        + vec.counters["kernel.loop.launches"]
-    assert vec.counters["engine.served.vectorized"] == launches
+    for flush in FLUSHES:
+        with use_flush(flush):
+            vec = gpu_peel(big_hub, variant=variant, engine="vectorized")
+        assert_byte_identical(ref, vec)
+        launches = vec.counters["kernel.scan.launches"] \
+            + vec.counters["kernel.loop.launches"]
+        assert vec.counters["engine.served.vectorized"] == launches
 
 
 def test_big_hub_multi_gpu_matches_reference(big_hub):
     from repro.core.multigpu import multi_gpu_peel
 
     ref = multi_gpu_peel(big_hub, num_devices=2, engine="reference")
-    vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
-    assert_byte_identical(ref, vec)
+    for flush in FLUSHES:
+        with use_flush(flush):
+            vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
+        assert_byte_identical(ref, vec)

@@ -7,20 +7,49 @@ differ only in host wall-clock time.  The reference interpreter is
 ground truth; these properties pin the vectorized engine against it
 on generated graphs across
 every kernel variant, including the ones the vectorized engine serves
-via structural fallback (``vw2``/``vw4``, ring buffers).
+via structural fallback (``vw2``/``vw4``, ring buffers).  Each
+vectorized run is made twice, once per loop flush: the compiled C
+flush and the Python one it is pinned against.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core import fastsim
 from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS
 from repro.graph import generators as gen
 
 ALL_VARIANTS = tuple(VARIANTS) + tuple(EXTENSION_VARIANTS)
+
+
+#: the vectorized engine's two loop flushes
+FLUSHES = ("native", "python")
+
+
+@contextlib.contextmanager
+def use_flush(flush):
+    """Serve the vectorized engine's loop flushes through ``flush``.
+
+    ``native`` is the default dispatch: the C flush wherever its
+    library loads (``test_native_flush_loads_with_a_compiler`` holds
+    CI to that).  ``python`` swaps the module's library handle for one
+    that reports no library, as on a machine without a compiler.
+    """
+    if flush == "native":
+        yield
+        return
+    saved = fastsim._native_flush
+    fastsim._native_flush = lambda: None
+    try:
+        yield
+    finally:
+        fastsim._native_flush = saved
 
 
 def _strip_engine(result):
@@ -70,10 +99,12 @@ def graphs(draw):
 @settings(max_examples=25, deadline=None)
 def test_vectorized_matches_reference_byte_for_byte(graph, variant):
     ref = gpu_peel(graph, variant=variant, engine="reference")
-    vec = gpu_peel(graph, variant=variant, engine="vectorized")
-    assert_byte_identical(ref, vec)
     assert "engine.reference" in ref.counters
-    assert "engine.vectorized" in vec.counters
+    for flush in FLUSHES:
+        with use_flush(flush):
+            vec = gpu_peel(graph, variant=variant, engine="vectorized")
+        assert_byte_identical(ref, vec)
+        assert "engine.vectorized" in vec.counters
 
 
 @given(graphs(), st.sampled_from(("ours", "vp", "ec+sm")))
@@ -82,12 +113,14 @@ def test_engines_agree_under_observability_hooks(graph, variant):
     """Hooks attach identically: profiled+memtraced runs stay equal."""
     ref = gpu_peel(graph, variant=variant, engine="reference",
                    profile=True, memtrace=True)
-    vec = gpu_peel(graph, variant=variant, engine="vectorized",
-                   profile=True, memtrace=True)
-    assert_byte_identical(ref, vec)
-    assert ref.profile is not None and vec.profile is not None
-    assert ref.profile.to_json() == vec.profile.to_json()
-    assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes
+    for flush in FLUSHES:
+        with use_flush(flush):
+            vec = gpu_peel(graph, variant=variant, engine="vectorized",
+                           profile=True, memtrace=True)
+        assert_byte_identical(ref, vec)
+        assert ref.profile is not None and vec.profile is not None
+        assert ref.profile.to_json() == vec.profile.to_json()
+        assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes
 
 
 @given(graphs(), st.integers(min_value=1, max_value=8),
@@ -96,9 +129,11 @@ def test_engines_agree_under_observability_hooks(graph, variant):
 def test_multi_gpu_peel_is_engine_invariant(graph, num_devices, variant):
     ref = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
                          engine="reference")
-    vec = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
-                         engine="vectorized")
-    assert_byte_identical(ref, vec)
+    for flush in FLUSHES:
+        with use_flush(flush):
+            vec = multi_gpu_peel(graph, num_devices=num_devices,
+                                 variant=variant, engine="vectorized")
+        assert_byte_identical(ref, vec)
 
 
 @given(graphs())
