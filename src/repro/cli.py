@@ -102,6 +102,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.api import CAPABILITIES, algorithm_names, decompose
+from repro.errors import ReproError
 from repro.graph import datasets
 from repro.gpusim.engine import DEFAULT_ENGINE, available_engines
 from repro.graph.io import read_edgelist
@@ -433,7 +434,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"(see --list-datasets)", file=sys.stderr)
             return 2
     else:
-        graph = read_edgelist(args.input)
+        try:
+            graph = read_edgelist(args.input)
+        except (ReproError, OSError) as exc:
+            print(f"error: cannot read {args.input!r}: {exc}",
+                  file=sys.stderr)
+            return 2
 
     if args.report is not None:
         from repro.obs.runreport import collect_run_report

@@ -4,7 +4,7 @@ This module is the ``vectorized`` engine's fast path (see
 :mod:`repro.gpusim.engine` and ``docs/SIMULATOR.md``).  Instead of
 stepping one generator per warp through the reference scheduler, each
 executor computes a whole launch — every device-memory side effect and
-every cost-model tally — in one pass (numpy array operations for the
+every cost-model tally — in one pass (a walk over the hit list for the
 scan, a turn-level replay for the loop), then returns the same
 :class:`~repro.gpusim.scheduler.KernelStats` the reference interpreter
 would have produced, byte for byte.
@@ -12,10 +12,13 @@ would have produced, byte for byte.
 How exactness is preserved
 --------------------------
 
-*Scan* (:func:`~repro.core.scan_kernel.scan_kernel`) is closed-form:
-no cross-block state is written, each block's buffer content is its
-warps' hits ordered by ``(trip, warp, lane)``, and every per-trip cost
-is a function of the trip's lane and hit counts alone.
+*Scan* (:func:`~repro.core.scan_kernel.scan_kernel`) has no
+cross-block state: each block's buffer content is its warps' hits
+ordered by ``(trip, warp, lane)``, which is ascending vertex id, and
+every per-trip cost is a function of the trip's lane and hit counts
+alone.  The hit-independent charges are cached per launch shape; each
+launch walks its ascending hit list once, one 32-vertex chunk (one
+trip) at a time.
 
 *Loop* (:func:`~repro.core.loop_kernel.loop_kernel`) has cross-block
 ordering semantics (concurrent ``atomicSub`` on shared neighbors), so
@@ -46,12 +49,16 @@ contraction), so their sums are bit-identical.
 Fallback discipline
 -------------------
 
-All device side effects are *staged* (degree, buffer, tails, counter
-copies plus staged shared-memory blocks) and committed only when the
-launch completes, so an executor can decline a launch at any point by
-raising :class:`~repro.gpusim.engine.FallbackToReference` with zero
-observable effects — the engine then re-runs the launch on the
-reference interpreter.  Declined launches: ring-buffer variants
+An executor declines a launch by raising
+:class:`~repro.gpusim.engine.FallbackToReference` with zero observable
+effects — the engine then re-runs the launch on the reference
+interpreter.  The loop can decline mid-replay, so its device side
+effects are *staged* (degree, buffer and counter copies plus
+staged shared-memory blocks) and committed only when the launch
+completes.  The scan declines only before its first write (ring
+buffer, argument binding, the overflow check after the walk), so it
+writes ``buf`` and ``tails`` in place; only its shared-memory blocks
+are staged.  Declined launches: ring-buffer variants
 (wraparound head/tail semantics), virtual warping (``vw > 1``),
 duplicate in-adjacency neighbors, predicted buffer overflow (the
 reference run raises :class:`~repro.errors.BufferOverflowError` at the
@@ -71,6 +78,7 @@ duplicate-neighbor pre-check can be cached per array pair.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -236,45 +244,8 @@ class _StagedArrays:
 
 
 # ---------------------------------------------------------------------------
-# small numeric helpers
+# small helpers
 # ---------------------------------------------------------------------------
-
-
-def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=out[1:])
-    return out
-
-
-def _segmented_exclusive_cumsum(
-    values: np.ndarray, group: np.ndarray
-) -> np.ndarray:
-    """Exclusive running sum of ``values`` within each ``group``.
-
-    ``group`` need not be contiguous; the original order within a group
-    is preserved (the emission order the simulator semantics fix).
-    """
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(group, kind="stable")
-    sorted_vals = values[order]
-    sorted_group = group[order]
-    cs = np.cumsum(sorted_vals) - sorted_vals
-    starts = np.empty(values.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = sorted_group[1:] != sorted_group[:-1]
-    base = np.where(starts, cs, 0)
-    np.maximum.accumulate(base, out=base)
-    seg = cs - base
-    out = np.empty(values.size, dtype=np.int64)
-    out[order] = seg
-    return out
-
-
-def _contig_trans_vec(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.gpusim.vectorized.contiguous_transactions`."""
-    out = (start + length - 1) // 32 - start // 32 + 1
-    return np.where(length > 0, out, 0)
 
 
 def _adjacency_has_duplicates(
@@ -348,7 +319,7 @@ def _bind(
 
 
 # ---------------------------------------------------------------------------
-# scan kernel: fully closed form
+# scan kernel: one walk over the hits
 # ---------------------------------------------------------------------------
 
 _SCAN_PARAMS = (
@@ -358,28 +329,24 @@ _SCAN_PARAMS = (
 
 
 class _ScanSkeleton:
-    """Round-invariant structure of one scan launch shape.
+    """Hit-independent charges of one scan launch shape.
 
     A decomposition launches the scan kernel once per peel round with
-    the same grid, vertex range, and capacity — only ``k`` and the
-    degree array change.  Everything that does not depend on *which*
-    vertices hit (the trip enumeration, the per-trip base charges, the
-    append ordering, the prologue/epilogue/barrier totals) is computed
-    once here and reused, leaving each launch only the hit-dependent
-    work.
+    the same grid and vertex range — only ``k`` and the degree array
+    change.  Everything that does not depend on *which* vertices hit
+    (the per-trip base charges, the prologue/epilogue/barrier totals)
+    is computed once here, per warp and per block, and reused, leaving
+    each launch only the walk over its hits.
     """
 
     __slots__ = (
-        "trips_per_warp", "total_trips", "trip_base", "trip_warp",
-        "trip_block", "trip_first", "trip_lanes", "order", "ord_first",
-        "w0",
         "issued0", "path0", "trans0", "acc0", "lanes0", "ideal0",
         "atomic0", "barriers0",
     )
 
     def __init__(
         self, compaction: str, grid: int, warps: int, nv: int,
-        vertex_lo: int, stride: int, capacity: int,
+        vertex_lo: int, stride: int,
     ) -> None:
         gw = grid * warps
         gwids = np.arange(gw, dtype=np.int64)
@@ -392,23 +359,16 @@ class _ScanSkeleton:
             )
         else:
             trips_per_warp = np.maximum(0, -(-(nv - base) // stride))
-        self.trips_per_warp = trips_per_warp
-        total_trips = int(trips_per_warp.sum())
-        self.total_trips = total_trips
+        # trip enumeration: warp, block and first vertex of every trip
         trip_warp = np.repeat(gwids, trips_per_warp)
-        trip_base = _exclusive_cumsum(trips_per_warp)
-        trip_t = np.arange(total_trips, dtype=np.int64) - trip_base[trip_warp]
+        trip_block = trip_warp // warps
+        trip_t = np.arange(trip_warp.size, dtype=np.int64) - np.repeat(
+            np.cumsum(trips_per_warp) - trips_per_warp, trips_per_warp
+        )
         trip_first = base[trip_warp] + trip_t * stride
         trip_lanes = np.clip(nv - trip_first, 0, 32)
-        trip_block = trip_warp // warps
-        self.trip_base = trip_base
-        self.trip_warp = trip_warp
-        self.trip_block = trip_block
-        self.trip_first = trip_first
-        self.trip_lanes = trip_lanes
         has_lanes = trip_lanes > 0
 
-        # -- per-trip base charges (hit-independent) --------------------
         # _hit_flags charge(4) + coalesced degree read & hit-mask
         # charge(2) when lanes are in range; issued == path for every
         # base term, so one fold serves both
@@ -421,7 +381,9 @@ class _ScanSkeleton:
         self.issued0 = warp_base.copy()
         self.path0 = warp_base.copy()
         deg_trans = np.where(
-            has_lanes, _contig_trans_vec(trip_first, trip_lanes), 0
+            has_lanes,
+            (trip_first + trip_lanes - 1) // 32 - trip_first // 32 + 1,
+            0,
         ).astype(np.float64)
         hl = has_lanes.astype(np.float64)
         self.trans0 = np.bincount(trip_block, weights=deg_trans,
@@ -434,7 +396,6 @@ class _ScanSkeleton:
         self.atomic0 = np.zeros(grid)
         self.barriers0 = np.full(grid, 2, dtype=np.int64)  # Line 2 + final
         w0 = np.arange(grid, dtype=np.int64) * warps
-        self.w0 = w0
         if compaction == "block":
             # Warp 0 stages 2-3, every trip: sload(counts) + 2*log2(W)+2
             # scan charge + atomicAdd(e, total, lanes=1) + sstore(woffs)
@@ -448,43 +409,20 @@ class _ScanSkeleton:
         self.issued0[w0] += 3.0
         self.path0[w0] += 3.0
 
-        # -- append ordering (hit-independent) --------------------------
-        # appends are ordered by (trip, warp) within each block under
-        # all three schemes; hit lanes keep ascending order in a trip
-        order_key = (
-            trip_block * np.int64(1 << 40) + trip_t * gw + trip_warp % warps
-        )
-        order = np.argsort(order_key, kind="stable")
-        self.order = order
-        # ord_first[i]: ordered index of the first trip of the block
-        # that ordered position i belongs to — turns the per-launch
-        # segmented cumsum into two plain vector ops
-        ob = trip_block[order]
-        first = np.zeros(total_trips, dtype=np.int64)
-        if total_trips:
-            new_block = np.empty(total_trips, dtype=bool)
-            new_block[0] = True
-            new_block[1:] = ob[1:] != ob[:-1]
-            idx = np.arange(total_trips, dtype=np.int64)
-            first = np.maximum.accumulate(np.where(new_block, idx, 0))
-        self.ord_first = first
-
 
 _SCAN_SKELETONS: Dict[Tuple[Any, ...], _ScanSkeleton] = {}
 
 
 def _scan_skeleton(
     compaction: str, grid: int, warps: int, nv: int, vertex_lo: int,
-    stride: int, capacity: int,
+    stride: int,
 ) -> _ScanSkeleton:
-    key = (compaction, grid, warps, nv, vertex_lo, stride, capacity)
+    key = (compaction, grid, warps, nv, vertex_lo, stride)
     skel = _SCAN_SKELETONS.get(key)
     if skel is None:
         if len(_SCAN_SKELETONS) >= 32:
             _SCAN_SKELETONS.clear()
-        skel = _ScanSkeleton(
-            compaction, grid, warps, nv, vertex_lo, stride, capacity
-        )
+        skel = _ScanSkeleton(compaction, grid, warps, nv, vertex_lo, stride)
         _SCAN_SKELETONS[key] = skel
     return skel
 
@@ -508,10 +446,7 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
     stride = launch.grid_dim * launch.block_dim
     acc = _Accounting(grid, warps)
     shared = _StagedShared(launch)
-    staged = _StagedArrays()
-    skel = _scan_skeleton(
-        cfg.compaction, grid, warps, nv, vertex_lo, stride, capacity
-    )
+    skel = _scan_skeleton(cfg.compaction, grid, warps, nv, vertex_lo, stride)
     if cfg.compaction == "block":
         # EC allocates its two staging arrays per block, in block order,
         # before any trip writes (see docs/SIMULATOR.md)
@@ -520,9 +455,6 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
             shared.alloc(blk, "warp_offsets", warps)
 
     # -- fold in the precomputed hit-independent charges ----------------
-    total_trips = skel.total_trips
-    trip_warp = skel.trip_warp
-    trip_block = skel.trip_block
     acc.issued += skel.issued0
     acc.path += skel.path0
     acc.mem_transactions += skel.trans0
@@ -532,172 +464,85 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
     acc.atomic_cycles += skel.atomic0
     acc.barriers += skel.barriers0
 
-    # -- hits -----------------------------------------------------------
-    hit_rel = np.flatnonzero(deg.data[vertex_lo:nv] == k) if nv > vertex_lo \
-        else np.zeros(0, dtype=np.int64)
-    if hit_rel.size <= 4096:
-        # Scalar fast path.  A trip covers exactly one 32-vertex chunk
-        # (stride == gw * 32), and the append order within a block —
-        # (trip, warp) ascending — is ascending chunk, i.e. ascending
-        # vertex id.  So grouping the (already ascending) hit list by
-        # chunk walks trips in append order: buffer slots are contiguous
-        # per block and the peak is the final tail.  All charges are
-        # quarter-integers summed in Python floats — exact, so folding
-        # them in bulk is bit-identical to the vector path.
-        hits = hit_rel.tolist()
-        ti = [0.0] * gw
-        tp = [0.0] * gw
-        at_cyc = [0.0] * grid
-        at_con = [0.0] * grid
-        m_tr = [0.0] * grid
-        m_acc = [0.0] * grid
-        m_lan = [0.0] * grid
-        pos = [0] * grid
-        content: List[List[int]] = [[] for _ in range(grid)]
-        comp = cfg.compaction
-        i = 0
-        n = len(hits)
-        while i < n:
-            chunk = hits[i] >> 5
-            j = i + 1
-            while j < n and hits[j] >> 5 == chunk:
-                j += 1
-            h = j - i
-            wg = chunk % gw
-            bidx = wg // warps
-            if comp == "none":
-                # atomicAdd(e, h): h serialised lanes + buffered gstore
-                ti[wg] += 2.0
-                sa = 2.0 + 0.25 * (h - 1)
-                tp[wg] += sa + 1.0
-                at_cyc[bidx] += sa
-                at_con[bidx] += h - 1
-            elif comp == "ballot":
-                ti[wg] += 4.0  # atomic + shfl + charge(1) + gstore
-                tp[wg] += 5.0
-                at_cyc[bidx] += 2.0
-            else:  # block (EC): sload(woffs) + gstore
-                ti[wg] += 2.0
-                tp[wg] += 2.0
-            a0 = bidx * capacity + pos[bidx]
-            m_tr[bidx] += (a0 + h - 1) // 32 - a0 // 32 + 1
-            m_acc[bidx] += 1.0
-            m_lan[bidx] += h
-            pos[bidx] += h
-            if vertex_lo:
-                content[bidx].extend(v + vertex_lo for v in hits[i:j])
-            else:
-                content[bidx].extend(hits[i:j])
-            i = j
-        if max(pos, default=0) > capacity:
-            raise FallbackToReference(
-                "scan buffer overflow; reference raises"
-            )
-        acc.issued += np.asarray(ti)
-        acc.path += np.asarray(tp)
-        acc.atomic_cycles += np.asarray(at_cyc)
-        acc.atomic_conflicts += np.asarray(at_con)
-        acc.mem_transactions += np.asarray(m_tr)
-        acc.mem_accesses += np.asarray(m_acc)
-        acc.mem_active_lanes += np.asarray(m_lan)
-        acc.mem_ideal_transactions += np.asarray(m_acc)
-        np.maximum(
-            acc.buffer_peak, np.asarray(pos, dtype=np.float64),
-            out=acc.buffer_peak,
-        )
-        buf_staged = staged.data(buf)
-        for bidx, vs in enumerate(content):
-            if vs:
-                buf_staged[
-                    bidx * capacity : bidx * capacity + len(vs)
-                ] = vs
-        tails_staged = staged.data(tails)
-        tails_staged[:grid] = pos
-        stats = acc.finish(launch)
-        shared.commit()
-        staged.commit()
-        return stats
-
-    hit_v = hit_rel + vertex_lo
-    hit_chunk = hit_rel // 32
-    hit_warp = hit_chunk % gw
-    hit_trip = skel.trip_base[hit_warp] + hit_chunk // gw
-    trip_hits = np.bincount(hit_trip, minlength=total_trips).astype(np.int64)
-    has_hits = trip_hits > 0
-    hf = has_hits.astype(np.float64)
-
-    # -- hit-dependent per-trip charges ---------------------------------
-    if cfg.compaction == "none":
-        # atomicAdd(e, h) with h serialised lanes + the buffered gstore
-        t_issued = hf * 2.0
-        sa = np.where(has_hits, 2.0 + 0.25 * (trip_hits - 1), 0.0)
-        t_path = sa + hf
-        acc.atomic_cycles += np.bincount(trip_block, weights=sa,
-                                         minlength=grid)
-        acc.atomic_conflicts += np.bincount(
-            trip_block,
-            weights=np.where(has_hits, trip_hits - 1, 0).astype(np.float64),
-            minlength=grid,
-        )
-    elif cfg.compaction == "ballot":
-        t_issued = hf * 4.0  # atomic + shfl + charge(1) + gstore
-        t_path = hf * (2.0 + 1.0 + 1.0 + 1.0)
-        acc.atomic_cycles += np.bincount(trip_block, weights=hf * 2.0,
-                                         minlength=grid)
-    else:  # block (EC)
-        t_issued = hf * 2.0  # sload(woffs) + gstore
-        t_path = hf * 2.0
-    acc.issued += np.bincount(trip_warp, weights=t_issued, minlength=gw)
-    acc.path += np.bincount(trip_warp, weights=t_path, minlength=gw)
-
-    # -- buffer positions and contents ---------------------------------
-    # positions: exclusive cumsum of hits in (block, t, w) order
-    order = skel.order
-    th_ord = trip_hits[order]
-    cs = np.cumsum(th_ord) - th_ord
-    pos_in_block = cs - cs[skel.ord_first]
-    trip_pos = np.empty(total_trips, dtype=np.int64)
-    trip_pos[order] = pos_in_block
-    final_e = np.bincount(trip_block, weights=trip_hits, minlength=grid)
-    final_e = final_e.astype(np.int64)
-    if int(final_e.max(initial=0)) > capacity:
+    # -- the hit walk ---------------------------------------------------
+    # A trip covers exactly one 32-vertex chunk (stride == gw * 32), and
+    # the append order within a block — (trip, warp) ascending — is
+    # ascending chunk, i.e. ascending vertex id.  So grouping the
+    # (already ascending) hit list by chunk walks trips in append order:
+    # buffer slots are contiguous per block and the peak is the final
+    # tail.  All charges are quarter-integers summed in Python floats —
+    # exact, so folding them in bulk is bit-identical to the
+    # reference's per-trip charges.
+    hits = (
+        np.flatnonzero(deg.data[vertex_lo:nv] == k).tolist()
+        if nv > vertex_lo else []
+    )
+    ti = [0.0] * gw
+    tp = [0.0] * gw
+    at_cyc = [0.0] * grid
+    at_con = [0.0] * grid
+    m_tr = [0.0] * grid
+    m_acc = [0.0] * grid
+    m_lan = [0.0] * grid
+    pos = [0] * grid
+    content: List[List[int]] = [[] for _ in range(grid)]
+    comp = cfg.compaction
+    i = 0
+    n = len(hits)
+    while i < n:
+        chunk = hits[i] >> 5
+        j = i + 1
+        while j < n and hits[j] >> 5 == chunk:
+            j += 1
+        h = j - i
+        wg = chunk % gw
+        bidx = wg // warps
+        if comp == "none":
+            # atomicAdd(e, h): h serialised lanes + buffered gstore
+            ti[wg] += 2.0
+            sa = 2.0 + 0.25 * (h - 1)
+            tp[wg] += sa + 1.0
+            at_cyc[bidx] += sa
+            at_con[bidx] += h - 1
+        elif comp == "ballot":
+            ti[wg] += 4.0  # atomic + shfl + charge(1) + gstore
+            tp[wg] += 5.0
+            at_cyc[bidx] += 2.0
+        else:  # block (EC): sload(woffs) + gstore
+            ti[wg] += 2.0
+            tp[wg] += 2.0
+        a0 = bidx * capacity + pos[bidx]
+        m_tr[bidx] += (a0 + h - 1) // 32 - a0 // 32 + 1
+        m_acc[bidx] += 1.0
+        m_lan[bidx] += h
+        pos[bidx] += h
+        if vertex_lo:
+            content[bidx].extend(v + vertex_lo for v in hits[i:j])
+        else:
+            content[bidx].extend(hits[i:j])
+        i = j
+    if max(pos, default=0) > capacity:
         raise FallbackToReference("scan buffer overflow; reference raises")
-
-    wr_block = trip_block[has_hits]
-    wr_pos = trip_pos[has_hits]
-    wr_h = trip_hits[has_hits]
-    wr_trans = _contig_trans_vec(wr_block * capacity + wr_pos, wr_h)
-    acc.mem_transactions += np.bincount(
-        wr_block, weights=wr_trans.astype(np.float64), minlength=grid
+    acc.issued += np.asarray(ti)
+    acc.path += np.asarray(tp)
+    acc.atomic_cycles += np.asarray(at_cyc)
+    acc.atomic_conflicts += np.asarray(at_con)
+    acc.mem_transactions += np.asarray(m_tr)
+    acc.mem_accesses += np.asarray(m_acc)
+    acc.mem_active_lanes += np.asarray(m_lan)
+    acc.mem_ideal_transactions += np.asarray(m_acc)
+    np.maximum(
+        acc.buffer_peak, np.asarray(pos, dtype=np.float64),
+        out=acc.buffer_peak,
     )
-    wr_per_block = np.bincount(wr_block, minlength=grid)
-    acc.mem_accesses += wr_per_block
-    acc.mem_active_lanes += np.bincount(
-        wr_block, weights=wr_h.astype(np.float64), minlength=grid
-    )
-    acc.mem_ideal_transactions += wr_per_block
-    np.maximum.at(
-        acc.buffer_peak, wr_block, (wr_pos + wr_h).astype(np.float64)
-    )
-
-    # buffer content: each block's hit vertices in (trip, warp, lane)
-    # order == ascending vertex id within that block's chunks
-    buf_staged = staged.data(buf)
-    hit_block = hit_warp // warps
-    hit_slot = (
-        trip_pos[hit_trip]
-        + _segmented_exclusive_cumsum(
-            np.ones(hit_v.size, dtype=np.int64), hit_trip
-        )
-    )
-    buf_staged[hit_block * capacity + hit_slot] = hit_v
-
-    tails_staged = staged.data(tails)
-    tails_staged[:grid] = final_e
-
+    # that was the last decline: the launch completes from here, so it
+    # writes the device arrays in place
+    for bidx, vs in enumerate(content):
+        if vs:
+            buf.data[bidx * capacity : bidx * capacity + len(vs)] = vs
+    tails.data[:grid] = pos
     stats = acc.finish(launch)
     shared.commit()
-    staged.commit()
     return stats
 
 
@@ -1113,6 +958,18 @@ def _library_path(cache_dir: Path) -> Path:
     return cache_dir / f"fastsim-flush-{key}.so"
 
 
+def _prune(cache_dir: Path, keep: Path) -> None:
+    """Delete the cached libraries of other sources, flags or machines.
+
+    Each edit of the C file or of ``_CFLAGS`` names a new library, so
+    without this every edit would leave the old one behind for good.
+    """
+    for stale in cache_dir.glob("fastsim-flush-*.so"):
+        if stale != keep:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
 def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
     """The compiled flush from ``cache_dir``, building it if needed.
 
@@ -1132,6 +989,7 @@ def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
             if cc is None:
                 return None
             _build(cc, path)
+            _prune(cache_dir, path)
             lib = _open_verified(path)
     except OSError:
         return None

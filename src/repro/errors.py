@@ -134,9 +134,11 @@ class SimulatedTimeLimitExceeded(ReproError):
     def __init__(self, elapsed_ms: float, budget_ms: float) -> None:
         self.elapsed_ms = elapsed_ms
         self.budget_ms = budget_ms
+        # the shortest round-trip form: simulated runs here take well
+        # under a millisecond, which a fixed precision would print as 0
         super().__init__(
-            f"simulated time {elapsed_ms:.1f} ms exceeded budget "
-            f"{budget_ms:.1f} ms"
+            f"simulated time {float(elapsed_ms)!r} ms exceeded budget "
+            f"{float(budget_ms)!r} ms"
         )
 
 

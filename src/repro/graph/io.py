@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from pathlib import Path
 from typing import IO, Iterator, Tuple, Union
 
@@ -39,29 +40,41 @@ def _open_text(path: PathLike) -> IO[str]:
     return open(path, "r", encoding="utf-8")
 
 
+def _read_lines(path: PathLike) -> Iterator[str]:
+    """The file's text lines; bytes that are not UTF-8 text and a
+    corrupt or truncated gzip stream raise :class:`GraphFormatError`."""
+    try:
+        with _open_text(path) as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not a UTF-8 text file") from exc
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise GraphFormatError(f"{path}: corrupt gzip file: {exc}") from exc
+
+
 def iter_edgelist_lines(path: PathLike) -> Iterator[Tuple[int, int]]:
     """Yield ``(u, v)`` integer pairs from an edge-list file.
 
     Comment lines and blank lines are skipped; extra columns (weights,
     timestamps) are ignored.  Raises :class:`GraphFormatError` on a line
-    that does not start with two integers.
+    that does not start with two integers, and on a file that is not
+    text or not a valid gzip stream.
     """
-    with _open_text(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith(_COMMENT_PREFIXES):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two columns, got {line!r}"
-                )
-            try:
-                yield int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer vertex ID in {line!r}"
-                ) from exc
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith(_COMMENT_PREFIXES):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected two columns, got {line!r}"
+            )
+        try:
+            yield int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: non-integer vertex ID in {line!r}"
+            ) from exc
 
 
 def read_edgelist(path: PathLike, recode: bool = True) -> CSRGraph:
@@ -73,9 +86,20 @@ def read_edgelist(path: PathLike, recode: bool = True) -> CSRGraph:
             dense IDs, and real SNAP files often have gaps).  With
             ``recode=False`` the original integer IDs are kept and must
             already be dense and non-negative.
+
+    Raises:
+        GraphFormatError: a line without two integer IDs, an ID outside
+            the signed 64-bit range, a file that is not UTF-8 text, or
+            a corrupt ``.gz`` file.
+        OSError: the file cannot be opened or read.
     """
     pairs = list(iter_edgelist_lines(path))
-    edges = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    try:
+        edges = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError as exc:
+        raise GraphFormatError(
+            f"{path}: vertex ID outside the signed 64-bit range"
+        ) from exc
     if recode and edges.size:
         edges, _ = recode_edge_array(edges)
     return CSRGraph.from_edges(edges)

@@ -88,6 +88,24 @@ def test_a_second_load_reuses_the_cached_library(tmp_path, monkeypatch):
     assert sorted(p.name for p in cache.iterdir()) == built
 
 
+@needs_cc
+def test_a_build_prunes_stale_libraries(tmp_path):
+    """A build deletes the libraries of earlier sources or flags, and
+    nothing else in the cache directory."""
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    stale = cache / "fastsim-flush-0123456789abcdef01234567.so"
+    stale.write_bytes(b"an old build")
+    others = [cache / "notes.txt", cache / "fastsim-flush-notes.txt",
+              cache / "other-lib.so"]
+    for other in others:
+        other.write_text("keep")
+    assert fastsim._load_native(cache) is not None
+    assert not stale.exists()
+    assert fastsim._library_path(cache).exists()
+    assert all(other.read_text() == "keep" for other in others)
+
+
 def test_a_cache_others_can_write_is_refused(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -187,12 +187,22 @@ def test_predicted_overflow_raises_the_reference_error():
     from repro.graph.generators import ring_of_cliques
 
     graph = ring_of_cliques(num_cliques=4, clique_size=8)
+    left = {}
     for engine in ("reference", "vectorized"):
+        device = Device(engine=engine)
         with pytest.raises(BufferOverflowError):
             gpu_peel(
-                graph, engine=engine,
+                graph, device=device,
                 options=GpuPeelOptions(buffer_capacity=1),
             )
+        left[engine] = [
+            device.memory.get(name).data.copy()
+            for name in ("buf", "buf_tails")
+        ]
+    # the declined launch wrote nothing before the reference re-ran it:
+    # the partial state is the reference interpreter's, slot for slot
+    for ref, vec in zip(left["reference"], left["vectorized"]):
+        assert np.array_equal(ref, vec)
 
 
 def test_sanitized_run_is_identical_under_vectorized_engine():
@@ -222,16 +232,39 @@ def big_hub():
     )
 
 
-@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec+sm"))
-def test_big_hub_flush_matches_reference(big_hub, variant):
-    ref = gpu_peel(big_hub, variant=variant, engine="reference")
+def _assert_every_launch_vectorized(graph, variant):
+    """Both flushes serve every launch and match the reference."""
+    ref = gpu_peel(graph, variant=variant, engine="reference")
     for flush in FLUSHES:
         with use_flush(flush):
-            vec = gpu_peel(big_hub, variant=variant, engine="vectorized")
+            vec = gpu_peel(graph, variant=variant, engine="vectorized")
         assert_byte_identical(ref, vec)
         launches = vec.counters["kernel.scan.launches"] \
             + vec.counters["kernel.loop.launches"]
         assert vec.counters["engine.served.vectorized"] == launches
+
+
+@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec+sm"))
+def test_big_hub_flush_matches_reference(big_hub, variant):
+    _assert_every_launch_vectorized(big_hub, variant)
+
+
+@pytest.fixture(scope="module")
+def big_matching():
+    """A perfect matching on 12,000 vertices: the scan at k = 1 finds
+    every vertex, far more hits than any Table I analogue's scan."""
+    from repro.graph.csr import CSRGraph
+
+    graph = CSRGraph.from_edges([(2 * i, 2 * i + 1) for i in range(6000)])
+    assert graph.num_vertices == 12_000 and graph.max_degree == 1
+    return graph
+
+
+@pytest.mark.parametrize("variant", ("ours", "bc", "ec"))
+def test_big_scan_matches_reference(big_matching, variant):
+    """One variant per compaction scheme (per-lane atomics, warp
+    ballot, block scan) through the scan's walk over 12,000 hits."""
+    _assert_every_launch_vectorized(big_matching, variant)
 
 
 def test_big_hub_multi_gpu_matches_reference(big_hub):

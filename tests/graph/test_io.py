@@ -80,6 +80,34 @@ def test_single_column_raises(tmp_path):
         list(iter_edgelist_lines(path))
 
 
+def test_vertex_id_beyond_int64_raises(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1\n1 {2 ** 63}\n")
+    with pytest.raises(GraphFormatError, match="64-bit"):
+        read_edgelist(path)
+
+
+def test_binary_file_raises(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n\x89PNG\r\n\x1a\n\xff\xfe\x00")
+    with pytest.raises(GraphFormatError, match="UTF-8"):
+        read_edgelist(path)
+
+
+@pytest.mark.parametrize("damage", ["not-gzip", "truncated", "bad-crc"])
+def test_corrupt_gzip_raises(tmp_path, damage):
+    path = tmp_path / "g.txt.gz"
+    good = gzip.compress(b"0 1\n1 2\n" * 200)
+    if damage == "not-gzip":
+        path.write_bytes(b"0 1\n1 2\n")
+    elif damage == "truncated":
+        path.write_bytes(good[: len(good) // 2])
+    else:  # the CRC-32 trailer no longer matches the content
+        path.write_bytes(good[:-8] + bytes(4) + good[-4:])
+    with pytest.raises(GraphFormatError, match="gzip"):
+        read_edgelist(path)
+
+
 def test_roundtrip(tmp_path):
     g = CSRGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     path = tmp_path / "out.txt"

@@ -73,6 +73,21 @@ def test_unknown_dataset_exit_code(capsys):
     assert "unknown dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [None, b"0 1\nnot numbers\n", b"\xff\xfe\x00\x01"],
+    ids=["missing", "malformed", "binary"],
+)
+def test_unreadable_input_exit_code(tmp_path, capsys, content):
+    """A missing, malformed or binary edge file is one error line and
+    exit 2, not a traceback."""
+    path = tmp_path / "g.txt"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_source_required():
     with pytest.raises(SystemExit):
         main([])

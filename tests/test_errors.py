@@ -1,5 +1,6 @@
 """Exception-hierarchy tests."""
 
+import numpy as np
 import pytest
 
 from repro import errors
@@ -53,6 +54,9 @@ def test_time_limit_fields():
     exc = errors.SimulatedTimeLimitExceeded(500.0, 400.0)
     assert exc.elapsed_ms == 500.0
     assert "400.0" in str(exc)
+    # sub-millisecond runs keep their digits instead of reading 0.0
+    exc = errors.SimulatedTimeLimitExceeded(np.float64(0.0167), 0.01)
+    assert str(exc) == "simulated time 0.0167 ms exceeded budget 0.01 ms"
 
 
 def test_catching_base_class_at_api_boundary():
