@@ -37,43 +37,55 @@ so the degree each lane reads is the value its atomic observes —
 unless an adjacency list contains duplicate neighbors, a case the
 executor detects up front and declines.
 
-The flush has two implementations with one behaviour: ``_flush`` in
-Python, and its line-for-line C translation ``fastsim_flush.c``,
-built once into a per-user cache with the system ``cc`` and loaded
-with :mod:`ctypes` at the first flush of a process.  The C flush serves
-whenever its library loads; the Python one serves otherwise and is
-the reference the tests pin the C flush against.  Both add the same
-double charges in the same order (no ``-ffast-math``, no FMA
-contraction), so their sums are bit-identical.
+The loop replay has two implementations with one behaviour: the
+Python replay (``_loop_init_turn``, ``_replay_drain`` or
+``_replay_prefetched``, ``_flush``, ``_final_turn``), and its
+line-for-line C translation ``fastsim_flush.c``, built once into a
+per-user cache with the system ``cc`` and loaded with :mod:`ctypes`
+at the first loop launch of a process.  The C replay serves a whole
+launch in one call whenever its library loads; the Python one serves
+otherwise and is the reference the tests pin the C replay against.
+Both do the same double operations in the same order (init-turn
+charges, per-flush sums folded at each flush, final-turn charges at
+their HEAD turn, per-turn phase counts last; no ``-ffast-math``, no
+FMA contraction), so their accumulators are bit-identical under any
+cost model.
 
 Fallback discipline
 -------------------
 
 An executor declines a launch by raising
-:class:`~repro.gpusim.engine.FallbackToReference` with zero observable
-effects — the engine then re-runs the launch on the reference
-interpreter.  The loop can decline mid-replay, so its device side
-effects are *staged* (degree, buffer and counter copies plus
-staged shared-memory blocks) and committed only when the launch
-completes.  The scan declines only before its first write (ring
-buffer, argument binding, the overflow check after the walk), so it
-writes ``buf`` and ``tails`` in place; only its shared-memory blocks
-are staged.  Declined launches: ring-buffer variants
-(wraparound head/tail semantics), virtual warping (``vw > 1``),
-duplicate in-adjacency neighbors, predicted buffer overflow (the
-reference run raises :class:`~repro.errors.BufferOverflowError` at the
-exact offending write, with the exact partial state), and CSR rows or
+:class:`~repro.gpusim.engine.FallbackToReference`, leaving no trace —
+the engine then re-runs the launch on the reference interpreter.
+Both executors write the device arrays in place.  The scan declines
+only before its first write (warp size, ring buffer, argument
+binding, the overflow check after the walk).  The loop can decline
+mid-replay, so it logs what it overwrites — the degree ids it
+decremented, each block's global buffer slots (contiguous from the
+block's ``e_init``), its ``gpu_count`` adds — and a decline undoes
+them; the log is bounded, and a full log declines.  The Python replay
+keeps its degrees in a list and writes the decrements to ``deg`` once
+the launch completes.  Shared-memory blocks are staged in both
+executors.  Declined launches: warp sizes other than 32 (lanes,
+trips and scan chunks are counted in 32-lane warps), ring-buffer
+variants (wraparound head/tail semantics), virtual warping
+(``vw > 1``), duplicate in-adjacency neighbors, predicted buffer
+overflow (the reference run raises
+:class:`~repro.errors.BufferOverflowError` at the exact offending
+write or read, with the exact partial state), and tails, CSR rows or
 neighbor ids outside their arrays (the reference's numpy indexing
-raises or wraps; the C flush never reads out of bounds).  Shared-memory
-exhaustion is *not* a fallback: the staged allocations replicate
-:meth:`~repro.gpusim.context.BlockState.alloc_shared` order exactly,
-fire the same memtracker callbacks, and raise the same
+raises or wraps; the C replay never reads or writes out of bounds).
+Shared-memory exhaustion is *not* a fallback: the staged allocations
+are made before the replay in
+:meth:`~repro.gpusim.context.BlockState.alloc_shared` order, fire the
+same memtracker callbacks, and raise the same
 :class:`~repro.errors.SharedMemoryExhaustedError`.
 
 The executors assume the CSR arrays (``offsets``/``neighbors``) are
 immutable for the lifetime of the :class:`~repro.gpusim.memory.DeviceArray`
 objects — true for every host program in this repository — so the
-duplicate-neighbor pre-check can be cached per array pair.
+duplicate-neighbor pre-check and the native replay's CSR context can
+be cached per array pair.
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ from repro.gpusim.engine import (
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.scheduler import KernelStats
-from repro.gpusim.vectorized import assemble_stats, contiguous_transactions
+from repro.gpusim.vectorized import contiguous_transactions, kernel_cycles
 
 __all__ = ["native_flush_available", "register"]
 
@@ -112,29 +124,50 @@ __all__ = ["native_flush_available", "register"]
 # ---------------------------------------------------------------------------
 
 
+#: the per-block rows of ``_Accounting.values``, in order
+_BLOCK_ROWS = (
+    "mem_transactions", "mem_accesses", "mem_active_lanes",
+    "mem_ideal_transactions", "atomic_cycles", "atomic_conflicts",
+    "buffer_peak", "barriers",
+)
+
+
 class _Accounting:
     """Per-warp issue/path and per-block metric accumulators.
 
     Mirrors what :class:`~repro.gpusim.context.WarpContext` and
     :class:`~repro.gpusim.costmodel.BlockTiming` accumulate; every
     increment is an integer or quarter-integer, so sums are exact and
-    order-independent (see :mod:`repro.gpusim.vectorized`).
+    order-independent (see :mod:`repro.gpusim.vectorized`).  All of it
+    lives in one array, ``values`` (the native replay's ``acc``):
+    ``issued`` and ``path`` per warp, then the ``_BLOCK_ROWS`` per
+    block.  Each is also an attribute of that name, a view made on
+    first use.
     """
 
-    def __init__(self, grid: int, warps: int) -> None:
+    def __init__(
+        self, grid: int, warps: int, values: Optional[np.ndarray] = None
+    ) -> None:
         self.grid = grid
         self.warps = warps
-        n = grid * warps
-        self.issued = np.zeros(n, dtype=np.float64)
-        self.path = np.zeros(n, dtype=np.float64)
-        self.mem_transactions = np.zeros(grid, dtype=np.float64)
-        self.mem_accesses = np.zeros(grid, dtype=np.float64)
-        self.mem_active_lanes = np.zeros(grid, dtype=np.float64)
-        self.mem_ideal_transactions = np.zeros(grid, dtype=np.float64)
-        self.atomic_conflicts = np.zeros(grid, dtype=np.float64)
-        self.atomic_cycles = np.zeros(grid, dtype=np.float64)
-        self.buffer_peak = np.zeros(grid, dtype=np.float64)
-        self.barriers = np.zeros(grid, dtype=np.int64)
+        self.values = (
+            np.zeros(2 * grid * warps + 8 * grid) if values is None
+            else values
+        )
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        n = self.grid * self.warps
+        if name == "issued":
+            view = self.values[:n]
+        elif name == "path":
+            view = self.values[n : 2 * n]
+        elif name in _BLOCK_ROWS:
+            first = 2 * n + _BLOCK_ROWS.index(name) * self.grid
+            view = self.values[first : first + self.grid]
+        else:
+            raise AttributeError(name)
+        setattr(self, name, view)
+        return view
 
     def warp_op(self, gwid: int, issued: float, path: float) -> None:
         self.issued[gwid] += issued
@@ -150,29 +183,52 @@ class _Accounting:
         self.mem_ideal_transactions[block] += -(-lanes // 32)
 
     def finish(self, launch: VectorLaunch) -> KernelStats:
+        """The launch's stats, folded as ``run_kernel``'s epilogue.
+
+        The same double operations as the reference's fold over its
+        :class:`BlockTiming` records, in block order, on the
+        accumulators; the records themselves are built only for a
+        profiler (``collect_timings``).
+        """
+        grid = self.grid
         w = self.warps
-        block_issued = self.issued.reshape(self.grid, w).sum(axis=1)
-        block_paths = self.path.reshape(self.grid, w).max(axis=1)
-        timings = [
-            BlockTiming(
-                issued=float(block_issued[b]),
-                mem_transactions=float(self.mem_transactions[b]),
-                barriers=int(self.barriers[b]),
-                atomic_conflicts=float(self.atomic_conflicts[b]),
-                buffer_peak=float(self.buffer_peak[b]),
-                atomic_cycles=float(self.atomic_cycles[b]),
-                mem_accesses=float(self.mem_accesses[b]),
-                mem_active_lanes=float(self.mem_active_lanes[b]),
-                mem_ideal_transactions=float(
-                    self.mem_ideal_transactions[b]
-                ),
-            )
-            for b in range(self.grid)
+        n = grid * w
+        values = self.values.tolist()
+        issued = [sum(values[b * w : b * w + w]) for b in range(grid)]
+        paths = [max(values[n + b * w : n + b * w + w]) for b in range(grid)]
+        trans, accesses, lanes, ideal, atomic, conflicts, peak, barriers = [
+            values[i : i + grid] for i in range(2 * n, 2 * n + 8 * grid, grid)
         ]
-        max_paths = [float(block_paths[b]) for b in range(self.grid)]
-        return assemble_stats(
-            timings, max_paths, launch.cost, launch.spec,
-            launch.collect_timings,
+        timings = None
+        if launch.collect_timings:
+            timings = tuple(
+                BlockTiming(
+                    issued=issued[b], mem_transactions=trans[b],
+                    max_warp_path=paths[b], barriers=int(barriers[b]),
+                    atomic_conflicts=conflicts[b], buffer_peak=peak[b],
+                    atomic_cycles=atomic[b], mem_accesses=accesses[b],
+                    mem_active_lanes=lanes[b],
+                    mem_ideal_transactions=ideal[b],
+                )
+                for b in range(grid)
+            )
+        return KernelStats(
+            cycles=kernel_cycles(
+                launch.cost, issued, trans, paths, barriers,
+                launch.spec.num_sms,
+            ),
+            issued=sum(issued),
+            mem_transactions=sum(trans),
+            barriers=int(sum(barriers)),
+            max_warp_path=max(paths, default=0.0),
+            atomic_conflicts=sum(conflicts),
+            buffer_peak=max(peak, default=0.0),
+            atomic_cycles=sum(atomic),
+            mem_accesses=sum(accesses),
+            mem_active_lanes=sum(lanes),
+            mem_ideal_transactions=sum(ideal),
+            block_timings=timings,
+            served_by="vectorized",
         )
 
 
@@ -222,25 +278,6 @@ class _StagedShared:
             for block, name, needed in self._log:
                 mt.on_shared_alloc(block, name, needed)
         self._log.clear()
-
-
-class _StagedArrays:
-    """Lazy staging copies of mutable device arrays."""
-
-    def __init__(self) -> None:
-        self._staged: Dict[int, Tuple[DeviceArray, np.ndarray]] = {}
-
-    def data(self, array: DeviceArray) -> np.ndarray:
-        entry = self._staged.get(id(array))
-        if entry is None:
-            # a contiguous int64 copy: the native flush writes it in place
-            entry = (array, np.array(array.data, dtype=np.int64))
-            self._staged[id(array)] = entry
-        return entry[1]
-
-    def commit(self) -> None:
-        for array, copy in self._staged.values():
-            array.data[:] = copy
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +338,20 @@ def _adjacency_has_duplicates(
 def _bind(
     names: Tuple[str, ...],
     defaults: Mapping[str, Any],
-    args: Tuple[Any, ...],
-    kwargs: Mapping[str, Any],
+    launch: VectorLaunch,
 ) -> Dict[str, Any]:
+    """The launch's kernel arguments by name, once its shape is one
+    both executors replay: they count lanes, trips and chunks in
+    32-lane warps."""
+    if launch.spec.warp_size != 32:
+        raise FallbackToReference("warp size other than 32")
+    if launch.block_dim < 32:
+        raise FallbackToReference("blocks without a warp")
     bound: Dict[str, Any] = dict(defaults)
-    if len(args) > len(names):
+    if len(launch.args) > len(names):
         raise FallbackToReference("unexpected extra positional arguments")
-    bound.update(zip(names, args))
-    for key, value in kwargs.items():
+    bound.update(zip(names, launch.args))
+    for key, value in launch.kwargs.items():
         if key not in names:
             raise FallbackToReference(f"unexpected keyword {key!r}")
         bound[key] = value
@@ -336,13 +379,11 @@ class _ScanSkeleton:
     change.  Everything that does not depend on *which* vertices hit
     (the per-trip base charges, the prologue/epilogue/barrier totals)
     is computed once here, per warp and per block, and reused, leaving
-    each launch only the walk over its hits.
+    each launch only the walk over its hits.  ``values0`` holds them
+    in ``_Accounting.values`` layout.
     """
 
-    __slots__ = (
-        "issued0", "path0", "trans0", "acc0", "lanes0", "ideal0",
-        "atomic0", "barriers0",
-    )
+    __slots__ = ("values0",)
 
     def __init__(
         self, compaction: str, grid: int, warps: int, nv: int,
@@ -378,36 +419,41 @@ class _ScanSkeleton:
         elif compaction == "block":
             t_base += 12.0  # Hillis-Steele compaction + sstore(counts)
         warp_base = np.bincount(trip_warp, weights=t_base, minlength=gw)
-        self.issued0 = warp_base.copy()
-        self.path0 = warp_base.copy()
+        issued0 = warp_base
+        path0 = warp_base.copy()
         deg_trans = np.where(
             has_lanes,
             (trip_first + trip_lanes - 1) // 32 - trip_first // 32 + 1,
             0,
         ).astype(np.float64)
         hl = has_lanes.astype(np.float64)
-        self.trans0 = np.bincount(trip_block, weights=deg_trans,
-                                  minlength=grid) + 1.0  # + tails store
-        self.acc0 = np.bincount(trip_block, weights=hl, minlength=grid) + 1.0
-        self.lanes0 = np.bincount(
+        trans0 = np.bincount(
+            trip_block, weights=deg_trans, minlength=grid
+        ) + 1.0  # + tails store
+        acc0 = np.bincount(trip_block, weights=hl, minlength=grid) + 1.0
+        lanes0 = np.bincount(
             trip_block, weights=trip_lanes.astype(np.float64), minlength=grid
         ) + 1.0
-        self.ideal0 = self.acc0.copy()
-        self.atomic0 = np.zeros(grid)
-        self.barriers0 = np.full(grid, 2, dtype=np.int64)  # Line 2 + final
+        ideal0 = acc0.copy()
+        atomic0 = np.zeros(grid)
+        barriers0 = np.full(grid, 2, dtype=np.int64)  # Line 2 + final
         w0 = np.arange(grid, dtype=np.int64) * warps
         if compaction == "block":
             # Warp 0 stages 2-3, every trip: sload(counts) + 2*log2(W)+2
             # scan charge + atomicAdd(e, total, lanes=1) + sstore(woffs)
             steps = max(1, int(np.log2(max(2, warps))))
             trips0 = trips_per_warp[w0]
-            self.issued0[w0] += (1.0 + (2 * steps + 2) + 1.0 + 1.0) * trips0
-            self.path0[w0] += (1.0 + (2 * steps + 2) + 2.0 + 1.0) * trips0
-            self.atomic0 += 2.0 * trips0
-            self.barriers0 += 3 * trips0  # three __syncthreads per trip
+            issued0[w0] += (1.0 + (2 * steps + 2) + 1.0 + 1.0) * trips0
+            path0[w0] += (1.0 + (2 * steps + 2) + 2.0 + 1.0) * trips0
+            atomic0 += 2.0 * trips0
+            barriers0 += 3 * trips0  # three __syncthreads per trip
         # prologue smem_set("e", 0) + epilogue smem_get("e") + gstore
-        self.issued0[w0] += 3.0
-        self.path0[w0] += 3.0
+        issued0[w0] += 3.0
+        path0[w0] += 3.0
+        self.values0 = np.concatenate((
+            issued0, path0, trans0, acc0, lanes0, ideal0, atomic0,
+            np.zeros(2 * grid), barriers0,  # conflicts, peak: none yet
+        ))
 
 
 _SCAN_SKELETONS: Dict[Tuple[Any, ...], _ScanSkeleton] = {}
@@ -428,7 +474,7 @@ def _scan_skeleton(
 
 
 def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
-    b = _bind(_SCAN_PARAMS, {"vertex_lo": 0}, launch.args, launch.kwargs)
+    b = _bind(_SCAN_PARAMS, {"vertex_lo": 0}, launch)
     cfg: VariantConfig = b["cfg"]
     if cfg.ring_buffer:
         raise FallbackToReference("ring buffers wrap against a moving head")
@@ -441,28 +487,19 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
     vertex_lo = int(b["vertex_lo"])
 
     grid = launch.grid_dim
-    warps = launch.block_dim // launch.spec.warp_size
+    warps = launch.block_dim // 32
     gw = grid * warps
     stride = launch.grid_dim * launch.block_dim
-    acc = _Accounting(grid, warps)
-    shared = _StagedShared(launch)
     skel = _scan_skeleton(cfg.compaction, grid, warps, nv, vertex_lo, stride)
+    # the precomputed hit-independent charges
+    acc = _Accounting(grid, warps, skel.values0.copy())
+    shared = _StagedShared(launch)
     if cfg.compaction == "block":
         # EC allocates its two staging arrays per block, in block order,
         # before any trip writes (see docs/SIMULATOR.md)
         for blk in range(grid):
             shared.alloc(blk, "warp_counts", warps)
             shared.alloc(blk, "warp_offsets", warps)
-
-    # -- fold in the precomputed hit-independent charges ----------------
-    acc.issued += skel.issued0
-    acc.path += skel.path0
-    acc.mem_transactions += skel.trans0
-    acc.mem_accesses += skel.acc0
-    acc.mem_active_lanes += skel.lanes0
-    acc.mem_ideal_transactions += skel.ideal0
-    acc.atomic_cycles += skel.atomic0
-    acc.barriers += skel.barriers0
 
     # -- the hit walk ---------------------------------------------------
     # A trip covers exactly one 32-vertex chunk (stride == gw * 32), and
@@ -523,18 +560,11 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
         i = j
     if max(pos, default=0) > capacity:
         raise FallbackToReference("scan buffer overflow; reference raises")
-    acc.issued += np.asarray(ti)
-    acc.path += np.asarray(tp)
-    acc.atomic_cycles += np.asarray(at_cyc)
-    acc.atomic_conflicts += np.asarray(at_con)
-    acc.mem_transactions += np.asarray(m_tr)
-    acc.mem_accesses += np.asarray(m_acc)
-    acc.mem_active_lanes += np.asarray(m_lan)
-    acc.mem_ideal_transactions += np.asarray(m_acc)
-    np.maximum(
-        acc.buffer_peak, np.asarray(pos, dtype=np.float64),
-        out=acc.buffer_peak,
-    )
+    # the walk's sums, row by row in ``_Accounting.values`` layout;
+    # each block's peak is its final tail
+    sums = ti + tp + m_tr + m_acc + m_lan + m_acc + at_cyc + at_con
+    acc.values[: len(sums)] += np.asarray(sums)
+    acc.buffer_peak[:] = pos
     # that was the last decline: the launch completes from here, so it
     # writes the device arrays in place
     for bidx, vs in enumerate(content):
@@ -563,7 +593,7 @@ class _LoopBlock:
         "head_s", "head_e", "head_pn", "pending", "pref",
     )
 
-    def __init__(self, idx: int, warps: int) -> None:
+    def __init__(self, idx: int) -> None:
         self.idx = idx
         self.s = 0
         self.e = 0
@@ -579,9 +609,20 @@ class _LoopBlock:
 
 
 class _LoopRun:
-    """One loop-kernel launch being replayed; owns staging + events."""
+    """One loop-kernel launch replayed in Python; owns the events.
 
-    def __init__(self, launch: VectorLaunch, bound: Dict[str, Any]) -> None:
+    ``buf`` and ``gpu_count`` are written in place, and each write is
+    logged (``buf_undo``, ``gpu_added``) so that :meth:`undo` takes a
+    declined launch back.  Degrees are read and written through a
+    Python list built at the first flush (scalar speed); its
+    decrements, listed in ``deg_dirty``, reach ``deg`` in
+    :meth:`write_degrees`, once the launch can no longer decline.
+    """
+
+    def __init__(
+        self, launch: VectorLaunch, bound: Dict[str, Any],
+        acc: _Accounting, shared: _StagedShared,
+    ) -> None:
         self.launch = launch
         self.cfg: VariantConfig = bound["cfg"]
         self.k = int(bound["k"])
@@ -596,42 +637,48 @@ class _LoopRun:
         self.own_range: Optional[Tuple[int, int]] = bound["own_range"]
         self.base = self.own_range[0] if self.own_range is not None else 0
         self.grid = launch.grid_dim
-        self.warps = launch.block_dim // launch.spec.warp_size
-        self.acc = _Accounting(self.grid, self.warps)
-        self.shared = _StagedShared(launch)
-        self.staged = _StagedArrays()
-        self.deg_staged = self.staged.data(self.deg)
-        self.buf_staged = self.staged.data(self.buf)
-        # the flushes read and write degrees through a Python list built
-        # at the launch's first flush and authoritative from then on;
-        # ``deg_dirty`` lists the entries the list holds that the array
-        # does not yet, so write-back costs the decrements, not ``n``
+        self.warps = launch.block_dim // 32
+        self.acc = acc
+        self.shared = shared.arrays
         self.deg_list: Optional[List[int]] = None
         self.deg_dirty: List[int] = []
-        self.blocks = [_LoopBlock(i, self.warps) for i in range(self.grid)]
+        self.buf_undo: List[Tuple[int, np.ndarray]] = []
+        self.gpu_added = 0
+        self.blocks = [_LoopBlock(i) for i in range(self.grid)]
+        if self.cfg.prefetch:
+            for blk in self.blocks:
+                arrays = self.shared[blk.idx]
+                blk.pref = (arrays["pref0"], arrays["pref1"])
         # pending events, in emission order
         self.ev_block: List[int] = []
         self.ev_gwid: List[int] = []
         self.ev_slot: List[int] = []  # -1 for value events (VP)
         self.ev_value: List[int] = []
-        self.native: Optional[_NativeArgs] = None  # built at first flush
 
     def flush(self) -> None:
         if not self.ev_block:
             return
-        fn = _native_flush()
-        # a launch the Python flush has started stays on it: its degree
-        # list, not the staged array, then holds the current degrees
-        if fn is not None and self.deg_list is None:
-            _flush_native(self, fn)
-        else:
-            _flush(self)
+        _flush(self)
         self.ev_block.clear()
         self.ev_gwid.clear()
         self.ev_slot.clear()
         self.ev_value.clear()
         for block in self.blocks:
             block.pending = 0
+
+    def undo(self) -> None:
+        """Take back every logged write, newest first."""
+        buf = self.buf.data
+        for start, old in reversed(self.buf_undo):
+            buf[start : start + old.size] = old
+        self.gpu_count.data[0] -= self.gpu_added
+
+    def write_degrees(self) -> None:
+        dirty = self.deg_dirty
+        if dirty:
+            deg = self.deg_list
+            assert deg is not None
+            self.deg.data[dirty] = [deg[x] for x in dirty]
 
 
 def _scalar_list(array: DeviceArray, attr: str) -> List[int]:
@@ -665,8 +712,8 @@ def _flush(run: _LoopRun) -> None:
     interpreter adds, accumulated in Python scalars and folded into
     the accounting arrays in one vector step per metric, so the sums
     match bit for bit.  A fallback raised mid-batch is safe: the
-    launch's staged state is discarded with it.  This is the reference
-    for the C flush (``fastsim_flush.c``), which declines on exactly
+    caller undoes the launch's logged writes.  This is the reference
+    for the C replay (``fastsim_flush.c``), which declines on exactly
     the same events with the same messages.
     """
     acc = run.acc
@@ -688,12 +735,14 @@ def _flush(run: _LoopRun) -> None:
     nbrs = _scalar_list(run.neighbors, "_fastsim_nbrs")
     nsz = len(nbrs)
     if run.deg_list is None:
-        run.deg_list = run.deg_staged.tolist()
+        run.deg_list = run.deg.data.tolist()
     deg = run.deg_list
     dsz = len(deg)
     dirty = run.deg_dirty
-    buf = run.buf_staged
-    shared = run.shared.arrays
+    buf = run.buf.data
+    bsz = buf.size
+    undo = run.buf_undo
+    shared = run.shared
     base = run.base
     own = run.own_range
     lo, hi = own if own is not None else (0, 0)
@@ -723,8 +772,8 @@ def _flush(run: _LoopRun) -> None:
                     slot = -1
                 elif slot >= e_init:
                     slot -= scap  # Fig. 7: global slots above the window
-                if slot >= cap:
-                    raise FallbackToReference("loop buffer read overflow")
+            if slot >= cap:
+                raise FallbackToReference("loop buffer read overflow")
             if slot >= 0:
                 wi[g] += 1.0  # gload of one word
                 wp[g] += 1.0 + gll
@@ -732,6 +781,10 @@ def _flush(run: _LoopRun) -> None:
                 ba[b] += 1.0
                 bl[b] += 1.0
                 bi[b] += 1.0
+                if b * cap + slot >= bsz:
+                    raise FallbackToReference(
+                        "loop replay index out of bounds"
+                    )
                 v = int(buf[b * cap + slot])
         # -- Line 13: bounds load (two consecutive offsets words) ------
         rel = v - base
@@ -769,13 +822,18 @@ def _flush(run: _LoopRun) -> None:
                     deg[x] = du - 1
                     if du == k + 1 and (own is None or lo <= x < hi):
                         newly.append(x)
+            c = len(cand)
+            # the degree log holds one id per adjacency entry (the C
+            # replay's is that long): a frontier of distinct vertices
+            # never fills it
+            if len(dirty) + c > nsz:
+                raise FallbackToReference("loop undo log full")
             bt[b] += float(
                 (pos0 + l - 1) // 32 - pos0 // 32 + 1 + len(segs)
             )
             ba[b] += 2.0
             bl[b] += 2.0 * l
             bi[b] += 2.0
-            c = len(cand)
             if c:
                 dirty.extend(cand)
                 # Line 21: atomicSub (distinct addresses: no conflicts)
@@ -805,37 +863,37 @@ def _flush(run: _LoopRun) -> None:
                 wi[g] += 3.0  # atomic + shfl + charge
                 wp[g] += 4.0
                 bat[b] += 2.0
-            if not sm:
-                wi[g] += 1.0  # gstore
-                wp[g] += 1.0
-                start = b * cap + loc
-                bt[b] += float((start + nw - 1) // 32 - start // 32 + 1)
-                ba[b] += 1.0
-                bl[b] += float(nw)
-                bi[b] += 1.0
-                buf[start : start + nw] = newly
-            else:
+            n_sh = 0
+            gl_start = b * cap + loc
+            if sm:
+                e_init = blk.e_init
+                n_sh = min(max(e_init + scap - loc, 0), nw)
+                gl_start = b * cap + max(loc, e_init + scap) - scap
                 wi[g] += 5.0  # smem_get(e_init) + charge(4)
                 wp[g] += 5.0
-                n_sh = min(max(blk.e_init + scap - loc, 0), nw)
                 if n_sh:
                     wi[g] += 1.0  # sstore
                     wp[g] += 1.0
-                    window = shared[b]["B"]
-                    for j in range(n_sh):
-                        window[loc - blk.e_init + j] = newly[j]
-                n_gl = nw - n_sh
-                if n_gl:
-                    wi[g] += 1.0  # gstore
-                    wp[g] += 1.0
-                    gl_start = b * cap + max(loc, blk.e_init + scap) - scap
-                    bt[b] += float(
-                        (gl_start + n_gl - 1) // 32 - gl_start // 32 + 1
+                    w = loc - e_init
+                    shared[b]["B"][w : w + n_sh] = newly[:n_sh]
+            n_gl = nw - n_sh
+            if n_gl:
+                wi[g] += 1.0  # gstore
+                wp[g] += 1.0
+                bt[b] += float(
+                    (gl_start + n_gl - 1) // 32 - gl_start // 32 + 1
+                )
+                ba[b] += 1.0
+                bl[b] += float(n_gl)
+                bi[b] += 1.0
+                if gl_start + n_gl > bsz:
+                    raise FallbackToReference(
+                        "loop replay index out of bounds"
                     )
-                    ba[b] += 1.0
-                    bl[b] += float(n_gl)
-                    bi[b] += 1.0
-                    buf[gl_start : gl_start + n_gl] = newly[n_sh:]
+                undo.append(
+                    (gl_start, buf[gl_start : gl_start + n_gl].copy())
+                )
+                buf[gl_start : gl_start + n_gl] = newly[n_sh:]
             if loc + nw > bpk[b]:
                 bpk[b] = float(loc + nw)
             blk.e = loc + nw
@@ -848,11 +906,6 @@ def _flush(run: _LoopRun) -> None:
     acc.atomic_cycles += np.asarray(bat)
     acc.atomic_conflicts += np.asarray(bcf)
     np.maximum(acc.buffer_peak, np.asarray(bpk), out=acc.buffer_peak)
-    if len(dirty) > len(deg):
-        # past n entries a whole-array copy is cheaper, and it bounds
-        # the log's memory
-        run.deg_staged[:] = deg
-        dirty.clear()
 
 
 def _scan_cost(compaction: str) -> float:
@@ -863,35 +916,36 @@ def _scan_cost(compaction: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the native flush: ``_flush`` in C, compiled on first use
+# the native replay: the Python loop replay in C, compiled on first use
 # ---------------------------------------------------------------------------
 
 _FLUSH_SOURCE = Path(__file__).with_name("fastsim_flush.c")
 #: no -ffast-math and no FMA contraction: the C sums must be the
-#: Python flush's double operations, in the same order
+#: Python replay's double operations, in the same order
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _DIGEST = 32  # sha256 of the library, appended to the cached file
 
 
-class _FlushCtx(ctypes.Structure):
-    """``flush_ctx`` of ``fastsim_flush.c``, field for field."""
+class _LoopCtx(ctypes.Structure):
+    """``loop_ctx`` of ``fastsim_flush.c``, field for field."""
+
+    #: the CSR data ``offs`` and ``nbrs`` point into
+    arrays: Tuple[np.ndarray, np.ndarray]
 
     _fields_ = [
         ("offs", ctypes.c_void_p), ("osz", ctypes.c_int64),
         ("nbrs", ctypes.c_void_p), ("nsz", ctypes.c_int64),
         ("deg", ctypes.c_void_p), ("dsz", ctypes.c_int64),
         ("buf", ctypes.c_void_p), ("bsz", ctypes.c_int64),
-        ("windows", ctypes.c_void_p), ("wlen", ctypes.c_int64),
-        ("blk_e", ctypes.c_void_p), ("blk_e_init", ctypes.c_void_p),
-        ("grid", ctypes.c_int64), ("nwarps", ctypes.c_int64),
+        ("tails", ctypes.c_void_p), ("gpu_count", ctypes.c_void_p),
+        ("grid", ctypes.c_int64), ("warps", ctypes.c_int64),
         ("k", ctypes.c_int64), ("cap", ctypes.c_int64),
         ("scap", ctypes.c_int64), ("sm", ctypes.c_int64),
-        ("no_compaction", ctypes.c_int64), ("base", ctypes.c_int64),
-        ("owned", ctypes.c_int64), ("lo", ctypes.c_int64),
-        ("hi", ctypes.c_int64),
+        ("prefetch", ctypes.c_int64), ("no_compaction", ctypes.c_int64),
+        ("base", ctypes.c_int64), ("owned", ctypes.c_int64),
+        ("lo", ctypes.c_int64), ("hi", ctypes.c_int64),
         ("gll", ctypes.c_double), ("gab", ctypes.c_double),
-        ("scan_cost", ctypes.c_double),
-        ("acc", ctypes.c_void_p * 9), ("sums", ctypes.c_void_p),
+        ("scan_cost", ctypes.c_double), ("acc", ctypes.c_void_p),
     ]
 
 
@@ -900,7 +954,8 @@ def _cache_dir() -> Path:
 
 
 def _sha256(data: bytes) -> bytes:
-    # imported here: a process that never flushes never loads OpenSSL
+    # imported here: a process that never replays a loop never loads
+    # OpenSSL
     import hashlib
 
     return hashlib.sha256(data).digest()
@@ -923,7 +978,7 @@ def _open_verified(path: Path) -> Optional[ctypes.CDLL]:
 
 
 def _build(cc: str, path: Path) -> None:
-    """Compile the flush to ``path``: temp file, digest, atomic rename.
+    """Compile the replay to ``path``: temp file, digest, atomic rename.
 
     Raises :class:`OSError` when the compiler fails.
     """
@@ -971,9 +1026,9 @@ def _prune(cache_dir: Path, keep: Path) -> None:
 
 
 def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
-    """The compiled flush from ``cache_dir``, building it if needed.
+    """The compiled replay from ``cache_dir``, building it if needed.
 
-    Returns ``None`` (the Python flush serves) when no ``cc`` is on
+    Returns ``None`` (the Python replay serves) when no ``cc`` is on
     ``PATH``, the build fails, or another user owns or can write the
     cache directory.
     """
@@ -995,119 +1050,124 @@ def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
         return None
     if lib is None:
         return None
-    fn = lib.repro_flush
-    fn.argtypes = [ctypes.POINTER(_FlushCtx), ctypes.c_void_p, ctypes.c_int64]
+    fn = lib.repro_loop
+    fn.argtypes = [ctypes.POINTER(_LoopCtx)]
     fn.restype = ctypes.c_int
     return fn
 
 
 @functools.cache
-def _native_flush() -> Optional[Callable[..., int]]:
-    """The native flush, loaded at the first flush of the process."""
+def _native_replay() -> Optional[Callable[..., int]]:
+    """The native replay, loaded at the first loop launch of the process."""
     return _load_native(_cache_dir())
 
 
 def native_flush_available() -> bool:
-    """True when loop flushes run in C, False when in Python.
+    """True when loop launches replay in C, False when in Python.
 
-    Loads (and on first use compiles) the library; see
-    ``docs/SIMULATOR.md``, "The vectorized engine".
+    The C library replays a whole loop launch, its flushes included.
+    Loads (and on first use compiles) it; see ``docs/SIMULATOR.md``,
+    "The native loop replay".
     """
-    return _native_flush() is not None
+    return _native_replay() is not None
 
 
-class _NativeArgs:
-    """A launch's ``flush_ctx`` and the arrays it points into.
+def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
+    """A ``loop_ctx`` with its CSR part set, cached per array pair.
 
-    Built at the launch's first native flush, after every block's init
-    turn: from then on only flushes move a block's tail ``e``, so
-    ``blk_e`` is copied back after each flush and never in.  The
-    staged arrays and the accumulators are only ever updated in place,
-    so the addresses taken here hold for the whole launch.
+    Cached like the duplicate-adjacency check, on ``neighbors`` and
+    keyed on the paired ``offsets`` (CSR arrays are immutable in every
+    host program here); the launch fields are set on every use.
     """
-
-    def __init__(self, run: _LoopRun) -> None:
-        def addr(a: np.ndarray) -> int:
-            return int(a.ctypes.data)
-
-        cfg = run.cfg
-        acc = run.acc
-        sm = cfg.shared_buffer
-        # read-only CSR arrays: int64 and contiguous, copied if not
-        self.offs = np.ascontiguousarray(run.offsets.data, dtype=np.int64)
-        self.nbrs = np.ascontiguousarray(run.neighbors.data, dtype=np.int64)
-        windows = [run.shared.arrays[b]["B"] for b in range(run.grid)] \
-            if sm else []
-        self.windows = np.array([addr(w) for w in windows], dtype=np.uintp)
-        self.blk_e = np.array([b.e for b in run.blocks], dtype=np.int64)
-        self.blk_e_init = np.array(
-            [b.e_init for b in run.blocks], dtype=np.int64
-        )
-        nwarps = run.grid * run.warps
-        self.sums = np.empty(2 * nwarps + 7 * run.grid, dtype=np.float64)
-        accs = (
-            acc.issued, acc.path, acc.mem_transactions, acc.mem_accesses,
-            acc.mem_active_lanes, acc.mem_ideal_transactions,
-            acc.atomic_cycles, acc.atomic_conflicts, acc.buffer_peak,
-        )
-        own = run.own_range
-        lo, hi = own if own is not None else (0, 0)
-        cost = run.launch.cost
-        self.ctx = _FlushCtx(
-            offs=addr(self.offs), osz=self.offs.size,
-            nbrs=addr(self.nbrs), nsz=self.nbrs.size,
-            deg=addr(run.deg_staged), dsz=run.deg_staged.size,
-            buf=addr(run.buf_staged), bsz=run.buf_staged.size,
-            windows=addr(self.windows),
-            wlen=min((w.size for w in windows), default=0),
-            blk_e=addr(self.blk_e), blk_e_init=addr(self.blk_e_init),
-            grid=run.grid, nwarps=nwarps, k=run.k, cap=run.capacity,
-            scap=run.shared_capacity, sm=int(sm),
-            no_compaction=int(cfg.compaction == "none"),
-            base=run.base, owned=int(own is not None), lo=lo, hi=hi,
-            gll=cost.global_load_latency, gab=cost.global_atomic_base,
-            scan_cost=_scan_cost(cfg.compaction),
-            acc=(ctypes.c_void_p * 9)(*[addr(a) for a in accs]),
-            sums=addr(self.sums),
-        )
-
-
-def _flush_native(run: _LoopRun, fn: Callable[..., int]) -> None:
-    """:func:`_flush` in C, on the same staged arrays and accumulators."""
-    args = run.native
-    if args is None:
-        args = run.native = _NativeArgs(run)
-    ev = np.array(
-        (run.ev_block, run.ev_gwid, run.ev_slot, run.ev_value),
-        dtype=np.int64,
+    cached = getattr(neighbors, "_fastsim_ctx", None)
+    key = (id(offsets), offsets.data.size, neighbors.data.size)
+    if cached is not None and cached[0] == key:
+        return cached[1]  # type: ignore[no-any-return]
+    # read-only, so int64 and contiguous copies serve if the data are not
+    offs = np.ascontiguousarray(offsets.data, dtype=np.int64)
+    nbrs = np.ascontiguousarray(neighbors.data, dtype=np.int64)
+    ctx = _LoopCtx(
+        offs=offs.ctypes.data, osz=offs.size,
+        nbrs=nbrs.ctypes.data, nsz=nbrs.size,
     )
-    code = fn(args.ctx, ev.ctypes.data, ev.shape[1])
+    ctx.arrays = (offs, nbrs)  # keeps the pointers valid
+    with contextlib.suppress(AttributeError):
+        # holding ``offsets`` keeps its id from being reused
+        setattr(neighbors, "_fastsim_ctx", (key, ctx, offsets))
+    return ctx
+
+
+def _address(array: DeviceArray) -> Optional[int]:
+    """Where the C replay may write ``array`` in place, or ``None``
+    when its data are not a writeable contiguous int64 array."""
+    data = array.data
+    if not (
+        data.dtype == np.int64 and data.flags.c_contiguous
+        and data.flags.writeable
+    ):
+        return None
+    cached = getattr(array, "_fastsim_addr", None)
+    if cached is not None and cached[0] is data:
+        return cached[1]  # type: ignore[no-any-return]
+    addr = int(data.ctypes.data)
+    with contextlib.suppress(AttributeError):
+        setattr(array, "_fastsim_addr", (data, addr))
+    return addr
+
+
+def _replay_native(
+    fn: Callable[..., int], launch: VectorLaunch, bound: Dict[str, Any],
+    acc: _Accounting,
+) -> bool:
+    """The whole launch in one C call; ``False`` leaves it to Python."""
+    deg: DeviceArray = bound["deg"]
+    buf: DeviceArray = bound["buf"]
+    addrs = [_address(a) for a in (deg, buf, bound["tails"],
+                                   bound["gpu_count"])]
+    if None in addrs:
+        return False
+    cfg: VariantConfig = bound["cfg"]
+    own = bound["own_range"]
+    lo, hi = own if own is not None else (0, 0)
+    cost = launch.cost
+    ctx = _csr_ctx(bound["offsets"], bound["neighbors"])
+    ctx.deg, ctx.buf, ctx.tails, ctx.gpu_count = addrs
+    ctx.dsz = deg.data.size
+    ctx.bsz = buf.data.size
+    ctx.grid = launch.grid_dim
+    ctx.warps = launch.block_dim // 32
+    ctx.k = int(bound["k"])
+    ctx.cap = int(bound["capacity"])
+    ctx.scap = int(bound["shared_capacity"])
+    ctx.sm = int(cfg.shared_buffer)
+    ctx.prefetch = int(cfg.prefetch)
+    ctx.no_compaction = int(cfg.compaction == "none")
+    ctx.base = lo
+    ctx.owned = int(own is not None)
+    ctx.lo = lo
+    ctx.hi = hi
+    ctx.gll = cost.global_load_latency
+    ctx.gab = cost.global_atomic_base
+    ctx.scan_cost = _scan_cost(cfg.compaction)
+    ctx.acc = acc.values.ctypes.data
+    code = fn(ctx)
     if code == 1:
         raise FallbackToReference("loop buffer read overflow")
     if code == 2:
         raise FallbackToReference("frontier vertex outside CSR slice")
     if code == 3:
         raise FallbackToReference("loop buffer overflow; reference raises")
+    if code == 5:
+        raise FallbackToReference("loop undo log full")
+    if code == 6:
+        raise FallbackToReference("native loop replay out of memory")
     if code:
         raise FallbackToReference("loop replay index out of bounds")
-    for blk, e in zip(run.blocks, args.blk_e.tolist()):
-        blk.e = e
-
-
-def _sync_deg(run: _LoopRun) -> None:
-    """Write the flushes' decrements back to the staged array."""
-    dirty = run.deg_dirty
-    if dirty:
-        deg = run.deg_list
-        assert deg is not None
-        run.deg_staged[dirty] = [deg[x] for x in dirty]
-        dirty.clear()
+    return True
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
-    bound = _bind(
-        _LOOP_PARAMS, {"own_range": None}, launch.args, launch.kwargs
-    )
+    bound = _bind(_LOOP_PARAMS, {"own_range": None}, launch)
     cfg: VariantConfig = bound["cfg"]
     if cfg.ring_buffer:
         raise FallbackToReference("ring buffers wrap against a moving head")
@@ -1119,53 +1179,63 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         raise FallbackToReference(
             "duplicate in-adjacency neighbors can trigger the restore path"
         )
-    run = _LoopRun(launch, bound)
-    if cfg.prefetch:
-        _replay_prefetched(run)
-    else:
-        _replay_drain(run)
-    _sync_deg(run)
-    stats = run.acc.finish(launch)
-    run.shared.commit()
-    run.staged.commit()
+    grid = launch.grid_dim
+    warps = launch.block_dim // 32
+    if bound["tails"].data.size < grid or bound["gpu_count"].data.size < 1:
+        raise FallbackToReference("loop replay index out of bounds")
+    acc = _Accounting(grid, warps)
+    shared = _StagedShared(launch)
+    for blk in range(grid):  # the reference's allocation order
+        if cfg.shared_buffer:
+            shared.alloc(blk, "B", int(bound["shared_capacity"]))
+        if cfg.prefetch:
+            shared.alloc(blk, "pref0", warps)
+            shared.alloc(blk, "pref1", warps)
+    fn = _native_replay()
+    if fn is None or not _replay_native(fn, launch, bound, acc):
+        run = _LoopRun(launch, bound, acc, shared)
+        try:
+            if cfg.prefetch:
+                _replay_prefetched(run)
+            else:
+                _replay_drain(run)
+        except FallbackToReference:
+            run.undo()
+            raise
+        run.write_degrees()
+    stats = acc.finish(launch)
+    shared.commit()
     return stats
 
 
-def _loop_init_turn(run: _LoopRun, gwid: int) -> None:
-    """The first turn: Thread-0 prologue + buffer-view construction."""
+def _loop_init_turn(run: _LoopRun, blk: _LoopBlock) -> None:
+    """The first turn: Thread 0 loads the block's tail (Lines 1-2)."""
     acc = run.acc
-    blk = run.blocks[gwid // run.warps]
-    wid = gwid % run.warps
+    gwid = blk.idx * run.warps
     cfg = run.cfg
-    if wid == 0:
-        e0 = int(run.tails.data[blk.idx])
-        acc.warp_op(gwid, 1.0, 1.0 + run.launch.cost.global_load_latency)
-        acc.note_access(blk.idx, 1, 1)
-        sets = 2 + (1 if cfg.shared_buffer else 0) + (2 if cfg.prefetch else 0)
-        acc.warp_op(gwid, float(sets), float(sets))
-        blk.s = 0
-        blk.e = e0
-        blk.e_init = e0
-    if cfg.shared_buffer:
-        run.shared.alloc(blk.idx, "B", run.shared_capacity)
-    if cfg.prefetch:
-        blk.pref = (
-            run.shared.alloc(blk.idx, "pref0", run.warps),
-            run.shared.alloc(blk.idx, "pref1", run.warps),
-        )
+    e0 = int(run.tails.data[blk.idx])
+    if e0 < 0:
+        raise FallbackToReference("loop replay index out of bounds")
+    acc.warp_op(gwid, 1.0, 1.0 + run.launch.cost.global_load_latency)
+    acc.note_access(blk.idx, 1, 1)
+    sets = 2 + (1 if cfg.shared_buffer else 0) + (2 if cfg.prefetch else 0)
+    acc.warp_op(gwid, float(sets), float(sets))
+    blk.s = 0
+    blk.e = e0
+    blk.e_init = e0
 
 
-def _final_turn(run: _LoopRun, gwid: int) -> None:
+def _final_turn(run: _LoopRun, blk: _LoopBlock) -> None:
     """Line 26: Thread 0 folds the block tail into gpu_count, all exit."""
-    blk = run.blocks[gwid // run.warps]
-    if gwid % run.warps == 0:
-        acc = run.acc
-        cost = run.launch.cost
-        acc.warp_op(gwid, 1.0, 1.0)  # smem_get("e")
-        acc.warp_op(gwid, 1.0, cost.global_atomic_base)
-        acc.atomic_cycles[blk.idx] += cost.global_atomic_base
-        acc.note_access(blk.idx, 1, 1)
-        run.staged.data(run.gpu_count)[0] += blk.e
+    acc = run.acc
+    cost = run.launch.cost
+    gwid = blk.idx * run.warps
+    acc.warp_op(gwid, 1.0, 1.0)  # smem_get("e")
+    acc.warp_op(gwid, 1.0, cost.global_atomic_base)
+    acc.atomic_cycles[blk.idx] += cost.global_atomic_base
+    acc.note_access(blk.idx, 1, 1)
+    run.gpu_count.data[0] += blk.e
+    run.gpu_added += blk.e
 
 
 def _replay_drain(run: _LoopRun) -> None:
@@ -1201,9 +1271,9 @@ def _replay_drain(run: _LoopRun) -> None:
     ev_v = run.ev_value
     order = list(run.blocks)
     for blk in order:
-        # only Thread 0 charges here, and shared allocs dedupe per
-        # block, so one init turn per block covers every warp
-        _loop_init_turn(run, blk.idx * warps)
+        # only Thread 0 charges here, so one init turn per block covers
+        # every warp
+        _loop_init_turn(run, blk)
         barriers[blk.idx] += 1  # the INIT arrival barrier
     worder = [list(range(warps)) for _ in range(run.grid)]
     while order:
@@ -1214,7 +1284,7 @@ def _replay_drain(run: _LoopRun) -> None:
             head_rounds[blk.idx] += 1
             barriers[blk.idx] += 1
             if blk.s == blk.e:
-                _final_turn(run, blk.idx * warps)  # Thread-0 only
+                _final_turn(run, blk)  # Thread-0 only
             else:
                 blk.head_s = blk.s
                 blk.head_e = blk.e
@@ -1258,7 +1328,7 @@ def _replay_drain(run: _LoopRun) -> None:
     bw = np.asarray(body_w0, dtype=np.float64)
     acc.issued[w0] += bw
     acc.path[w0] += bw
-    acc.barriers += np.asarray(barriers, dtype=np.int64)
+    acc.barriers += np.asarray(barriers, dtype=np.float64)
 
 
 def _replay_prefetched(run: _LoopRun) -> None:
@@ -1291,14 +1361,15 @@ def _replay_prefetched(run: _LoopRun) -> None:
     barriers = [0] * run.grid
     acc = run.acc
     cost = run.launch.cost
+    buf = run.buf.data
+    cap = run.capacity
     ev_b = run.ev_block
     ev_g = run.ev_gwid
     ev_s = run.ev_slot
     ev_v = run.ev_value
     order = list(run.blocks)
     for blk in order:
-        # Thread-0 charges + per-block shared allocs (deduped)
-        _loop_init_turn(run, blk.idx * warps)
+        _loop_init_turn(run, blk)  # Thread-0 charges only
         barriers[blk.idx] += 1  # the INIT arrival barrier
     while order:
         keep = []
@@ -1308,7 +1379,7 @@ def _replay_prefetched(run: _LoopRun) -> None:
             head_rounds[blk.idx] += 1
             barriers[blk.idx] += 1
             if blk.s == blk.e and blk.pn_cur == 0:
-                _final_turn(run, blk.idx * warps)  # Thread-0 only
+                _final_turn(run, blk)  # Thread-0 only
             else:
                 blk.head_s = blk.s
                 blk.head_e = blk.e
@@ -1323,17 +1394,21 @@ def _replay_prefetched(run: _LoopRun) -> None:
             if batch > 0:
                 # read_batch: one dependent gload of `batch` words,
                 # then one sstore into the prefetch buffer
-                s0 = blk.head_s
+                start = b * cap + blk.head_s
                 batch_w0[b] += 1
-                mem_trans[b] += contiguous_transactions(
-                    b * run.capacity + s0, batch
-                )
+                mem_trans[b] += contiguous_transactions(start, batch)
                 ideal = -(-batch // 32)
                 mem_acc[b] += max(1, ideal)
                 mem_lanes[b] += batch
                 mem_ideal[b] += ideal
-                blk.pref[1 - blk.parity][1 : 1 + batch] = run.buf_staged[
-                    b * run.capacity + s0 : b * run.capacity + s0 + batch
+                if blk.head_s + batch > cap:
+                    raise FallbackToReference("loop buffer read overflow")
+                if start + batch > buf.size:
+                    raise FallbackToReference(
+                        "loop replay index out of bounds"
+                    )
+                blk.pref[1 - blk.parity][1 : 1 + batch] = buf[
+                    start : start + batch
                 ]
             blk.s = blk.head_s + batch
             blk.pn_next = batch
@@ -1369,7 +1444,7 @@ def _replay_prefetched(run: _LoopRun) -> None:
     acc.mem_accesses += np.asarray(mem_acc, dtype=np.float64)
     acc.mem_active_lanes += np.asarray(mem_lanes, dtype=np.float64)
     acc.mem_ideal_transactions += np.asarray(mem_ideal, dtype=np.float64)
-    acc.barriers += np.asarray(barriers, dtype=np.int64)
+    acc.barriers += np.asarray(barriers, dtype=np.float64)
 
 
 def register() -> None:

@@ -1,52 +1,66 @@
 /*
- * Native replay of the loop kernel's pending events: a line-for-line
- * translation of ``_flush`` in ``repro/core/fastsim.py``, which stays
- * the reference this file is tested against.
+ * Native replay of one loop-kernel launch: a line-for-line translation
+ * of the Python replay in ``repro/core/fastsim.py`` (``_loop_init_turn``,
+ * ``_replay_drain``, ``_replay_prefetched``, ``_flush`` and
+ * ``_final_turn``), which stays the reference this file is tested
+ * against.  One call replays the whole launch.
  *
- * One event is one warp's sweep of one frontier vertex (Alg. 3, Lines
- * 12-24): buffer read, bounds load, then 32-lane trips whose atomics
- * apply in lane order.  Charges are added in event order into zeroed
- * per-flush sums that are folded into the launch accumulators at the
- * end, exactly as the Python flush does; built without -ffast-math
- * and with -ffp-contract=off, every double operation is the one the
- * Python flush performs, so the sums are bit-identical.
+ * The replay walks the reference FIFO scheduler phase by phase (HEAD,
+ * BODY or MID/TAIL), emitting one event per warp that fetched a
+ * frontier vertex; the next HEAD flushes the pending events in
+ * emission order.  One event is one warp's sweep of one frontier
+ * vertex (Alg. 3, Lines 12-24): buffer read, bounds load, then 32-lane
+ * trips whose atomics apply in lane order.
  *
- * Every index read or written is checked against its array's length.
- * A non-zero return declines the launch (the caller raises
- * FallbackToReference); the staged arrays it wrote are then discarded.
+ * Every double operation is the one the Python replay performs, in its
+ * order: init-turn charges, per-flush sums folded at each flush,
+ * final-turn charges at their HEAD turn, per-turn phase counts folded
+ * last.  Built without -ffast-math and with -ffp-contract=off, the
+ * accumulators are then bit-identical under any cost model.
+ *
+ * The replay writes ``deg``, ``buf`` and ``gpu_count`` in place and
+ * logs what it overwrote: each decremented degree id, each block's
+ * global buffer slots (contiguous from the block's ``e_init``) and the
+ * ``gpu_count`` adds.  Every index into an array the caller passed is
+ * checked against its length.  A non-zero return declines the launch (the
+ * caller raises FallbackToReference) after the log has undone every
+ * write, so a declined launch leaves no trace.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum {
-    FLUSH_OK = 0,
-    FLUSH_READ_OVERFLOW = 1,   /* "loop buffer read overflow" */
-    FLUSH_OUTSIDE_SLICE = 2,   /* "frontier vertex outside CSR slice" */
-    FLUSH_APPEND_OVERFLOW = 3, /* "loop buffer overflow; reference raises" */
-    FLUSH_OUT_OF_BOUNDS = 4,   /* "loop replay index out of bounds" */
+    REPLAY_OK = 0,
+    REPLAY_READ_OVERFLOW = 1,   /* "loop buffer read overflow" */
+    REPLAY_OUTSIDE_SLICE = 2,   /* "frontier vertex outside CSR slice" */
+    REPLAY_APPEND_OVERFLOW = 3, /* "loop buffer overflow; reference raises" */
+    REPLAY_OUT_OF_BOUNDS = 4,   /* "loop replay index out of bounds" */
+    REPLAY_UNDO_FULL = 5,       /* "loop undo log full" */
+    REPLAY_NO_MEMORY = 6,       /* "native loop replay out of memory" */
 };
 
-/* Mirrors ``_FlushCtx`` in fastsim.py field for field. */
+/* Mirrors ``_LoopCtx`` in fastsim.py field for field.  The caller
+ * guarantees ``tails`` holds ``grid`` entries and ``gpu_count`` one. */
 typedef struct {
-    const int64_t *offs;
+    const int64_t *offs; /* the CSR slice (read only) */
     int64_t osz;
     const int64_t *nbrs;
     int64_t nsz;
-    int64_t *deg;
+    int64_t *deg; /* device arrays, written in place */
     int64_t dsz;
     int64_t *buf;
     int64_t bsz;
-    int64_t *const *windows; /* per-block shared ``B``; unused unless sm */
-    int64_t wlen;
-    int64_t *blk_e;
-    const int64_t *blk_e_init;
+    const int64_t *tails;
+    int64_t *gpu_count;
     int64_t grid;
-    int64_t nwarps;
+    int64_t warps;
     int64_t k;
     int64_t cap;
     int64_t scap;
     int64_t sm;
+    int64_t prefetch;
     int64_t no_compaction;
     int64_t base;
     int64_t owned; /* 1: appends restricted to [lo, hi) */
@@ -55,13 +69,51 @@ typedef struct {
     double gll;
     double gab;
     double scan_cost;
-    /* launch accumulators: issued, path (per warp), then per block
+    /* ``_Accounting.values``: issued and path per warp, then per block
      * mem_transactions, mem_accesses, mem_active_lanes,
      * mem_ideal_transactions, atomic_cycles, atomic_conflicts,
-     * buffer_peak */
-    double *acc[9];
-    double *sums; /* per-flush sums: 2 * nwarps + 7 * grid doubles */
-} flush_ctx;
+     * buffer_peak and barriers */
+    double *acc;
+} loop_ctx;
+
+/* ``_LoopBlock``: one block's shared scalars */
+typedef struct {
+    int64_t s, e, e_init, pn_cur, pn_next, parity;
+    int64_t head_s, head_e, head_pn, pending;
+    int64_t saved; /* global slots logged from b * cap + e_init on */
+} block_state;
+
+/* the per-block rows of ``acc``, after issued and path per warp */
+enum {
+    ROW_TRANS, ROW_ACCESSES, ROW_LANES, ROW_IDEAL, ROW_ATOMIC,
+    ROW_CONFLICTS, ROW_PEAK, ROW_BARRIERS
+};
+
+/* per-turn phase counts, folded into the accumulators last */
+enum {
+    CNT_HEAD, CNT_BODY_W0, CNT_MID_W0, CNT_BATCH_W0, CNT_TAIL_W0,
+    CNT_TRANS, CNT_ACC, CNT_LANES, CNT_IDEAL, CNT_BARRIERS, CNT_ROWS
+};
+
+typedef struct {
+    const loop_ctx *c;
+    int64_t nwarps;
+    block_state *blk;
+    int64_t *ev; /* pending events: block, gwid, slot, value rows */
+    int64_t evcap, nev;
+    double *sums;   /* per-flush sums: 2 * nwarps + 7 * grid */
+    int64_t *cnt;   /* CNT_ROWS rows of grid */
+    int64_t *mid_loads; /* per warp */
+    int64_t *order; /* live blocks, then the ones kept (2 * grid) */
+    int64_t *worder; /* each block's warp pop order (drain) */
+    int64_t *stay;   /* the pop order being rebuilt (2 * warps) */
+    int64_t *window; /* each block's shared ``B`` (sm) */
+    int64_t *pref;   /* each block's two prefetch buffers */
+    int64_t *saved;  /* undo: old buffer words, at their own index */
+    int64_t *dlog;   /* undo: decremented degree ids */
+    int64_t ndlog, dlogcap;
+    int64_t gpu_added; /* undo: sum of the gpu_count adds */
+} replay;
 
 /* distinct values of x >> 5 among n ids (n <= 32) */
 static int64_t segments(const int64_t *ids, int64_t n)
@@ -79,41 +131,59 @@ static int64_t segments(const int64_t *ids, int64_t n)
     return count;
 }
 
-int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
+/* wrapping int64 add and subtract, as numpy's on an int64 array */
+static int64_t wrap_add(int64_t a, int64_t b)
 {
-    const int64_t grid = c->grid, nwarps = c->nwarps, cap = c->cap;
+    return (int64_t)((uint64_t)a + (uint64_t)b);
+}
+
+static int64_t wrap_sub(int64_t a, int64_t b)
+{
+    return (int64_t)((uint64_t)a - (uint64_t)b);
+}
+
+/* one per-block row of the accumulators */
+static double *block_row(const replay *r, int64_t row)
+{
+    return r->c->acc + 2 * r->nwarps + row * r->c->grid;
+}
+
+/* ``_LoopRun.flush`` + ``_flush``: replay the pending events in
+ * emission order, then fold the per-flush sums */
+static int flush(replay *r)
+{
+    const loop_ctx *c = r->c;
+    const int64_t grid = c->grid, nwarps = r->nwarps, cap = c->cap;
     const int64_t scap = c->sm ? c->scap : 0, k = c->k;
-    const int64_t effective = cap + scap;
-    double *wi = c->sums, *wp = wi + nwarps, *bt = wp + nwarps;
+    const int64_t effective = cap + scap, nev = r->nev;
+    const int64_t *evb = r->ev, *evg = evb + r->evcap;
+    const int64_t *evs = evg + r->evcap, *evv = evs + r->evcap;
+    double *wi = r->sums, *wp = wi + nwarps, *bt = wp + nwarps;
     double *ba = bt + grid, *bl = ba + grid, *bi = bl + grid;
     double *bat = bi + grid, *bcf = bat + grid, *bpk = bcf + grid;
-    memset(c->sums, 0, sizeof(double) * (size_t)(2 * nwarps + 7 * grid));
+    memset(r->sums, 0, sizeof(double) * (size_t)(2 * nwarps + 7 * grid));
 
     for (int64_t i = 0; i < nev; ++i) {
-        const int64_t b = ev[i], g = ev[nev + i];
-        int64_t slot = ev[2 * nev + i], v = ev[3 * nev + i];
-        if (b < 0 || b >= grid || g < 0 || g >= nwarps)
-            return FLUSH_OUT_OF_BOUNDS;
+        const int64_t b = evb[i], g = evg[i];
+        block_state *blk = &r->blk[b];
+        int64_t slot = evs[i], v = evv[i];
         /* -- the buffer read (value events carry their vertex) ------- */
         if (slot >= 0) {
             if (c->sm) {
-                const int64_t e_init = c->blk_e_init[b];
+                const int64_t e_init = blk->e_init;
                 wi[g] += 5.0; /* smem_get(e_init) + charge(4) */
                 wp[g] += 5.0;
                 if (e_init <= slot && slot < e_init + scap) {
-                    const int64_t w = slot - e_init;
                     wi[g] += 1.0; /* sload */
                     wp[g] += 1.0;
-                    if (w >= c->wlen)
-                        return FLUSH_OUT_OF_BOUNDS;
-                    v = c->windows[b][w];
+                    v = r->window[b * scap + slot - e_init];
                     slot = -1;
                 } else if (slot >= e_init) {
                     slot -= scap; /* Fig. 7: global slots above the window */
                 }
-                if (slot >= cap)
-                    return FLUSH_READ_OVERFLOW;
             }
+            if (slot >= cap)
+                return REPLAY_READ_OVERFLOW;
             if (slot >= 0) {
                 const int64_t at = b * cap + slot;
                 wi[g] += 1.0; /* gload of one word */
@@ -122,18 +192,18 @@ int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
                 ba[b] += 1.0;
                 bl[b] += 1.0;
                 bi[b] += 1.0;
-                if (at < 0 || at >= c->bsz)
-                    return FLUSH_OUT_OF_BOUNDS;
+                if (at >= c->bsz)
+                    return REPLAY_OUT_OF_BOUNDS;
                 v = c->buf[at];
             }
         }
         /* -- Line 13: bounds load (two consecutive offsets words) ---- */
         const int64_t rel = v - c->base;
         if (rel < 0 || rel + 1 >= c->osz)
-            return FLUSH_OUTSIDE_SLICE;
+            return REPLAY_OUTSIDE_SLICE;
         const int64_t s = c->offs[rel], e = c->offs[rel + 1];
         if (s < e && (s < 0 || e > c->nsz))
-            return FLUSH_OUT_OF_BOUNDS;
+            return REPLAY_OUT_OF_BOUNDS;
         wi[g] += 1.0;
         wp[g] += 1.0 + c->gll;
         bt[b] += (double)((rel + 1) / 32 - rel / 32 + 1);
@@ -148,7 +218,7 @@ int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
             int64_t nc = 0, nw = 0;
             for (int64_t j = 0; j < l; ++j)
                 if (u[j] < 0 || u[j] >= c->dsz)
-                    return FLUSH_OUT_OF_BOUNDS;
+                    return REPLAY_OUT_OF_BOUNDS;
             /* sync_warp + neighbors gload + deg gload + charge(4) */
             wi[g] += 7.0 + c->scan_cost;
             wp[g] += 7.0 + 2.0 * c->gll + c->scan_cost;
@@ -157,6 +227,9 @@ int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
             for (int64_t j = 0; j < l; ++j) {
                 const int64_t x = u[j], du = c->deg[x];
                 if (du > k) {
+                    if (r->ndlog == r->dlogcap)
+                        return REPLAY_UNDO_FULL;
+                    r->dlog[r->ndlog++] = x;
                     cand[nc++] = x;
                     c->deg[x] = du - 1;
                     if (du == k + 1 && (!c->owned || (c->lo <= x && x < c->hi)))
@@ -181,9 +254,9 @@ int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
             if (!nw)
                 continue;
             /* -- append the newly-dead vertices ---------------------- */
-            const int64_t loc = c->blk_e[b];
+            const int64_t loc = blk->e;
             if (loc + nw > effective)
-                return FLUSH_APPEND_OVERFLOW;
+                return REPLAY_APPEND_OVERFLOW;
             if (c->no_compaction) {
                 const double sa = 2.0 + 0.25 * (double)(nw - 1);
                 wi[g] += 1.0;
@@ -195,64 +268,354 @@ int repro_flush(const flush_ctx *c, const int64_t *ev, int64_t nev)
                 wp[g] += 4.0;
                 bat[b] += 2.0;
             }
-            if (!c->sm) {
-                const int64_t start = b * cap + loc;
-                wi[g] += 1.0; /* gstore */
-                wp[g] += 1.0;
-                bt[b] += (double)((start + nw - 1) / 32 - start / 32 + 1);
-                ba[b] += 1.0;
-                bl[b] += (double)nw;
-                bi[b] += 1.0;
-                if (start < 0 || start + nw > c->bsz)
-                    return FLUSH_OUT_OF_BOUNDS;
-                memcpy(c->buf + start, newly, sizeof(int64_t) * (size_t)nw);
-            } else {
-                const int64_t e_init = c->blk_e_init[b];
-                int64_t n_sh = e_init + scap - loc;
+            int64_t n_sh = 0, gl_start = b * cap + loc;
+            if (c->sm) {
+                const int64_t e_init = blk->e_init;
+                const int64_t top = loc > e_init + scap ? loc : e_init + scap;
+                n_sh = e_init + scap - loc;
+                n_sh = n_sh < 0 ? 0 : (n_sh > nw ? nw : n_sh);
+                gl_start = b * cap + top - scap;
                 wi[g] += 5.0; /* smem_get(e_init) + charge(4) */
                 wp[g] += 5.0;
-                n_sh = n_sh < 0 ? 0 : (n_sh > nw ? nw : n_sh);
                 if (n_sh) {
-                    const int64_t w = loc - e_init;
                     wi[g] += 1.0; /* sstore */
                     wp[g] += 1.0;
-                    if (w < 0 || w + n_sh > c->wlen)
-                        return FLUSH_OUT_OF_BOUNDS;
-                    memcpy(c->windows[b] + w, newly,
+                    memcpy(r->window + b * scap + loc - e_init, newly,
                            sizeof(int64_t) * (size_t)n_sh);
                 }
-                const int64_t n_gl = nw - n_sh;
-                if (n_gl) {
-                    const int64_t top = loc > e_init + scap ? loc : e_init + scap;
-                    const int64_t gl_start = b * cap + top - scap;
-                    wi[g] += 1.0; /* gstore */
-                    wp[g] += 1.0;
-                    bt[b] += (double)((gl_start + n_gl - 1) / 32
-                                      - gl_start / 32 + 1);
-                    ba[b] += 1.0;
-                    bl[b] += (double)n_gl;
-                    bi[b] += 1.0;
-                    if (gl_start < 0 || gl_start + n_gl > c->bsz)
-                        return FLUSH_OUT_OF_BOUNDS;
-                    memcpy(c->buf + gl_start, newly + n_sh,
-                           sizeof(int64_t) * (size_t)n_gl);
-                }
+            }
+            const int64_t n_gl = nw - n_sh;
+            if (n_gl) {
+                wi[g] += 1.0; /* gstore */
+                wp[g] += 1.0;
+                bt[b] += (double)((gl_start + n_gl - 1) / 32
+                                  - gl_start / 32 + 1);
+                ba[b] += 1.0;
+                bl[b] += (double)n_gl;
+                bi[b] += 1.0;
+                /* the block's writes run on from b * cap + e_init, so
+                 * the slots they overwrite are logged at their index */
+                if (gl_start != b * cap + blk->e_init + blk->saved
+                    || gl_start + n_gl > c->bsz)
+                    return REPLAY_OUT_OF_BOUNDS;
+                memcpy(r->saved + gl_start, c->buf + gl_start,
+                       sizeof(int64_t) * (size_t)n_gl);
+                blk->saved += n_gl;
+                memcpy(c->buf + gl_start, newly + n_sh,
+                       sizeof(int64_t) * (size_t)n_gl);
             }
             if ((double)(loc + nw) > bpk[b])
                 bpk[b] = (double)(loc + nw);
-            c->blk_e[b] = loc + nw;
+            blk->e = loc + nw;
         }
     }
-    /* fold the per-flush sums into the launch accumulators */
-    for (int64_t w = 0; w < nwarps; ++w) {
-        c->acc[0][w] += wi[w];
-        c->acc[1][w] += wp[w];
-    }
-    for (int64_t m = 0; m < 6; ++m)
-        for (int64_t blk = 0; blk < grid; ++blk)
-            c->acc[2 + m][blk] += bt[m * grid + blk];
+    /* fold the per-flush sums into the launch accumulators: the sums
+     * are laid out as ``acc`` up to the peaks, which fold by max */
+    for (int64_t m = 0; m < 2 * nwarps + 6 * grid; ++m)
+        c->acc[m] += r->sums[m];
+    double *peak = block_row(r, ROW_PEAK);
     for (int64_t blk = 0; blk < grid; ++blk)
-        if (bpk[blk] > c->acc[8][blk])
-            c->acc[8][blk] = bpk[blk];
-    return FLUSH_OK;
+        if (bpk[blk] > peak[blk])
+            peak[blk] = bpk[blk];
+    r->nev = 0;
+    for (int64_t blk = 0; blk < grid; ++blk)
+        r->blk[blk].pending = 0;
+    return REPLAY_OK;
+}
+
+static int emit(replay *r, int64_t b, int64_t g, int64_t slot, int64_t v)
+{
+    if (r->nev == r->evcap)
+        return REPLAY_OUT_OF_BOUNDS;
+    r->ev[r->nev] = b;
+    r->ev[r->evcap + r->nev] = g;
+    r->ev[2 * r->evcap + r->nev] = slot;
+    r->ev[3 * r->evcap + r->nev] = v;
+    r->nev++;
+    r->blk[b].pending++;
+    return REPLAY_OK;
+}
+
+/* ``_loop_init_turn``: Thread 0 loads the block's tail */
+static int init_turn(replay *r, int64_t b)
+{
+    const loop_ctx *c = r->c;
+    const int64_t g = b * c->warps, grid = c->grid;
+    double *issued = c->acc, *path = issued + r->nwarps;
+    const double sets = (double)(2 + c->sm + 2 * c->prefetch);
+    const int64_t e0 = c->tails[b];
+    if (e0 < 0)
+        return REPLAY_OUT_OF_BOUNDS;
+    issued[g] += 1.0;
+    path[g] += 1.0 + c->gll;
+    for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
+        block_row(r, row)[b] += 1.0; /* note_access(b, 1, 1) */
+    issued[g] += sets;
+    path[g] += sets;
+    r->blk[b].s = 0;
+    r->blk[b].e = e0;
+    r->blk[b].e_init = e0;
+    r->cnt[CNT_BARRIERS * grid + b] += 1; /* the INIT arrival barrier */
+    return REPLAY_OK;
+}
+
+/* ``_final_turn``: Thread 0 folds the block tail into gpu_count */
+static void final_turn(replay *r, int64_t b)
+{
+    const loop_ctx *c = r->c;
+    const int64_t g = b * c->warps;
+    double *issued = c->acc, *path = issued + r->nwarps;
+    issued[g] += 1.0; /* smem_get("e") */
+    path[g] += 1.0;
+    issued[g] += 1.0;
+    path[g] += c->gab;
+    block_row(r, ROW_ATOMIC)[b] += c->gab;
+    for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
+        block_row(r, row)[b] += 1.0; /* note_access(b, 1, 1) */
+    c->gpu_count[0] = wrap_add(c->gpu_count[0], r->blk[b].e);
+    r->gpu_added = wrap_add(r->gpu_added, r->blk[b].e);
+}
+
+/* the HEAD phase of every replay: flush check, exit test; returns the
+ * kept blocks' count through ``nkeep`` */
+static int head_phase(replay *r, int64_t norder, int64_t *nkeep)
+{
+    const int64_t grid = r->c->grid;
+    const int64_t *order = r->order;
+    int64_t *keep = r->order + grid;
+    *nkeep = 0;
+    for (int64_t i = 0; i < norder; ++i) {
+        const int64_t b = order[i];
+        block_state *blk = &r->blk[b];
+        if (blk->pending) {
+            const int rc = flush(r);
+            if (rc)
+                return rc;
+        }
+        r->cnt[CNT_HEAD * grid + b] += 1;
+        r->cnt[CNT_BARRIERS * grid + b] += 1;
+        if (blk->s == blk->e && blk->pn_cur == 0) {
+            final_turn(r, b);
+        } else {
+            blk->head_s = blk->s;
+            blk->head_e = blk->e;
+            blk->head_pn = blk->pn_cur;
+            keep[(*nkeep)++] = b;
+        }
+    }
+    return REPLAY_OK;
+}
+
+/* ``_replay_drain``: the Ours/SM/BC/EC fetch loop */
+static int replay_drain(replay *r)
+{
+    const loop_ctx *c = r->c;
+    const int64_t grid = c->grid, warps = c->warps;
+    int64_t norder = grid, nkeep = 0;
+    int64_t *stay = r->stay;
+    for (int64_t b = 0; b < grid; ++b) {
+        int rc = init_turn(r, b);
+        if (rc)
+            return rc;
+        r->order[b] = b;
+        for (int64_t w = 0; w < warps; ++w)
+            r->worder[b * warps + w] = w;
+    }
+    while (norder) {
+        int rc = head_phase(r, norder, &nkeep);
+        if (rc)
+            return rc;
+        memmove(r->order, r->order + grid, sizeof(int64_t) * (size_t)nkeep);
+        for (int64_t i = 0; i < nkeep; ++i) { /* BODY (Lines 9-12) */
+            const int64_t b = r->order[i];
+            block_state *blk = &r->blk[b];
+            const int64_t s0 = blk->head_s, e0 = blk->head_e;
+            int64_t *wo = r->worder + b * warps;
+            r->cnt[CNT_BODY_W0 * grid + b] += 1;
+            blk->s = s0 + warps < e0 ? s0 + warps : e0;
+            if (e0 - s0 >= warps) {
+                for (int64_t w = 0; w < warps; ++w)
+                    if ((rc = emit(r, b, b * warps + wo[w], s0 + wo[w], -1)))
+                        return rc;
+            } else {
+                /* warps past the tail re-arrive first: they lead the
+                 * block's next pop order */
+                int64_t nstay = 0, nstep = 0;
+                for (int64_t w = 0; w < warps; ++w) {
+                    if (s0 + wo[w] < e0) {
+                        if ((rc = emit(r, b, b * warps + wo[w], s0 + wo[w], -1)))
+                            return rc;
+                        stay[warps + nstep++] = wo[w];
+                    } else {
+                        stay[nstay++] = wo[w];
+                    }
+                }
+                memcpy(wo, stay, sizeof(int64_t) * (size_t)nstay);
+                memcpy(wo + nstay, stay + warps, sizeof(int64_t) * (size_t)nstep);
+            }
+            r->cnt[CNT_BARRIERS * grid + b] += 1;
+        }
+        norder = nkeep;
+    }
+    /* fold the per-turn counts */
+    double *issued = c->acc, *path = issued + r->nwarps;
+    for (int64_t w = 0; w < r->nwarps; ++w) {
+        const double hr = (double)r->cnt[CNT_HEAD * grid + w / warps];
+        issued[w] += 5.0 * hr;
+        path[w] += 5.0 * hr;
+    }
+    for (int64_t b = 0; b < grid; ++b) {
+        const double bw = (double)r->cnt[CNT_BODY_W0 * grid + b];
+        issued[b * warps] += bw;
+        path[b * warps] += bw;
+    }
+    return REPLAY_OK;
+}
+
+/* ``_replay_prefetched``: the VP pipeline */
+static int replay_prefetched(replay *r)
+{
+    const loop_ctx *c = r->c;
+    const int64_t grid = c->grid, warps = c->warps, cap = c->cap;
+    int64_t norder = grid, nkeep = 0;
+    for (int64_t b = 0; b < grid; ++b) {
+        int rc = init_turn(r, b);
+        if (rc)
+            return rc;
+        r->order[b] = b;
+    }
+    while (norder) {
+        int rc = head_phase(r, norder, &nkeep);
+        if (rc)
+            return rc;
+        memmove(r->order, r->order + grid, sizeof(int64_t) * (size_t)nkeep);
+        for (int64_t i = 0; i < nkeep; ++i) { /* MID */
+            const int64_t b = r->order[i];
+            block_state *blk = &r->blk[b];
+            const int64_t g0 = b * warps;
+            int64_t *pref = r->pref + 2 * g0; /* two buffers of `warps` */
+            int64_t batch = blk->head_e - blk->head_s;
+            batch = batch < warps - 1 ? batch : warps - 1;
+            r->cnt[CNT_MID_W0 * grid + b] += 1;
+            if (batch > 0) {
+                /* read_batch: one dependent gload of `batch` words,
+                 * then one sstore into the prefetch buffer */
+                const int64_t start = b * cap + blk->head_s;
+                const int64_t ideal = (batch + 31) / 32;
+                r->cnt[CNT_BATCH_W0 * grid + b] += 1;
+                r->cnt[CNT_TRANS * grid + b] +=
+                    (start + batch - 1) / 32 - start / 32 + 1;
+                r->cnt[CNT_ACC * grid + b] += ideal > 1 ? ideal : 1;
+                r->cnt[CNT_LANES * grid + b] += batch;
+                r->cnt[CNT_IDEAL * grid + b] += ideal;
+                if (blk->head_s + batch > cap)
+                    return REPLAY_READ_OVERFLOW;
+                if (start + batch > c->bsz)
+                    return REPLAY_OUT_OF_BOUNDS;
+                memcpy(pref + (1 - blk->parity) * warps + 1, c->buf + start,
+                       sizeof(int64_t) * (size_t)batch);
+            }
+            blk->s = blk->head_s + batch;
+            blk->pn_next = batch;
+            for (int64_t w = 1; w <= blk->head_pn; ++w) {
+                r->mid_loads[g0 + w] += 1;
+                if ((rc = emit(r, b, g0 + w, -1, pref[blk->parity * warps + w])))
+                    return rc;
+            }
+            r->cnt[CNT_BARRIERS * grid + b] += 1;
+        }
+        for (int64_t i = 0; i < nkeep; ++i) { /* TAIL */
+            const int64_t b = r->order[i];
+            r->cnt[CNT_TAIL_W0 * grid + b] += 1; /* smem_get + smem_set */
+            r->blk[b].pn_cur = r->blk[b].pn_next;
+            r->blk[b].parity ^= 1; /* every warp advanced `iteration` */
+            r->cnt[CNT_BARRIERS * grid + b] += 1; /* STEPPED re-arrival */
+        }
+        norder = nkeep;
+    }
+    /* fold the per-turn counts */
+    double *issued = c->acc, *path = issued + r->nwarps;
+    for (int64_t w = 0; w < r->nwarps; ++w) {
+        const double hv = (double)r->cnt[CNT_HEAD * grid + w / warps];
+        const double ml = (double)r->mid_loads[w];
+        issued[w] += 4.0 * hv + ml;
+        path[w] += 4.0 * hv + ml;
+    }
+    for (int64_t b = 0; b < grid; ++b) {
+        const double tw = (double)r->cnt[CNT_TAIL_W0 * grid + b];
+        const double mw = (double)r->cnt[CNT_MID_W0 * grid + b];
+        const double bw = (double)r->cnt[CNT_BATCH_W0 * grid + b];
+        issued[b * warps] += 2.0 * tw + 4.0 * mw + 2.0 * bw;
+        path[b * warps] += 2.0 * tw + 4.0 * mw + bw * (2.0 + c->gll);
+    }
+    for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
+        for (int64_t b = 0; b < grid; ++b)
+            block_row(r, row)[b] +=
+                (double)r->cnt[(CNT_TRANS + row) * grid + b];
+    return REPLAY_OK;
+}
+
+/* undo every logged write, newest first */
+static void undo(replay *r)
+{
+    const loop_ctx *c = r->c;
+    for (int64_t i = r->ndlog - 1; i >= 0; --i)
+        c->deg[r->dlog[i]] += 1;
+    for (int64_t b = 0; b < c->grid; ++b) {
+        const int64_t from = b * c->cap + r->blk[b].e_init;
+        if (r->blk[b].saved)
+            memcpy(c->buf + from, r->saved + from,
+                   sizeof(int64_t) * (size_t)r->blk[b].saved);
+    }
+    c->gpu_count[0] = wrap_sub(c->gpu_count[0], r->gpu_added);
+}
+
+int repro_loop(const loop_ctx *c)
+{
+    replay r;
+    int rc = REPLAY_NO_MEMORY;
+    memset(&r, 0, sizeof r);
+    r.c = c;
+    r.nwarps = c->grid * c->warps;
+    r.evcap = r.nwarps;
+    r.dlogcap = c->nsz;
+    r.blk = calloc((size_t)c->grid, sizeof *r.blk);
+    r.ev = calloc((size_t)(4 * r.evcap), sizeof(int64_t));
+    r.sums = calloc((size_t)(2 * r.nwarps + 7 * c->grid), sizeof(double));
+    r.cnt = calloc((size_t)(CNT_ROWS * c->grid), sizeof(int64_t));
+    r.mid_loads = calloc((size_t)r.nwarps, sizeof(int64_t));
+    r.order = calloc((size_t)(2 * c->grid), sizeof(int64_t));
+    r.worder = calloc((size_t)r.nwarps, sizeof(int64_t));
+    r.stay = calloc((size_t)(2 * c->warps), sizeof(int64_t));
+    r.window = calloc((size_t)(c->sm ? c->grid * c->scap + 1 : 1),
+                      sizeof(int64_t));
+    r.pref = calloc((size_t)(c->prefetch ? 2 * r.nwarps : 1), sizeof(int64_t));
+    /* only the logged part of these is ever touched */
+    r.saved = malloc(sizeof(int64_t) * (size_t)(c->bsz + 1));
+    r.dlog = malloc(sizeof(int64_t) * (size_t)(c->nsz + 1));
+    if (r.blk && r.ev && r.sums && r.cnt && r.mid_loads && r.order
+        && r.worder && r.stay && r.window && r.pref && r.saved && r.dlog) {
+        rc = c->prefetch ? replay_prefetched(&r) : replay_drain(&r);
+        if (rc == REPLAY_OK) {
+            /* the per-block barrier counts, folded last */
+            double *barriers = block_row(&r, ROW_BARRIERS);
+            for (int64_t b = 0; b < c->grid; ++b)
+                barriers[b] += (double)r.cnt[CNT_BARRIERS * c->grid + b];
+        } else {
+            undo(&r);
+        }
+    }
+    free(r.blk);
+    free(r.ev);
+    free(r.sums);
+    free(r.cnt);
+    free(r.mid_loads);
+    free(r.order);
+    free(r.worder);
+    free(r.stay);
+    free(r.window);
+    free(r.pref);
+    free(r.saved);
+    free(r.dlog);
+    return rc;
 }

@@ -22,8 +22,8 @@ Two engines ship:
   as numpy array operations (:mod:`repro.gpusim.vectorized` holds the
   accounting toolkit; the kernel-specific executors register
   themselves via :func:`register_vectorized_kernel`).  Falls back to
-  the reference interpreter — per launch, before touching any device
-  state — whenever exactness cannot be guaranteed structurally; see
+  the reference interpreter — per launch, leaving no trace on any
+  device state — whenever exactness cannot be guaranteed; see
   :meth:`VectorizedEngine.run` for the trigger list.
 
 Hook contract
@@ -51,7 +51,6 @@ test per hook — the same discipline as the tracer.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Sequence, Tuple
 
@@ -88,8 +87,9 @@ DEFAULT_ENGINE = "vectorized"
 class FallbackToReference(Exception):
     """Raised by a vectorized executor to decline a launch.
 
-    Must be raised **before any device state is mutated** — the engine
-    responds by re-running the whole launch on the reference
+    A declined launch must **leave no trace**: the executor raises it
+    before its first write, or undoes every write it made first — the
+    engine responds by re-running the whole launch on the reference
     interpreter, which assumes a pristine starting state.
     """
 
@@ -115,7 +115,7 @@ class VectorLaunch:
 
 #: a launch-level executor: consumes a :class:`VectorLaunch`, performs
 #: the launch's device-memory side effects, and returns its stats —
-#: or raises :class:`FallbackToReference` before touching anything
+#: or raises :class:`FallbackToReference`, leaving no trace
 VectorizedImpl = Callable[[VectorLaunch], KernelStats]
 
 _VECTORIZED_KERNELS: Dict[KernelFn, VectorizedImpl] = {}
@@ -227,9 +227,9 @@ class VectorizedEngine(ReferenceEngine):
       at the reference interpreter's yield points);
     * the kernel has no registered vectorized executor;
     * the registered executor declines the launch by raising
-      :class:`FallbackToReference` before mutating device state
-      (ring-buffer and virtual-warp variants, predicted buffer
-      overflow, unexpected launch geometry).
+      :class:`FallbackToReference`, leaving no trace (ring-buffer and
+      virtual-warp variants, warp sizes other than 32, predicted
+      buffer overflow, unexpected launch geometry).
 
     Every other launch is executed by the registered batched executor,
     whose output the cross-engine property suite and the perf/memory
@@ -269,10 +269,9 @@ class VectorizedEngine(ReferenceEngine):
             collect_timings=collect_timings, memtracker=memtracker,
         )
         try:
-            stats = impl(launch)
-            # per-launch serving attribution (metric-only): fallback
-            # paths inherit the interpreter's "reference" stamp
-            return dataclasses.replace(stats, served_by=self.name)
+            # the executor stamps its stats served_by="vectorized";
+            # fallback paths keep the interpreter's "reference" stamp
+            return impl(launch)
         except FallbackToReference:
             return super().run(
                 kernel_fn, spec, cost, grid_dim, block_dim,

@@ -11,9 +11,8 @@ that are kernel-agnostic:
 * the closed-form 128-byte transaction count of a contiguous index
   range, exactly matching
   :meth:`~repro.gpusim.context.WarpContext._count_transactions`;
-* the end-of-launch fold from per-warp accumulators and per-block
-  :class:`~repro.gpusim.costmodel.BlockTiming` records into a
-  :class:`~repro.gpusim.scheduler.KernelStats`, mirroring
+* the launch's cycles from per-block totals, mirroring
+  :meth:`~repro.gpusim.costmodel.CostModel.kernel_cycles` in
   :func:`~repro.gpusim.scheduler.run_kernel`'s epilogue.
 
 Why bit-for-bit equality is attainable with batch sums: every cycle
@@ -32,14 +31,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.gpusim.costmodel import BlockTiming, CostModel
-from repro.gpusim.scheduler import KernelStats
-from repro.gpusim.spec import DeviceSpec
+from repro.gpusim.costmodel import CostModel
 
 __all__ = [
     "WORDS_PER_TRANSACTION",
-    "assemble_stats",
     "contiguous_transactions",
+    "kernel_cycles",
 ]
 
 #: words per 128-byte transaction at 4-byte IDs — must track
@@ -60,42 +57,31 @@ def contiguous_transactions(start: int, length: int) -> int:
     return last - first + 1
 
 
-def assemble_stats(
-    timings: Sequence[BlockTiming],
-    max_paths: Sequence[float],
+def kernel_cycles(
     cost: CostModel,
-    spec: DeviceSpec,
-    collect_timings: bool,
-) -> KernelStats:
-    """Fold per-block timings into launch stats.
+    issued: Sequence[float],
+    mem_transactions: Sequence[float],
+    max_paths: Sequence[float],
+    barriers: Sequence[float],
+    num_sms: int,
+) -> float:
+    """:meth:`~repro.gpusim.costmodel.CostModel.kernel_cycles` over
+    per-block totals, bit for bit, without building the per-block
+    :class:`~repro.gpusim.costmodel.BlockTiming` records.
 
-    Mirrors the epilogue of :func:`~repro.gpusim.scheduler.run_kernel`
-    exactly: ``max_paths[b]`` is the serial-path maximum over block
-    ``b``'s warps, written into the timing record before the roofline
-    combination.  Callers must already have folded each warp's
-    ``issued`` into its block's timing.
+    Each block's roofline is
+    :meth:`~repro.gpusim.costmodel.CostModel.block_cycles`' double
+    operations, and the blocks are added to their SM round-robin in
+    block order.
     """
-    for timing, path in zip(timings, max_paths):
-        timing.max_warp_path = path
-    cycles = cost.kernel_cycles(timings, spec.num_sms)
-    return KernelStats(
-        cycles=cycles,
-        issued=sum(t.issued for t in timings),
-        mem_transactions=sum(t.mem_transactions for t in timings),
-        barriers=sum(t.barriers for t in timings),
-        max_warp_path=max(
-            (t.max_warp_path for t in timings), default=0.0
-        ) if timings else 0.0,
-        atomic_conflicts=sum(t.atomic_conflicts for t in timings),
-        buffer_peak=max(
-            (t.buffer_peak for t in timings), default=0.0
-        ) if timings else 0.0,
-        atomic_cycles=sum(t.atomic_cycles for t in timings),
-        mem_accesses=sum(t.mem_accesses for t in timings),
-        mem_active_lanes=sum(t.mem_active_lanes for t in timings),
-        mem_ideal_transactions=sum(
-            t.mem_ideal_transactions for t in timings
-        ),
-        block_timings=tuple(timings) if collect_timings else None,
-    )
-
+    issue_width = cost.issue_width
+    per_transaction = cost.mem_transaction_cycles
+    per_barrier = cost.barrier_cycles
+    load = [0.0] * max(1, num_sms)
+    for i, path in enumerate(max_paths):
+        load[i % len(load)] += max(
+            issued[i] / issue_width,
+            mem_transactions[i] * per_transaction,
+            path,
+        ) + barriers[i] * per_barrier
+    return max(load) if max_paths else 0.0

@@ -1,13 +1,17 @@
-"""The vectorized engine's native loop flush (``core/fastsim_flush.c``).
+"""The vectorized engine's native loop replay (``core/fastsim_flush.c``).
 
-Two things are pinned here.  Loading: the library is compiled once
+Three things are pinned here.  Loading: the library is compiled once
 into a per-user cache, reused from there, never loaded from a file it
 did not finish writing, and its absence (no compiler) silently leaves
-the Python flush serving.  Fallbacks: each condition on which a flush
-declines a loop launch fires in both flushes with the same message,
-the engine then serves the launch by reference, and the outcome is
-the reference interpreter's.  The byte-identity of the two flushes on
-generated graphs is in ``tests/properties/test_engines.py``.
+the Python replay serving; a loop launch is one call into it.
+Fallbacks: each condition on which a replay declines a loop launch
+fires in both replays with the same message, leaves no trace (also
+when it fires after earlier flushes wrote the device arrays), the
+engine then serves the launch by reference, and the outcome is the
+reference interpreter's.  The C source: warning-free under strict
+flags, and free of undefined behaviour on those cases under UBSan.
+The byte-identity of the two replays on generated graphs is in
+``tests/properties/test_engines.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import re
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +36,9 @@ from repro.gpusim.engine import (
     ReferenceEngine,
     VectorLaunch,
 )
+from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.graph.examples import k_clique
 from tests.properties.test_engines import (
     FLUSHES,
@@ -57,19 +65,41 @@ def test_no_compiler_serves_the_python_flush(tmp_path, monkeypatch):
     native = gpu_peel(graph, variant="sm", engine="vectorized")
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     monkeypatch.setattr(fastsim, "_cache_dir", lambda: tmp_path / "cache")
-    fastsim._native_flush.cache_clear()
+    fastsim._native_replay.cache_clear()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not fastsim.native_flush_available()
             python = gpu_peel(graph, variant="sm", engine="vectorized")
     finally:
-        fastsim._native_flush.cache_clear()
+        fastsim._native_replay.cache_clear()
     assert_byte_identical(native, python)
     assert python.counters == native.counters
     launches = python.counters["kernel.scan.launches"] \
         + python.counters["kernel.loop.launches"]
     assert python.counters["engine.served.vectorized"] == launches
+
+
+@needs_cc
+@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec"))
+def test_a_loop_launch_is_one_native_call(variant, monkeypatch):
+    """The whole replay, its flushes included, is one C call."""
+    replay = fastsim._native_replay()
+    calls = []
+
+    def spy(ctx):
+        calls.append(ctx.k)
+        return replay(ctx)
+
+    monkeypatch.setattr(fastsim, "_native_replay", lambda: spy)
+    result = gpu_peel(
+        gen.barabasi_albert(200, 4, seed=5), variant=variant,
+        engine="vectorized",
+    )
+    loops = result.counters["kernel.loop.launches"]
+    assert len(calls) == loops > 1
+    assert result.counters["engine.served.vectorized"] \
+        == result.counters["kernel.scan.launches"] + loops
 
 
 @needs_cc
@@ -162,6 +192,10 @@ def _doctored(case):
         # SM: a tail past the block's capacity makes warp `cap` read a
         # global slot above it
         variant, frontier = "sm", [0, 2, 4, 6, 7]
+    elif case == "global-read-overflow":
+        # the same tail without SM: warp `cap` reads the next block's
+        # first slot, where the reference raises
+        frontier = [0, 2, 4, 6, 7]
     elif case == "outside-slice":
         frontier = [8]  # a frontier id past the CSR slice
     elif case == "append-overflow":
@@ -189,9 +223,9 @@ def _loop_args(dev, arrays, k, cap, variant):
                a["buf_tails"], a["gpu_count"], cap, scap, cfg)
 
 
-def _launch(engine, doctored):
+def _launch(engine, doctored, spec=None):
     """One loop launch: its stats and final arrays, or what it raised."""
-    dev = Device(engine=engine)
+    dev = Device(spec=spec, engine=engine)
     a, args = _loop_args(dev, *doctored)
     try:
         stats = dev.launch(loop_kernel, args=args)
@@ -202,6 +236,7 @@ def _launch(engine, doctored):
 
 FALLBACKS = {
     "read-overflow": "loop buffer read overflow",
+    "global-read-overflow": "loop buffer read overflow",
     "outside-slice": "frontier vertex outside CSR slice",
     "append-overflow": "loop buffer overflow; reference raises",
     "neighbor-out-of-bounds": "loop replay index out of bounds",
@@ -251,3 +286,161 @@ def test_each_loop_fallback_fires_and_reference_serves(
     assert observed == expected
     if case == "negative-neighbor":
         assert observed[0].served_by == "reference"
+
+
+def _late(case, variant):
+    """``(arrays, k, capacity, variant)`` of a loop launch that declines
+    in the flush that sweeps vertex 1, after an earlier flush has
+    decremented degrees and appended two vertices to the buffer and
+    block 1 has added its tail to ``gpu_count``."""
+    # 0's sweep drops 1 and 2 to k = 1; 1's sweep then drops 3, 4 and
+    # 5, three appends that overflow a buffer of 4 (5 with SM's window
+    # of 1); block 1 sweeps 6, which only decrements 7
+    graph = CSRGraph.from_edges(
+        [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (6, 7)]
+    )
+    a = {
+        "offsets": graph.offsets.copy(),
+        "neighbors": graph.neighbors.copy(),
+        "deg": np.array([1, 2, 2, 2, 2, 2, 1, 5], dtype=np.int64),
+    }
+    if case == "neighbor-out-of-bounds":
+        a["neighbors"][graph.offsets[2] - 1] = 8  # 1's last neighbor
+    cap = 4
+    buf = np.full(4 * cap, -7, dtype=np.int64)
+    buf[0] = 0
+    buf[cap] = 6
+    a.update(buf=buf, buf_tails=np.array([1, 1, 0, 0]),
+             gpu_count=np.array([3], dtype=np.int64))
+    return a, 1, cap, variant
+
+
+LATE = {
+    "append-overflow": "loop buffer overflow; reference raises",
+    "neighbor-out-of-bounds": "loop replay index out of bounds",
+}
+
+
+class _SharedLog:
+    """A memtracker that records the shared allocations it is told of."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_shared_alloc(self, block, name, nbytes):
+        self.log.append((block, name, nbytes))
+
+
+@pytest.mark.parametrize("flush", FLUSHES)
+@pytest.mark.parametrize("variant", ("ours", "sm", "vp"))
+@pytest.mark.parametrize("case", sorted(LATE))
+def test_a_late_decline_leaves_no_trace(case, variant, flush, monkeypatch):
+    """A replay that declines after writing the device arrays undoes
+    every write: ``deg``, ``buf``, the tails, ``gpu_count`` and the
+    memtracker are as they were, and the engine serves the launch by
+    reference."""
+    if flush == "native" and not fastsim.native_flush_available():
+        pytest.skip("no C compiler: the native replay cannot load")
+    spec = DeviceSpec(shared_buffer_capacity=1)
+    doctored = _late(case, variant)
+    expected = _launch("reference", doctored, spec)
+    dev = Device(spec=spec)
+    a, args = _loop_args(dev, *doctored)
+    before = {name: arr.data.copy() for name, arr in a.items()}
+    memtracker = _SharedLog()
+    launch = VectorLaunch(
+        spec=dev.spec, cost=dev.cost_model,
+        grid_dim=dev.spec.default_grid_dim,
+        block_dim=dev.spec.default_block_dim, args=args,
+        memtracker=memtracker,
+    )
+    undone = []
+    undo = fastsim._LoopRun.undo
+
+    def spy_undo(run):
+        undone.append((len(run.deg_dirty), len(run.buf_undo),
+                       run.gpu_added))
+        undo(run)
+
+    monkeypatch.setattr(fastsim._LoopRun, "undo", spy_undo)
+    served = []
+    run = ReferenceEngine.run
+
+    def spy(self, *args, **kwargs):
+        served.append(args[0].__name__)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReferenceEngine, "run", spy)
+    with use_flush(flush):
+        with pytest.raises(FallbackToReference, match=re.escape(LATE[case])):
+            fastsim._loop_vectorized(launch)
+        observed = _launch("vectorized", doctored, spec)
+    # both Python replays (the direct one and the engine's) had
+    # decremented, appended and added before the decline; the native
+    # replay logs the same writes in C
+    if flush == "python":
+        assert len(undone) == 2
+        for decremented, appends, added in undone:
+            assert decremented >= 3 and appends >= 1 and added == 1
+    else:
+        assert undone == []
+    for name, arr in a.items():
+        assert arr.data.tobytes() == before[name].tobytes(), name
+    assert memtracker.log == []
+    assert served == ["loop_kernel"]
+    assert observed == expected
+
+
+@needs_cc
+def test_the_c_source_compiles_without_warnings():
+    proc = subprocess.run(
+        ["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra",
+         "-Wpedantic", "-Werror", str(fastsim._FLUSH_SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
+def test_the_replay_has_no_undefined_behaviour(tmp_path):
+    """The big-hub and doctored-decline cases, through a library built
+    with UBSan that aborts at the first report, in a child process."""
+    root = Path(__file__).resolve().parents[2]
+    script = f"""
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import fastsim
+
+fastsim._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+fastsim._cache_dir = lambda: Path({str(tmp_path / "cache")!r})
+assert fastsim.native_flush_available()
+sys.exit(pytest.main([
+    "-q", "-p", "no:cacheprovider", "-k", "not python",
+    "tests/gpusim/test_engine.py::test_big_hub_flush_matches_reference",
+    "tests/core/test_native_flush.py::"
+    "test_each_loop_fallback_fires_and_reference_serves",
+    "tests/core/test_native_flush.py::test_a_late_decline_leaves_no_trace",
+]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True,
+        text=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "runtime error" not in proc.stderr
+
+
+def test_a_launch_without_warps_is_served_by_reference():
+    """``block_dim=0`` passes the engine's whole-warps check, but a
+    replay without warps would never advance a block past its tail:
+    both executors decline it, and the interpreter runs no warp."""
+    stats = {}
+    for engine in ("reference", "vectorized"):
+        dev = Device(engine=engine)
+        _, args = _loop_args(dev, *_doctored("none"))
+        stats[engine] = dev.launch(loop_kernel, args=args, block_dim=0)
+    assert stats["vectorized"] == stats["reference"]
+    assert stats["vectorized"].served_by == "reference"

@@ -205,6 +205,25 @@ def test_predicted_overflow_raises_the_reference_error():
         assert np.array_equal(ref, vec)
 
 
+@pytest.mark.parametrize("warp_size", (16, 32, 64))
+def test_other_warp_sizes_are_served_by_reference(warp_size):
+    """Both executors count lanes, trips and scan chunks in 32-lane
+    warps, so at any other warp size each launch declines and the
+    reference interpreter serves it."""
+    from repro.gpusim.spec import DeviceSpec
+    from repro.graph.generators import barabasi_albert
+
+    graph = barabasi_albert(300, 3, seed=1)
+    spec = DeviceSpec(warp_size=warp_size, default_block_dim=128)
+    ref = gpu_peel(graph, spec=spec, engine="reference")
+    vec = gpu_peel(graph, spec=spec, engine="vectorized")
+    assert_byte_identical(ref, vec)
+    launches = vec.counters["kernel.scan.launches"] \
+        + vec.counters["kernel.loop.launches"]
+    tier = "vectorized" if warp_size == 32 else "reference"
+    assert vec.counters[f"engine.served.{tier}"] == launches
+
+
 def test_sanitized_run_is_identical_under_vectorized_engine():
     """A monitor routes launches to the interpreter; results match."""
     graph, _ = fig1_graph()
@@ -233,7 +252,7 @@ def big_hub():
 
 
 def _assert_every_launch_vectorized(graph, variant):
-    """Both flushes serve every launch and match the reference."""
+    """Both loop replays serve every launch and match the reference."""
     ref = gpu_peel(graph, variant=variant, engine="reference")
     for flush in FLUSHES:
         with use_flush(flush):

@@ -8,8 +8,8 @@ ground truth; these properties pin the vectorized engine against it
 on generated graphs across
 every kernel variant, including the ones the vectorized engine serves
 via structural fallback (``vw2``/``vw4``, ring buffers).  Each
-vectorized run is made twice, once per loop flush: the compiled C
-flush and the Python one it is pinned against.
+vectorized run is made twice, once per loop replay: the compiled C
+replay and the Python one it is pinned against.
 """
 
 from __future__ import annotations
@@ -28,28 +28,30 @@ from repro.graph import generators as gen
 ALL_VARIANTS = tuple(VARIANTS) + tuple(EXTENSION_VARIANTS)
 
 
-#: the vectorized engine's two loop flushes
+#: the vectorized engine's two loop replays (each flushes its events
+#: itself, so the names of the flushes stand for the whole replay)
 FLUSHES = ("native", "python")
 
 
 @contextlib.contextmanager
 def use_flush(flush):
-    """Serve the vectorized engine's loop flushes through ``flush``.
+    """Serve the vectorized engine's loop launches through ``flush``.
 
-    ``native`` is the default dispatch: the C flush wherever its
-    library loads (``test_native_flush_loads_with_a_compiler`` holds
-    CI to that).  ``python`` swaps the module's library handle for one
-    that reports no library, as on a machine without a compiler.
+    ``native`` is the default dispatch: the C replay, one call per
+    launch, wherever its library loads
+    (``test_native_flush_loads_with_a_compiler`` holds CI to that).
+    ``python`` swaps the module's library handle for one that reports
+    no library, as on a machine without a compiler.
     """
     if flush == "native":
         yield
         return
-    saved = fastsim._native_flush
-    fastsim._native_flush = lambda: None
+    saved = fastsim._native_replay
+    fastsim._native_replay = lambda: None
     try:
         yield
     finally:
-        fastsim._native_flush = saved
+        fastsim._native_replay = saved
 
 
 def _strip_engine(result):
