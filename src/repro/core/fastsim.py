@@ -37,19 +37,16 @@ so the degree each lane reads is the value its atomic observes —
 unless an adjacency list contains duplicate neighbors, a case the
 executor detects up front and declines.
 
-The loop replay has two implementations with one behaviour: the
-Python replay (``_loop_init_turn``, ``_replay_drain`` or
-``_replay_prefetched``, ``_flush``, ``_final_turn``), and its
-line-for-line C translation ``fastsim_flush.c``, built once into a
-per-user cache with the system ``cc`` and loaded with :mod:`ctypes`
-at the first loop launch of a process.  The C replay serves a whole
-launch in one call whenever its library loads; the Python one serves
-otherwise and is the reference the tests pin the C replay against.
-Both do the same double operations in the same order (init-turn
-charges, per-flush sums folded at each flush, final-turn charges at
-their HEAD turn, per-turn phase counts last; no ``-ffast-math``, no
-FMA contraction), so their accumulators are bit-identical under any
-cost model.
+The loop replay is C (``fastsim_flush.c``), built once into a per-user
+cache with the system ``cc`` and loaded with :mod:`ctypes` at the
+first loop launch of a process; a launch is one call into it.  Where
+the library does not load, loop launches decline and the reference
+interpreter serves them, which is the fallback the tests pin the C
+replay against.  Both executors charge the shared-memory costs at the
+default cost model's values and fold the global-load latency and the
+global atomic's base charge in bulk, so a launch whose cost model
+differs there, or puts those two off the quarter-integer grid where
+every sum is exact, declines too (see :func:`_bind`).
 
 Fallback discipline
 -------------------
@@ -60,25 +57,25 @@ the engine then re-runs the launch on the reference interpreter.
 Both executors write the device arrays in place.  The scan declines
 only before its first write (warp size, ring buffer, argument
 binding, the overflow check after the walk).  The loop can decline
-mid-replay, so it logs what it overwrites — the degree ids it
-decremented, each block's global buffer slots (contiguous from the
+mid-replay, so the C replay logs what it overwrites — the degree ids
+it decremented, each block's global buffer slots (contiguous from the
 block's ``e_init``), its ``gpu_count`` adds — and a decline undoes
-them; the log is bounded, and a full log declines.  The Python replay
-keeps its degrees in a list and writes the decrements to ``deg`` once
-the launch completes.  Shared-memory blocks are staged in both
-executors.  Declined launches: warp sizes other than 32 (lanes,
-trips and scan chunks are counted in 32-lane warps), ring-buffer
+them; the log is bounded, and a full log declines.  Shared-memory
+allocations are staged in both executors.  Declined launches: warp
+sizes other than 32 (lanes, trips and scan chunks are counted in
+32-lane warps), cost models off the replays' charges, ring-buffer
 variants (wraparound head/tail semantics), virtual warping
 (``vw > 1``), duplicate in-adjacency neighbors, predicted buffer
 overflow (the reference run raises
 :class:`~repro.errors.BufferOverflowError` at the exact offending
-write or read, with the exact partial state), and tails, CSR rows or
+write or read, with the exact partial state), tails, CSR rows or
 neighbor ids outside their arrays (the reference's numpy indexing
-raises or wraps; the C replay never reads or writes out of bounds).
-Shared-memory exhaustion is *not* a fallback: the staged allocations
-are made before the replay in
-:meth:`~repro.gpusim.context.BlockState.alloc_shared` order, fire the
-same memtracker callbacks, and raise the same
+raises or wraps; the C replay never reads or writes out of bounds),
+device arrays the C replay cannot write in place, and every loop
+launch when its library does not load.  Shared-memory exhaustion is
+*not* a fallback: the staged allocations are made before the replay
+in :meth:`~repro.gpusim.context.BlockState.alloc_shared` order, fire
+the same memtracker callbacks, and raise the same
 :class:`~repro.errors.SharedMemoryExhaustedError`.
 
 The executors assume the CSR arrays (``offsets``/``neighbors``) are
@@ -98,7 +95,7 @@ import platform
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -106,7 +103,7 @@ from repro.core.loop_kernel import loop_kernel
 from repro.core.scan_kernel import scan_kernel
 from repro.core.variants import VariantConfig
 from repro.errors import SharedMemoryExhaustedError
-from repro.gpusim.costmodel import BlockTiming
+from repro.gpusim.costmodel import BlockTiming, CostModel
 from repro.gpusim.engine import (
     FallbackToReference,
     VectorLaunch,
@@ -114,7 +111,7 @@ from repro.gpusim.engine import (
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.scheduler import KernelStats
-from repro.gpusim.vectorized import contiguous_transactions, kernel_cycles
+from repro.gpusim.vectorized import kernel_cycles
 
 __all__ = ["native_flush_available", "register"]
 
@@ -124,25 +121,16 @@ __all__ = ["native_flush_available", "register"]
 # ---------------------------------------------------------------------------
 
 
-#: the per-block rows of ``_Accounting.values``, in order
-_BLOCK_ROWS = (
-    "mem_transactions", "mem_accesses", "mem_active_lanes",
-    "mem_ideal_transactions", "atomic_cycles", "atomic_conflicts",
-    "buffer_peak", "barriers",
-)
-
-
 class _Accounting:
     """Per-warp issue/path and per-block metric accumulators.
 
     Mirrors what :class:`~repro.gpusim.context.WarpContext` and
-    :class:`~repro.gpusim.costmodel.BlockTiming` accumulate; every
-    increment is an integer or quarter-integer, so sums are exact and
-    order-independent (see :mod:`repro.gpusim.vectorized`).  All of it
-    lives in one array, ``values`` (the native replay's ``acc``):
-    ``issued`` and ``path`` per warp, then the ``_BLOCK_ROWS`` per
-    block.  Each is also an attribute of that name, a view made on
-    first use.
+    :class:`~repro.gpusim.costmodel.BlockTiming` accumulate, all in one
+    array, ``values`` (the native replay's ``acc``): ``issued`` and
+    ``path`` per warp, then per block ``mem_transactions``,
+    ``mem_accesses``, ``mem_active_lanes``, ``mem_ideal_transactions``,
+    ``atomic_cycles``, ``atomic_conflicts``, ``buffer_peak`` and
+    ``barriers``.
     """
 
     def __init__(
@@ -154,33 +142,6 @@ class _Accounting:
             np.zeros(2 * grid * warps + 8 * grid) if values is None
             else values
         )
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        n = self.grid * self.warps
-        if name == "issued":
-            view = self.values[:n]
-        elif name == "path":
-            view = self.values[n : 2 * n]
-        elif name in _BLOCK_ROWS:
-            first = 2 * n + _BLOCK_ROWS.index(name) * self.grid
-            view = self.values[first : first + self.grid]
-        else:
-            raise AttributeError(name)
-        setattr(self, name, view)
-        return view
-
-    def warp_op(self, gwid: int, issued: float, path: float) -> None:
-        self.issued[gwid] += issued
-        self.path[gwid] += path
-
-    def note_access(
-        self, block: int, transactions: int, lanes: int
-    ) -> None:
-        """One warp global access: mirror ``_note_global_access``."""
-        self.mem_transactions[block] += transactions
-        self.mem_accesses[block] += max(1, -(-lanes // 32))
-        self.mem_active_lanes[block] += lanes
-        self.mem_ideal_transactions[block] += -(-lanes // 32)
 
     def finish(self, launch: VectorLaunch) -> KernelStats:
         """The launch's stats, folded as ``run_kernel``'s epilogue.
@@ -235,6 +196,9 @@ class _Accounting:
 class _StagedShared:
     """Staged per-block shared memory, replicating ``alloc_shared``.
 
+    Only the bytes matter: the scan never reads its staging arrays and
+    the C replay keeps its own windows and prefetch buffers, so what is
+    kept is the names allocated and each block's byte count.
     Allocations are recorded in order; memtracker callbacks fire only
     at :meth:`commit` (end of launch, or just before re-raising
     :class:`~repro.errors.SharedMemoryExhaustedError`), so a launch
@@ -244,16 +208,13 @@ class _StagedShared:
     def __init__(self, launch: VectorLaunch) -> None:
         self._spec = launch.spec
         self._memtracker = launch.memtracker
-        self.arrays: List[Dict[str, np.ndarray]] = [
-            {} for _ in range(launch.grid_dim)
-        ]
+        self._allocated: Set[Tuple[int, str]] = set()
         self._bytes = [0] * launch.grid_dim
         self._log: List[Tuple[int, str, int]] = []
 
-    def alloc(self, block: int, name: str, size: int) -> np.ndarray:
-        arrays = self.arrays[block]
-        if name in arrays:
-            return arrays[name]
+    def alloc(self, block: int, name: str, size: int) -> None:
+        if (block, name) in self._allocated:
+            return
         needed = size * self._spec.id_bytes
         if (
             self._bytes[block] + needed
@@ -268,9 +229,7 @@ class _StagedShared:
             )
         self._bytes[block] += needed
         self._log.append((block, name, needed))
-        array = np.zeros(size, dtype=np.int64)
-        arrays[name] = array
-        return array
+        self._allocated.add((block, name))
 
     def commit(self) -> None:
         mt = self._memtracker
@@ -335,16 +294,36 @@ def _adjacency_has_duplicates(
     return dup
 
 
+def _exact_costs(cost: CostModel) -> bool:
+    """Whether both executors' charges are ``cost``'s, bit for bit.
+
+    They charge shared accesses and shared atomics at the default
+    model's 1, 2 and 0.25 cycles, and fold the global-load latency and
+    the global atomic's base charge in bulk (``1 + latency`` per load,
+    say, where the reference adds 1, then the latency); that fold is
+    exact only for quarter-integers small enough that every sum of
+    them is exact.
+    """
+    fold = (cost.global_load_latency, cost.global_atomic_base)
+    return (
+        (cost.shared_access_cycles, cost.shared_atomic_base,
+         cost.shared_atomic_conflict) == (1.0, 2.0, 0.25)
+        and all(abs(c) <= 2.0**20 and (4.0 * c).is_integer() for c in fold)
+    )
+
+
 def _bind(
     names: Tuple[str, ...],
     defaults: Mapping[str, Any],
     launch: VectorLaunch,
 ) -> Dict[str, Any]:
-    """The launch's kernel arguments by name, once its shape is one
-    both executors replay: they count lanes, trips and chunks in
-    32-lane warps."""
+    """The launch's kernel arguments by name, once its shape and cost
+    model are ones both executors replay: they count lanes, trips and
+    chunks in 32-lane warps, and charge as :func:`_exact_costs` says."""
     if launch.spec.warp_size != 32:
         raise FallbackToReference("warp size other than 32")
+    if not _exact_costs(launch.cost):
+        raise FallbackToReference("cost model off the replayed charges")
     if launch.block_dim < 32:
         raise FallbackToReference("blocks without a warp")
     bound: Dict[str, Any] = dict(defaults)
@@ -564,7 +543,7 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
     # each block's peak is its final tail
     sums = ti + tp + m_tr + m_acc + m_lan + m_acc + at_cyc + at_con
     acc.values[: len(sums)] += np.asarray(sums)
-    acc.buffer_peak[:] = pos
+    acc.values[len(sums) : len(sums) + grid] = pos  # the buffer_peak row
     # that was the last decline: the launch completes from here, so it
     # writes the device arrays in place
     for bidx, vs in enumerate(content):
@@ -577,335 +556,13 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
 
 
 # ---------------------------------------------------------------------------
-# loop kernel: exact turn-level replay with batched event flushes
+# loop kernel: the turn-level replay in C, compiled on first use
 # ---------------------------------------------------------------------------
 
 _LOOP_PARAMS = (
     "k", "offsets", "neighbors", "deg", "buf", "tails", "gpu_count",
     "capacity", "shared_capacity", "cfg", "own_range",
 )
-
-class _LoopBlock:
-    """Per-block replay state (the kernel's shared scalars)."""
-
-    __slots__ = (
-        "idx", "s", "e", "e_init", "pn_cur", "pn_next", "parity",
-        "head_s", "head_e", "head_pn", "pending", "pref",
-    )
-
-    def __init__(self, idx: int) -> None:
-        self.idx = idx
-        self.s = 0
-        self.e = 0
-        self.e_init = 0
-        self.pn_cur = 0
-        self.pn_next = 0
-        self.parity = 0
-        self.head_s = 0
-        self.head_e = 0
-        self.head_pn = 0
-        self.pending = 0
-        self.pref: Tuple[np.ndarray, np.ndarray] | None = None
-
-
-class _LoopRun:
-    """One loop-kernel launch replayed in Python; owns the events.
-
-    ``buf`` and ``gpu_count`` are written in place, and each write is
-    logged (``buf_undo``, ``gpu_added``) so that :meth:`undo` takes a
-    declined launch back.  Degrees are read and written through a
-    Python list built at the first flush (scalar speed); its
-    decrements, listed in ``deg_dirty``, reach ``deg`` in
-    :meth:`write_degrees`, once the launch can no longer decline.
-    """
-
-    def __init__(
-        self, launch: VectorLaunch, bound: Dict[str, Any],
-        acc: _Accounting, shared: _StagedShared,
-    ) -> None:
-        self.launch = launch
-        self.cfg: VariantConfig = bound["cfg"]
-        self.k = int(bound["k"])
-        self.offsets: DeviceArray = bound["offsets"]
-        self.neighbors: DeviceArray = bound["neighbors"]
-        self.deg: DeviceArray = bound["deg"]
-        self.buf: DeviceArray = bound["buf"]
-        self.tails: DeviceArray = bound["tails"]
-        self.gpu_count: DeviceArray = bound["gpu_count"]
-        self.capacity = int(bound["capacity"])
-        self.shared_capacity = int(bound["shared_capacity"])
-        self.own_range: Optional[Tuple[int, int]] = bound["own_range"]
-        self.base = self.own_range[0] if self.own_range is not None else 0
-        self.grid = launch.grid_dim
-        self.warps = launch.block_dim // 32
-        self.acc = acc
-        self.shared = shared.arrays
-        self.deg_list: Optional[List[int]] = None
-        self.deg_dirty: List[int] = []
-        self.buf_undo: List[Tuple[int, np.ndarray]] = []
-        self.gpu_added = 0
-        self.blocks = [_LoopBlock(i) for i in range(self.grid)]
-        if self.cfg.prefetch:
-            for blk in self.blocks:
-                arrays = self.shared[blk.idx]
-                blk.pref = (arrays["pref0"], arrays["pref1"])
-        # pending events, in emission order
-        self.ev_block: List[int] = []
-        self.ev_gwid: List[int] = []
-        self.ev_slot: List[int] = []  # -1 for value events (VP)
-        self.ev_value: List[int] = []
-
-    def flush(self) -> None:
-        if not self.ev_block:
-            return
-        _flush(self)
-        self.ev_block.clear()
-        self.ev_gwid.clear()
-        self.ev_slot.clear()
-        self.ev_value.clear()
-        for block in self.blocks:
-            block.pending = 0
-
-    def undo(self) -> None:
-        """Take back every logged write, newest first."""
-        buf = self.buf.data
-        for start, old in reversed(self.buf_undo):
-            buf[start : start + old.size] = old
-        self.gpu_count.data[0] -= self.gpu_added
-
-    def write_degrees(self) -> None:
-        dirty = self.deg_dirty
-        if dirty:
-            deg = self.deg_list
-            assert deg is not None
-            self.deg.data[dirty] = [deg[x] for x in dirty]
-
-
-def _scalar_list(array: DeviceArray, attr: str) -> List[int]:
-    """A device array as a cached Python list (scalar-read speed).
-
-    Only used for the CSR arrays, which no kernel writes; the cache is
-    keyed on size like the duplicate-adjacency cache.
-    """
-    key = array.data.size
-    cached = getattr(array, attr, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]  # type: ignore[no-any-return]
-    lst: List[int] = array.data.tolist()
-    try:
-        setattr(array, attr, (key, lst))
-    except AttributeError:
-        pass
-    return lst
-
-
-def _flush(run: _LoopRun) -> None:
-    """Replay all pending events in emission order, one by one.
-
-    One event is one warp's full adjacency sweep of one frontier
-    vertex (Alg. 3 Lines 12-24), replayed the way the reference
-    interpreter runs it: buffer read, bounds load, then trip by trip,
-    serialising the atomics in lane order.  Assumes the launch-level
-    no-duplicate-adjacency guard: within one trip every touched vertex
-    is distinct, so the pre-trip degree is the value each lane's
-    atomic observes.  Charges are the same dyadic rationals the
-    interpreter adds, accumulated in Python scalars and folded into
-    the accounting arrays in one vector step per metric, so the sums
-    match bit for bit.  A fallback raised mid-batch is safe: the
-    caller undoes the launch's logged writes.  This is the reference
-    for the C replay (``fastsim_flush.c``), which declines on exactly
-    the same events with the same messages.
-    """
-    acc = run.acc
-    cost = run.launch.cost
-    gll = cost.global_load_latency
-    gab = cost.global_atomic_base
-    k = run.k
-    grid = run.grid
-    nwarps = grid * run.warps
-    cap = run.capacity
-    cfg = run.cfg
-    sm = cfg.shared_buffer
-    scap = run.shared_capacity if sm else 0
-    effective = cap + scap
-    compaction = cfg.compaction
-    scan_cost = _scan_cost(compaction)
-    offs = _scalar_list(run.offsets, "_fastsim_offs")
-    osz = len(offs)
-    nbrs = _scalar_list(run.neighbors, "_fastsim_nbrs")
-    nsz = len(nbrs)
-    if run.deg_list is None:
-        run.deg_list = run.deg.data.tolist()
-    deg = run.deg_list
-    dsz = len(deg)
-    dirty = run.deg_dirty
-    buf = run.buf.data
-    bsz = buf.size
-    undo = run.buf_undo
-    shared = run.shared
-    base = run.base
-    own = run.own_range
-    lo, hi = own if own is not None else (0, 0)
-    wi = [0.0] * nwarps  # issued
-    wp = [0.0] * nwarps  # path
-    bt = [0.0] * grid  # mem_transactions
-    ba = [0.0] * grid  # mem_accesses
-    bl = [0.0] * grid  # mem_active_lanes
-    bi = [0.0] * grid  # mem_ideal_transactions
-    bat = [0.0] * grid  # atomic_cycles
-    bcf = [0.0] * grid  # atomic_conflicts
-    bpk = [0.0] * grid  # buffer_peak (running max)
-    for b, g, slot, v in zip(
-        run.ev_block, run.ev_gwid, run.ev_slot, run.ev_value
-    ):
-        blk = run.blocks[b]
-        # -- the buffer read (value events carry their vertex) ---------
-        if slot >= 0:
-            if sm:
-                wi[g] += 5.0  # smem_get(e_init) + charge(4)
-                wp[g] += 5.0
-                e_init = blk.e_init
-                if e_init <= slot < e_init + scap:
-                    wi[g] += 1.0  # sload
-                    wp[g] += 1.0
-                    v = int(shared[b]["B"][slot - e_init])
-                    slot = -1
-                elif slot >= e_init:
-                    slot -= scap  # Fig. 7: global slots above the window
-            if slot >= cap:
-                raise FallbackToReference("loop buffer read overflow")
-            if slot >= 0:
-                wi[g] += 1.0  # gload of one word
-                wp[g] += 1.0 + gll
-                bt[b] += 1.0
-                ba[b] += 1.0
-                bl[b] += 1.0
-                bi[b] += 1.0
-                if b * cap + slot >= bsz:
-                    raise FallbackToReference(
-                        "loop replay index out of bounds"
-                    )
-                v = int(buf[b * cap + slot])
-        # -- Line 13: bounds load (two consecutive offsets words) ------
-        rel = v - base
-        if rel < 0 or rel + 1 >= osz:
-            raise FallbackToReference("frontier vertex outside CSR slice")
-        s = offs[rel]
-        e = offs[rel + 1]
-        if s < e and (s < 0 or e > nsz):
-            raise FallbackToReference("loop replay index out of bounds")
-        wi[g] += 1.0
-        wp[g] += 1.0 + gll
-        bt[b] += float((rel + 1) // 32 - rel // 32 + 1)
-        ba[b] += 1.0
-        bl[b] += 2.0
-        bi[b] += 1.0
-        # -- the adjacency sweep, one 32-lane trip at a time -----------
-        for pos0 in range(s, e, 32):
-            l = min(32, e - pos0)
-            u_list = nbrs[pos0 : pos0 + l]
-            if min(u_list) < 0 or max(u_list) >= dsz:
-                raise FallbackToReference("loop replay index out of bounds")
-            # sync_warp + neighbors gload + deg gload + charge(4)
-            wi[g] += 7.0 + scan_cost
-            wp[g] += 7.0 + 2.0 * gll + scan_cost
-            segs = set()
-            cand: List[int] = []
-            newly: List[int] = []
-            # every x in a trip is distinct (launch-level duplicate
-            # guard), so in-loop writes never shadow a later read
-            for x in u_list:
-                segs.add(x >> 5)
-                du = deg[x]
-                if du > k:
-                    cand.append(x)
-                    deg[x] = du - 1
-                    if du == k + 1 and (own is None or lo <= x < hi):
-                        newly.append(x)
-            c = len(cand)
-            # the degree log holds one id per adjacency entry (the C
-            # replay's is that long): a frontier of distinct vertices
-            # never fills it
-            if len(dirty) + c > nsz:
-                raise FallbackToReference("loop undo log full")
-            bt[b] += float(
-                (pos0 + l - 1) // 32 - pos0 // 32 + 1 + len(segs)
-            )
-            ba[b] += 2.0
-            bl[b] += 2.0 * l
-            bi[b] += 2.0
-            if c:
-                dirty.extend(cand)
-                # Line 21: atomicSub (distinct addresses: no conflicts)
-                wi[g] += 1.0
-                wp[g] += gab
-                bat[b] += gab
-                bt[b] += float(len({x >> 5 for x in cand}))
-                ba[b] += 1.0
-                bl[b] += float(c)
-                bi[b] += 1.0
-            nw = len(newly)
-            if not nw:
-                continue
-            # -- append the newly-dead vertices ------------------------
-            loc = blk.e
-            if loc + nw > effective:
-                raise FallbackToReference(
-                    "loop buffer overflow; reference raises"
-                )
-            if compaction == "none":
-                wi[g] += 1.0
-                sa = 2.0 + 0.25 * (nw - 1)
-                wp[g] += sa
-                bat[b] += sa
-                bcf[b] += float(nw - 1)
-            else:
-                wi[g] += 3.0  # atomic + shfl + charge
-                wp[g] += 4.0
-                bat[b] += 2.0
-            n_sh = 0
-            gl_start = b * cap + loc
-            if sm:
-                e_init = blk.e_init
-                n_sh = min(max(e_init + scap - loc, 0), nw)
-                gl_start = b * cap + max(loc, e_init + scap) - scap
-                wi[g] += 5.0  # smem_get(e_init) + charge(4)
-                wp[g] += 5.0
-                if n_sh:
-                    wi[g] += 1.0  # sstore
-                    wp[g] += 1.0
-                    w = loc - e_init
-                    shared[b]["B"][w : w + n_sh] = newly[:n_sh]
-            n_gl = nw - n_sh
-            if n_gl:
-                wi[g] += 1.0  # gstore
-                wp[g] += 1.0
-                bt[b] += float(
-                    (gl_start + n_gl - 1) // 32 - gl_start // 32 + 1
-                )
-                ba[b] += 1.0
-                bl[b] += float(n_gl)
-                bi[b] += 1.0
-                if gl_start + n_gl > bsz:
-                    raise FallbackToReference(
-                        "loop replay index out of bounds"
-                    )
-                undo.append(
-                    (gl_start, buf[gl_start : gl_start + n_gl].copy())
-                )
-                buf[gl_start : gl_start + n_gl] = newly[n_sh:]
-            if loc + nw > bpk[b]:
-                bpk[b] = float(loc + nw)
-            blk.e = loc + nw
-    acc.issued += np.asarray(wi)
-    acc.path += np.asarray(wp)
-    acc.mem_transactions += np.asarray(bt)
-    acc.mem_accesses += np.asarray(ba)
-    acc.mem_active_lanes += np.asarray(bl)
-    acc.mem_ideal_transactions += np.asarray(bi)
-    acc.atomic_cycles += np.asarray(bat)
-    acc.atomic_conflicts += np.asarray(bcf)
-    np.maximum(acc.buffer_peak, np.asarray(bpk), out=acc.buffer_peak)
 
 
 def _scan_cost(compaction: str) -> float:
@@ -915,13 +572,9 @@ def _scan_cost(compaction: str) -> float:
     return 3.0 if compaction == "ballot" else 11.0
 
 
-# ---------------------------------------------------------------------------
-# the native replay: the Python loop replay in C, compiled on first use
-# ---------------------------------------------------------------------------
-
 _FLUSH_SOURCE = Path(__file__).with_name("fastsim_flush.c")
-#: no -ffast-math and no FMA contraction: the C sums must be the
-#: Python replay's double operations, in the same order
+#: no -ffast-math and no FMA contraction: the compiler must neither
+#: regroup nor fuse the replay's double operations
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _DIGEST = 32  # sha256 of the library, appended to the cached file
 
@@ -1028,9 +681,9 @@ def _prune(cache_dir: Path, keep: Path) -> None:
 def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
     """The compiled replay from ``cache_dir``, building it if needed.
 
-    Returns ``None`` (the Python replay serves) when no ``cc`` is on
-    ``PATH``, the build fails, or another user owns or can write the
-    cache directory.
+    Returns ``None`` (the reference interpreter serves loop launches)
+    when no ``cc`` is on ``PATH``, the build fails, or another user
+    owns or can write the cache directory.
     """
     try:
         path = _library_path(cache_dir)
@@ -1063,7 +716,8 @@ def _native_replay() -> Optional[Callable[..., int]]:
 
 
 def native_flush_available() -> bool:
-    """True when loop launches replay in C, False when in Python.
+    """True when loop launches replay in C, False when the reference
+    interpreter serves them.
 
     The C library replays a whole loop launch, its flushes included.
     Loads (and on first use compiles) it; see ``docs/SIMULATOR.md``,
@@ -1117,23 +771,18 @@ def _address(array: DeviceArray) -> Optional[int]:
 
 def _replay_native(
     fn: Callable[..., int], launch: VectorLaunch, bound: Dict[str, Any],
-    acc: _Accounting,
-) -> bool:
-    """The whole launch in one C call; ``False`` leaves it to Python."""
-    deg: DeviceArray = bound["deg"]
-    buf: DeviceArray = bound["buf"]
-    addrs = [_address(a) for a in (deg, buf, bound["tails"],
-                                   bound["gpu_count"])]
-    if None in addrs:
-        return False
+    addrs: List[Optional[int]], acc: _Accounting,
+) -> None:
+    """The whole launch in one C call, on the device arrays at
+    ``addrs`` (``deg``, ``buf``, ``tails``, ``gpu_count``)."""
     cfg: VariantConfig = bound["cfg"]
     own = bound["own_range"]
     lo, hi = own if own is not None else (0, 0)
     cost = launch.cost
     ctx = _csr_ctx(bound["offsets"], bound["neighbors"])
     ctx.deg, ctx.buf, ctx.tails, ctx.gpu_count = addrs
-    ctx.dsz = deg.data.size
-    ctx.bsz = buf.data.size
+    ctx.dsz = bound["deg"].data.size
+    ctx.bsz = bound["buf"].data.size
     ctx.grid = launch.grid_dim
     ctx.warps = launch.block_dim // 32
     ctx.k = int(bound["k"])
@@ -1163,7 +812,6 @@ def _replay_native(
         raise FallbackToReference("native loop replay out of memory")
     if code:
         raise FallbackToReference("loop replay index out of bounds")
-    return True
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
@@ -1183,7 +831,16 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
     warps = launch.block_dim // 32
     if bound["tails"].data.size < grid or bound["gpu_count"].data.size < 1:
         raise FallbackToReference("loop replay index out of bounds")
-    acc = _Accounting(grid, warps)
+    fn = _native_replay()
+    if fn is None:
+        raise FallbackToReference("no native loop replay")
+    addrs = [
+        _address(bound[name]) for name in ("deg", "buf", "tails", "gpu_count")
+    ]
+    if None in addrs:
+        raise FallbackToReference(
+            "device array the C replay cannot write in place"
+        )
     shared = _StagedShared(launch)
     for blk in range(grid):  # the reference's allocation order
         if cfg.shared_buffer:
@@ -1191,260 +848,11 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         if cfg.prefetch:
             shared.alloc(blk, "pref0", warps)
             shared.alloc(blk, "pref1", warps)
-    fn = _native_replay()
-    if fn is None or not _replay_native(fn, launch, bound, acc):
-        run = _LoopRun(launch, bound, acc, shared)
-        try:
-            if cfg.prefetch:
-                _replay_prefetched(run)
-            else:
-                _replay_drain(run)
-        except FallbackToReference:
-            run.undo()
-            raise
-        run.write_degrees()
+    acc = _Accounting(grid, warps)
+    _replay_native(fn, launch, bound, addrs, acc)
     stats = acc.finish(launch)
     shared.commit()
     return stats
-
-
-def _loop_init_turn(run: _LoopRun, blk: _LoopBlock) -> None:
-    """The first turn: Thread 0 loads the block's tail (Lines 1-2)."""
-    acc = run.acc
-    gwid = blk.idx * run.warps
-    cfg = run.cfg
-    e0 = int(run.tails.data[blk.idx])
-    if e0 < 0:
-        raise FallbackToReference("loop replay index out of bounds")
-    acc.warp_op(gwid, 1.0, 1.0 + run.launch.cost.global_load_latency)
-    acc.note_access(blk.idx, 1, 1)
-    sets = 2 + (1 if cfg.shared_buffer else 0) + (2 if cfg.prefetch else 0)
-    acc.warp_op(gwid, float(sets), float(sets))
-    blk.s = 0
-    blk.e = e0
-    blk.e_init = e0
-
-
-def _final_turn(run: _LoopRun, blk: _LoopBlock) -> None:
-    """Line 26: Thread 0 folds the block tail into gpu_count, all exit."""
-    acc = run.acc
-    cost = run.launch.cost
-    gwid = blk.idx * run.warps
-    acc.warp_op(gwid, 1.0, 1.0)  # smem_get("e")
-    acc.warp_op(gwid, 1.0, cost.global_atomic_base)
-    acc.atomic_cycles[blk.idx] += cost.global_atomic_base
-    acc.note_access(blk.idx, 1, 1)
-    run.gpu_count.data[0] += blk.e
-    run.gpu_added += blk.e
-
-
-def _replay_drain(run: _LoopRun) -> None:
-    """Exact replay of ``_drain`` (Ours/SM/BC/EC fetch loop).
-
-    The reference scheduler's FIFO keeps every block's warps contiguous
-    (barrier releases extend the queue atomically, and BODY steppers
-    re-append back to back), so blocks advance through the HEAD and
-    BODY phases *in lockstep, in stable block order*.  That lets the
-    replay iterate whole phases instead of simulating 64 queue turns
-    per round.  Two reference behaviours survive the batching:
-
-    * the flush trigger — the first block popped at HEAD with pending
-      events flushes everyone, exactly as in the turn-level schedule;
-    * within-block emission order — a warp that skipped a BODY round
-      (``s + wid >= e``) re-arrives at the barrier *before* that
-      round's emitters, so the block's pop order permutes; ``worder``
-      tracks it, because the order in which warps emit (not the slots
-      they emit) fixes the order of the atomics.
-
-    Per-turn charges (identical +5/+5 per HEAD visit, +1/+1 per
-    Thread-0 BODY turn) are counted in Python ints and folded in one
-    vector step afterwards — sums of exact values are order-free, so
-    this is bit-identical to charging per turn.
-    """
-    warps = run.warps
-    head_rounds = [0] * run.grid  # every live warp charges 5/5 per HEAD
-    body_w0 = [0] * run.grid
-    barriers = [0] * run.grid
-    ev_b = run.ev_block
-    ev_g = run.ev_gwid
-    ev_s = run.ev_slot
-    ev_v = run.ev_value
-    order = list(run.blocks)
-    for blk in order:
-        # only Thread 0 charges here, so one init turn per block covers
-        # every warp
-        _loop_init_turn(run, blk)
-        barriers[blk.idx] += 1  # the INIT arrival barrier
-    worder = [list(range(warps)) for _ in range(run.grid)]
-    while order:
-        keep = []
-        for blk in order:  # -- HEAD phase (Lines 4-8) ------------------
-            if blk.pending:
-                run.flush()
-            head_rounds[blk.idx] += 1
-            barriers[blk.idx] += 1
-            if blk.s == blk.e:
-                _final_turn(run, blk)  # Thread-0 only
-            else:
-                blk.head_s = blk.s
-                blk.head_e = blk.e
-                keep.append(blk)
-        for blk in keep:  # -- BODY phase (Lines 9-12) ------------------
-            body_w0[blk.idx] += 1
-            s0 = blk.head_s
-            e0 = blk.head_e
-            blk.s = s0 + warps if s0 + warps < e0 else e0
-            base = blk.idx * warps
-            b = blk.idx
-            wo = worder[b]
-            if e0 - s0 >= warps:
-                ev_b.extend([b] * warps)
-                ev_g.extend([base + wid for wid in wo])
-                ev_s.extend([s0 + wid for wid in wo])
-                ev_v.extend([-1] * warps)
-                blk.pending += warps
-            else:
-                stay = []
-                stepped = []
-                for wid in wo:
-                    if s0 + wid < e0:
-                        ev_b.append(b)
-                        ev_g.append(base + wid)
-                        ev_s.append(s0 + wid)
-                        ev_v.append(-1)
-                        stepped.append(wid)
-                    else:
-                        stay.append(wid)
-                blk.pending += len(stepped)
-                stay.extend(stepped)
-                worder[b] = stay
-            barriers[blk.idx] += 1
-        order = keep
-    acc = run.acc
-    hr = np.repeat(np.asarray(head_rounds, dtype=np.float64), warps)
-    acc.issued += 5.0 * hr
-    acc.path += 5.0 * hr
-    w0 = np.arange(run.grid, dtype=np.int64) * warps
-    bw = np.asarray(body_w0, dtype=np.float64)
-    acc.issued[w0] += bw
-    acc.path[w0] += bw
-    acc.barriers += np.asarray(barriers, dtype=np.float64)
-
-
-def _replay_prefetched(run: _LoopRun) -> None:
-    """Exact replay of ``_drain_prefetched`` (the VP pipeline).
-
-    The same phase-lock argument as :func:`_replay_drain` applies, and
-    here every warp re-queues every round (even idle lanes pass through
-    the MID/TAIL phases), so the within-block pop order never permutes:
-    consumers emit in plain warp order.  Each round is HEAD (flush
-    check, exit test), MID (Thread-0 prefetches the next batch while
-    warps 1..pn consume the previous one), TAIL (publish ``pn``, flip
-    the double-buffer parity) — three barriers per round, exactly the
-    reference's arrival counts.
-
-    As in :func:`_replay_drain`, fixed per-turn charges (HEAD +4/+4,
-    TAIL Thread-0 +2/+2, one sload per consumed prefetch value) are
-    counted in Python ints and folded in bulk afterwards; only the
-    data-dependent Thread-0 prefetch turn charges inline.
-    """
-    warps = run.warps
-    head_rounds = [0] * run.grid
-    mid_loads = [0] * (run.grid * warps)  # warps 1..head_pn: +1/+1 each
-    mid_w0 = [0] * run.grid  # charge(2) + 2 smem_set: +4/+4 per MID turn
-    batch_w0 = [0] * run.grid  # gload + sstore rounds: +2 / +(2+latency)
-    mem_trans = [0] * run.grid
-    mem_acc = [0] * run.grid
-    mem_lanes = [0] * run.grid
-    mem_ideal = [0] * run.grid
-    tail_w0 = [0] * run.grid
-    barriers = [0] * run.grid
-    acc = run.acc
-    cost = run.launch.cost
-    buf = run.buf.data
-    cap = run.capacity
-    ev_b = run.ev_block
-    ev_g = run.ev_gwid
-    ev_s = run.ev_slot
-    ev_v = run.ev_value
-    order = list(run.blocks)
-    for blk in order:
-        _loop_init_turn(run, blk)  # Thread-0 charges only
-        barriers[blk.idx] += 1  # the INIT arrival barrier
-    while order:
-        keep = []
-        for blk in order:  # -- HEAD phase --------------------------------
-            if blk.pending:
-                run.flush()
-            head_rounds[blk.idx] += 1
-            barriers[blk.idx] += 1
-            if blk.s == blk.e and blk.pn_cur == 0:
-                _final_turn(run, blk)  # Thread-0 only
-            else:
-                blk.head_s = blk.s
-                blk.head_e = blk.e
-                blk.head_pn = blk.pn_cur
-                keep.append(blk)
-        for blk in keep:  # -- MID phase ----------------------------------
-            assert blk.pref is not None
-            gwid0 = blk.idx * warps
-            b = blk.idx
-            batch = min(warps - 1, blk.head_e - blk.head_s)
-            mid_w0[b] += 1  # charge(2) + smem_set(s) + smem_set(pn_next)
-            if batch > 0:
-                # read_batch: one dependent gload of `batch` words,
-                # then one sstore into the prefetch buffer
-                start = b * cap + blk.head_s
-                batch_w0[b] += 1
-                mem_trans[b] += contiguous_transactions(start, batch)
-                ideal = -(-batch // 32)
-                mem_acc[b] += max(1, ideal)
-                mem_lanes[b] += batch
-                mem_ideal[b] += ideal
-                if blk.head_s + batch > cap:
-                    raise FallbackToReference("loop buffer read overflow")
-                if start + batch > buf.size:
-                    raise FallbackToReference(
-                        "loop replay index out of bounds"
-                    )
-                blk.pref[1 - blk.parity][1 : 1 + batch] = buf[
-                    start : start + batch
-                ]
-            blk.s = blk.head_s + batch
-            blk.pn_next = batch
-            if blk.head_pn:
-                vals = blk.pref[blk.parity][1 : blk.head_pn + 1].tolist()
-                for wid, val in enumerate(vals, 1):
-                    mid_loads[gwid0 + wid] += 1
-                    ev_b.append(b)
-                    ev_g.append(gwid0 + wid)
-                    ev_s.append(-1)
-                    ev_v.append(val)
-                blk.pending += blk.head_pn
-            barriers[b] += 1
-        for blk in keep:  # -- TAIL phase ---------------------------------
-            tail_w0[blk.idx] += 1  # smem_get + smem_set: +2/+2
-            blk.pn_cur = blk.pn_next
-            blk.parity ^= 1  # every warp advanced `iteration`
-            barriers[blk.idx] += 1  # the STEPPED re-arrival barrier
-        order = keep
-    hv = np.repeat(np.asarray(head_rounds, dtype=np.float64), warps)
-    ml = np.asarray(mid_loads, dtype=np.float64)
-    acc.issued += 4.0 * hv + ml
-    acc.path += 4.0 * hv + ml
-    w0 = np.arange(run.grid, dtype=np.int64) * warps
-    tw = np.asarray(tail_w0, dtype=np.float64)
-    mw = np.asarray(mid_w0, dtype=np.float64)
-    bw = np.asarray(batch_w0, dtype=np.float64)
-    acc.issued[w0] += 2.0 * tw + 4.0 * mw + 2.0 * bw
-    acc.path[w0] += (
-        2.0 * tw + 4.0 * mw + bw * (2.0 + cost.global_load_latency)
-    )
-    acc.mem_transactions += np.asarray(mem_trans, dtype=np.float64)
-    acc.mem_accesses += np.asarray(mem_acc, dtype=np.float64)
-    acc.mem_active_lanes += np.asarray(mem_lanes, dtype=np.float64)
-    acc.mem_ideal_transactions += np.asarray(mem_ideal, dtype=np.float64)
-    acc.barriers += np.asarray(barriers, dtype=np.float64)
 
 
 def register() -> None:

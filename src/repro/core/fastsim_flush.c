@@ -1,9 +1,11 @@
 /*
- * Native replay of one loop-kernel launch: a line-for-line translation
- * of the Python replay in ``repro/core/fastsim.py`` (``_loop_init_turn``,
- * ``_replay_drain``, ``_replay_prefetched``, ``_flush`` and
- * ``_final_turn``), which stays the reference this file is tested
- * against.  One call replays the whole launch.
+ * Native replay of one loop-kernel launch (Alg. 3) for the vectorized
+ * engine in ``repro/core/fastsim.py``.  One call replays the whole
+ * launch.  The reference interpreter (``repro/core/loop_kernel.py``
+ * run by ``repro/gpusim/scheduler.py``) defines the results this file
+ * must reproduce bit for bit; it serves every loop launch this file
+ * declines or cannot serve (no compiler, a failed build), and the
+ * tests pin this replay against it.
  *
  * The replay walks the reference FIFO scheduler phase by phase (HEAD,
  * BODY or MID/TAIL), emitting one event per warp that fetched a
@@ -12,11 +14,14 @@
  * vertex (Alg. 3, Lines 12-24): buffer read, bounds load, then 32-lane
  * trips whose atomics apply in lane order.
  *
- * Every double operation is the one the Python replay performs, in its
- * order: init-turn charges, per-flush sums folded at each flush,
- * final-turn charges at their HEAD turn, per-turn phase counts folded
- * last.  Built without -ffast-math and with -ffp-contract=off, the
- * accumulators are then bit-identical under any cost model.
+ * The charges are the reference's, summed in a different grouping:
+ * init-turn charges, per-flush sums folded at each flush, final-turn
+ * charges at their HEAD turn, per-turn phase counts folded last.  The
+ * caller declines a cost model whose global-load latency or global
+ * atomic base charge is off the quarter-integer grid, or whose
+ * shared-memory charges are not the default's (this file hard-codes
+ * them), so every sum is exact and the grouping changes no bit.  It is
+ * built without -ffast-math and with -ffp-contract=off besides.
  *
  * The replay writes ``deg``, ``buf`` and ``gpu_count`` in place and
  * logs what it overwrote: each decremented degree id, each block's
@@ -76,7 +81,7 @@ typedef struct {
     double *acc;
 } loop_ctx;
 
-/* ``_LoopBlock``: one block's shared scalars */
+/* one block's shared scalars */
 typedef struct {
     int64_t s, e, e_init, pn_cur, pn_next, parity;
     int64_t head_s, head_e, head_pn, pending;
@@ -148,8 +153,13 @@ static double *block_row(const replay *r, int64_t row)
     return r->c->acc + 2 * r->nwarps + row * r->c->grid;
 }
 
-/* ``_LoopRun.flush`` + ``_flush``: replay the pending events in
- * emission order, then fold the per-flush sums */
+/* Replay the pending events in emission order, then fold the
+ * per-flush sums.  One event is one warp's full adjacency sweep of one
+ * frontier vertex (Alg. 3 Lines 12-24), replayed the way the reference
+ * interpreter runs it: buffer read, bounds load, then trip by trip,
+ * serialising the atomics in lane order.  The launch-level
+ * no-duplicate-adjacency guard makes every vertex of a trip distinct,
+ * so the pre-trip degree is the value each lane's atomic observes. */
 static int flush(replay *r)
 {
     const loop_ctx *c = r->c;
@@ -336,7 +346,7 @@ static int emit(replay *r, int64_t b, int64_t g, int64_t slot, int64_t v)
     return REPLAY_OK;
 }
 
-/* ``_loop_init_turn``: Thread 0 loads the block's tail */
+/* the first turn: Thread 0 loads the block's tail (Lines 1-2) */
 static int init_turn(replay *r, int64_t b)
 {
     const loop_ctx *c = r->c;
@@ -349,7 +359,7 @@ static int init_turn(replay *r, int64_t b)
     issued[g] += 1.0;
     path[g] += 1.0 + c->gll;
     for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
-        block_row(r, row)[b] += 1.0; /* note_access(b, 1, 1) */
+        block_row(r, row)[b] += 1.0; /* one one-word global access */
     issued[g] += sets;
     path[g] += sets;
     r->blk[b].s = 0;
@@ -359,7 +369,7 @@ static int init_turn(replay *r, int64_t b)
     return REPLAY_OK;
 }
 
-/* ``_final_turn``: Thread 0 folds the block tail into gpu_count */
+/* Line 26: Thread 0 folds the block tail into gpu_count, all exit */
 static void final_turn(replay *r, int64_t b)
 {
     const loop_ctx *c = r->c;
@@ -371,7 +381,7 @@ static void final_turn(replay *r, int64_t b)
     path[g] += c->gab;
     block_row(r, ROW_ATOMIC)[b] += c->gab;
     for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
-        block_row(r, row)[b] += 1.0; /* note_access(b, 1, 1) */
+        block_row(r, row)[b] += 1.0; /* one one-word global access */
     c->gpu_count[0] = wrap_add(c->gpu_count[0], r->blk[b].e);
     r->gpu_added = wrap_add(r->gpu_added, r->blk[b].e);
 }
@@ -406,7 +416,20 @@ static int head_phase(replay *r, int64_t norder, int64_t *nkeep)
     return REPLAY_OK;
 }
 
-/* ``_replay_drain``: the Ours/SM/BC/EC fetch loop */
+/* The Ours/SM/BC/EC fetch loop (the interpreter's ``_drain``).
+ *
+ * The reference scheduler's FIFO keeps every block's warps contiguous
+ * (barrier releases extend the queue atomically, and BODY steppers
+ * re-append back to back), so blocks advance through the HEAD and BODY
+ * phases in lockstep, in stable block order, and the replay iterates
+ * whole phases.  Two reference behaviours survive the batching: the
+ * first block popped at HEAD with pending events flushes everyone, and
+ * a warp that skipped a BODY round (s + wid >= e) re-arrives at the
+ * barrier before that round's emitters, so the block's pop order
+ * permutes; ``worder`` tracks it, because the order in which warps
+ * emit fixes the order of the atomics.  Per-turn charges (+5/+5 per
+ * HEAD visit, +1/+1 per Thread-0 BODY turn) are counted and folded
+ * afterwards. */
 static int replay_drain(replay *r)
 {
     const loop_ctx *c = r->c;
@@ -472,7 +495,17 @@ static int replay_drain(replay *r)
     return REPLAY_OK;
 }
 
-/* ``_replay_prefetched``: the VP pipeline */
+/* The VP pipeline (the interpreter's ``_drain_prefetched``).
+ *
+ * The phase-lock argument of replay_drain applies, and every warp
+ * re-queues every round, so the pop order never permutes: consumers
+ * emit in plain warp order.  Each round is HEAD (flush check, exit
+ * test), MID (Thread 0 prefetches the next batch while warps 1..pn
+ * consume the previous one) and TAIL (publish pn, flip the
+ * double-buffer parity): three barriers per round, the reference's
+ * arrival counts.  Fixed per-turn charges are counted and folded
+ * afterwards; only the prefetch turn's data-dependent ones are
+ * charged inline. */
 static int replay_prefetched(replay *r)
 {
     const loop_ctx *c = r->c;

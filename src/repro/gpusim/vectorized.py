@@ -3,17 +3,12 @@
 The vectorized engine (:mod:`repro.gpusim.engine`) replaces the
 reference interpreter's per-warp generator stepping with *batched*
 executors that compute a whole launch's side effects and event counts
-with numpy.  Those executors (registered per kernel; see
+in one pass.  Those executors (registered per kernel; see
 ``repro.core.fastsim``) still need to reproduce the reference
-accounting **bit-for-bit**, and this module centralises the pieces
-that are kernel-agnostic:
-
-* the closed-form 128-byte transaction count of a contiguous index
-  range, exactly matching
-  :meth:`~repro.gpusim.context.WarpContext._count_transactions`;
-* the launch's cycles from per-block totals, mirroring
-  :meth:`~repro.gpusim.costmodel.CostModel.kernel_cycles` in
-  :func:`~repro.gpusim.scheduler.run_kernel`'s epilogue.
+accounting **bit-for-bit**; this module holds the kernel-agnostic
+part, the launch's cycles from per-block totals, mirroring
+:meth:`~repro.gpusim.costmodel.CostModel.kernel_cycles` in
+:func:`~repro.gpusim.scheduler.run_kernel`'s epilogue.
 
 Why bit-for-bit equality is attainable with batch sums: every cycle
 term the context accumulates (``1`` per instruction, ``14`` per
@@ -21,7 +16,8 @@ dependent load, ``2 + 0.25*c`` per shared atomic, ``6 + 2*c`` per
 global atomic, ``8`` per barrier) is an integer or quarter-integer,
 hence exact in binary floating point; sums of exact values are
 order-independent below 2**52, so a closed-form total equals the
-event-by-event total exactly.  The only non-representable constant
+event-by-event total exactly (the executors decline a cost model
+whose folded charges leave that grid).  The only non-representable constant
 (``0.3`` cycles per transaction) is applied *once* per block in
 :meth:`~repro.gpusim.costmodel.CostModel.block_cycles`, identically
 under every engine.
@@ -33,28 +29,7 @@ from typing import Sequence
 
 from repro.gpusim.costmodel import CostModel
 
-__all__ = [
-    "WORDS_PER_TRANSACTION",
-    "contiguous_transactions",
-    "kernel_cycles",
-]
-
-#: words per 128-byte transaction at 4-byte IDs — must track
-#: ``repro.gpusim.context._WORDS_PER_TRANSACTION``
-WORDS_PER_TRANSACTION = 32
-
-
-def contiguous_transactions(start: int, length: int) -> int:
-    """Transactions of one warp access to ``[start, start + length)``.
-
-    Equals ``len(np.unique(idx // 32))`` for a contiguous index range:
-    the count of 32-word segments the range touches.
-    """
-    if length <= 0:
-        return 0
-    first = start // WORDS_PER_TRANSACTION
-    last = (start + length - 1) // WORDS_PER_TRANSACTION
-    return last - first + 1
+__all__ = ["kernel_cycles"]
 
 
 def kernel_cycles(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -13,6 +14,12 @@ from repro.cpu.bz import bz_core_numbers
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import fig1_graph, k_clique, path_graph, triangle
+
+#: for tests that need the vectorized engine's C loop replay: without a
+#: compiler the reference interpreter serves every loop launch
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler on PATH"
+)
 
 
 @pytest.fixture

@@ -3,21 +3,20 @@
 Three things are pinned here.  Loading: the library is compiled once
 into a per-user cache, reused from there, never loaded from a file it
 did not finish writing, and its absence (no compiler) silently leaves
-the Python replay serving; a loop launch is one call into it.
-Fallbacks: each condition on which a replay declines a loop launch
-fires in both replays with the same message, leaves no trace (also
+the reference interpreter serving every loop launch; a loop launch is
+one call into it.  Fallbacks: each condition on which the replay
+declines a loop launch fires with its message, leaves no trace (also
 when it fires after earlier flushes wrote the device arrays), the
 engine then serves the launch by reference, and the outcome is the
 reference interpreter's.  The C source: warning-free under strict
 flags, and free of undefined behaviour on those cases under UBSan.
-The byte-identity of the two replays on generated graphs is in
-``tests/properties/test_engines.py``.
+The byte-identity of the replay and the interpreter on generated
+graphs is in ``tests/properties/test_engines.py``.
 """
 
 from __future__ import annotations
 
 import re
-import shutil
 import subprocess
 import sys
 import warnings
@@ -40,29 +39,28 @@ from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import k_clique
-from tests.properties.test_engines import (
-    FLUSHES,
-    assert_byte_identical,
-    use_flush,
-)
-
-needs_cc = pytest.mark.skipif(
-    shutil.which("cc") is None, reason="no C compiler on PATH"
-)
+from tests.conftest import needs_cc
+from tests.properties.test_engines import assert_byte_identical
 
 
 # -- loading and caching ------------------------------------------------------
 
 @needs_cc
 def test_native_flush_loads_with_a_compiler():
-    """Where ``cc`` exists the C flush must serve: a broken build would
-    otherwise fall back to Python without failing anything."""
+    """Where ``cc`` exists the C replay must serve: a broken build would
+    otherwise leave every loop launch to the interpreter without
+    failing anything."""
     assert fastsim.native_flush_available()
 
 
-def test_no_compiler_serves_the_python_flush(tmp_path, monkeypatch):
+def test_no_compiler_serves_loop_launches_by_reference(
+    tmp_path, monkeypatch
+):
+    """Without ``cc`` every loop launch declines, silently, and the
+    interpreter serves it with the same results; scans stay
+    vectorized."""
     graph = gen.barabasi_albert(150, 4, seed=3)
-    native = gpu_peel(graph, variant="sm", engine="vectorized")
+    ref = gpu_peel(graph, variant="sm", engine="reference")
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     monkeypatch.setattr(fastsim, "_cache_dir", lambda: tmp_path / "cache")
     fastsim._native_replay.cache_clear()
@@ -70,14 +68,14 @@ def test_no_compiler_serves_the_python_flush(tmp_path, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not fastsim.native_flush_available()
-            python = gpu_peel(graph, variant="sm", engine="vectorized")
+            vec = gpu_peel(graph, variant="sm", engine="vectorized")
     finally:
         fastsim._native_replay.cache_clear()
-    assert_byte_identical(native, python)
-    assert python.counters == native.counters
-    launches = python.counters["kernel.scan.launches"] \
-        + python.counters["kernel.loop.launches"]
-    assert python.counters["engine.served.vectorized"] == launches
+    assert_byte_identical(ref, vec)
+    assert vec.counters["engine.served.vectorized"] \
+        == vec.counters["kernel.scan.launches"]
+    assert vec.counters["engine.served.reference"] \
+        == vec.counters["kernel.loop.launches"]
 
 
 @needs_cc
@@ -163,7 +161,7 @@ def test_a_damaged_cache_file_is_never_loaded(tmp_path, damage):
             "#include <stdio.h>\n"
             "__attribute__((constructor)) static void mark(void)\n"
             f'{{ FILE *f = fopen("{marker}", "w"); if (f) fclose(f); }}\n'
-            "int repro_flush(void) { return 0; }\n"
+            "int repro_loop(void) { return 0; }\n"
         )
         subprocess.run(
             ["cc", "-shared", "-fPIC", "-o", str(cached), str(src)],
@@ -174,7 +172,11 @@ def test_a_damaged_cache_file_is_never_loaded(tmp_path, damage):
     assert cached.read_bytes() == good
 
 
-# -- the loop fallbacks, in both flushes ---------------------------------------
+# -- the loop fallbacks ---------------------------------------------------------
+
+#: the loop replay the decline cases run through, named in their ids
+REPLAYS = ("native",)
+
 
 def _doctored(case):
     """``(arrays, k, capacity, variant)`` of a loop launch on the clique
@@ -245,17 +247,16 @@ FALLBACKS = {
 }
 
 
-@pytest.mark.parametrize("flush", FLUSHES)
+@needs_cc
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_each_loop_fallback_fires_and_reference_serves(
-    case, flush, monkeypatch
+    case, replay, monkeypatch
 ):
     """The reference interpreter completes the negative neighbor (its
     numpy indexing wraps) and raises its own error on every other case
     (``BufferOverflowError`` or ``IndexError``); the spy shows it, not
     the executor, ran each launch the engine served."""
-    if flush == "native" and not fastsim.native_flush_available():
-        pytest.skip("no C compiler: the native flush cannot load")
     doctored = _doctored(case)
     expected = _launch("reference", doctored)
     dev = Device()
@@ -273,12 +274,9 @@ def test_each_loop_fallback_fires_and_reference_serves(
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(ReferenceEngine, "run", spy)
-    with use_flush(flush):
-        with pytest.raises(
-            FallbackToReference, match=re.escape(FALLBACKS[case])
-        ):
-            fastsim._loop_vectorized(launch)
-        observed = _launch("vectorized", doctored)
+    with pytest.raises(FallbackToReference, match=re.escape(FALLBACKS[case])):
+        fastsim._loop_vectorized(launch)
+    observed = _launch("vectorized", doctored)
     # declined with zero observable effects, then served by reference
     arrays = doctored[0]
     assert all(np.array_equal(a[n].data, arrays[n]) for n in arrays)
@@ -331,16 +329,15 @@ class _SharedLog:
         self.log.append((block, name, nbytes))
 
 
-@pytest.mark.parametrize("flush", FLUSHES)
+@needs_cc
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("variant", ("ours", "sm", "vp"))
 @pytest.mark.parametrize("case", sorted(LATE))
-def test_a_late_decline_leaves_no_trace(case, variant, flush, monkeypatch):
+def test_a_late_decline_leaves_no_trace(case, variant, replay, monkeypatch):
     """A replay that declines after writing the device arrays undoes
     every write: ``deg``, ``buf``, the tails, ``gpu_count`` and the
     memtracker are as they were, and the engine serves the launch by
     reference."""
-    if flush == "native" and not fastsim.native_flush_available():
-        pytest.skip("no C compiler: the native replay cannot load")
     spec = DeviceSpec(shared_buffer_capacity=1)
     doctored = _late(case, variant)
     expected = _launch("reference", doctored, spec)
@@ -354,15 +351,6 @@ def test_a_late_decline_leaves_no_trace(case, variant, flush, monkeypatch):
         block_dim=dev.spec.default_block_dim, args=args,
         memtracker=memtracker,
     )
-    undone = []
-    undo = fastsim._LoopRun.undo
-
-    def spy_undo(run):
-        undone.append((len(run.deg_dirty), len(run.buf_undo),
-                       run.gpu_added))
-        undo(run)
-
-    monkeypatch.setattr(fastsim._LoopRun, "undo", spy_undo)
     served = []
     run = ReferenceEngine.run
 
@@ -371,24 +359,73 @@ def test_a_late_decline_leaves_no_trace(case, variant, flush, monkeypatch):
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(ReferenceEngine, "run", spy)
-    with use_flush(flush):
-        with pytest.raises(FallbackToReference, match=re.escape(LATE[case])):
-            fastsim._loop_vectorized(launch)
-        observed = _launch("vectorized", doctored, spec)
-    # both Python replays (the direct one and the engine's) had
-    # decremented, appended and added before the decline; the native
-    # replay logs the same writes in C
-    if flush == "python":
-        assert len(undone) == 2
-        for decremented, appends, added in undone:
-            assert decremented >= 3 and appends >= 1 and added == 1
-    else:
-        assert undone == []
+    with pytest.raises(FallbackToReference, match=re.escape(LATE[case])):
+        fastsim._loop_vectorized(launch)
+    observed = _launch("vectorized", doctored, spec)
     for name, arr in a.items():
         assert arr.data.tobytes() == before[name].tobytes(), name
     assert memtracker.log == []
     assert served == ["loop_kernel"]
     assert observed == expected
+
+
+#: a device array the C replay cannot write in place, made so after
+#: ``malloc``; each still serves the reference interpreter (the loop
+#: kernel only reads the tails)
+UNADDRESSABLE = {
+    "read-only": ("buf_tails", lambda data: _read_only(data)),
+    "strided": ("deg", lambda data: np.repeat(data, 2)[::2]),
+    "int32": ("buf", lambda data: data.astype(np.int32)),
+}
+
+
+def _read_only(data):
+    data.setflags(write=False)
+    return data
+
+
+def _unaddressable(dev, case):
+    """A K8 sweep on ``dev`` (SM, so the launch stages shared memory)
+    with one array doctored as ``case`` says."""
+    arrays, k, cap, _ = _doctored("none")
+    a, args = _loop_args(dev, arrays, k, cap, "sm")
+    name, doctor = UNADDRESSABLE[case]
+    a[name].data = doctor(a[name].data)
+    return a, args
+
+
+@needs_cc
+@pytest.mark.parametrize("case", sorted(UNADDRESSABLE))
+def test_an_array_the_replay_cannot_write_is_served_by_reference(case):
+    """The replay writes ``deg``, ``buf`` and ``gpu_count`` in place
+    and reads the tails there, so a launch whose arrays are not all
+    writeable contiguous ``int64`` declines before its first write or
+    shared allocation, and the interpreter serves it."""
+    dev = Device()
+    a, args = _unaddressable(dev, case)
+    before = {name: arr.data.tolist() for name, arr in a.items()}
+    memtracker = _SharedLog()
+    launch = VectorLaunch(
+        spec=dev.spec, cost=dev.cost_model,
+        grid_dim=dev.spec.default_grid_dim,
+        block_dim=dev.spec.default_block_dim, args=args,
+        memtracker=memtracker,
+    )
+    with pytest.raises(FallbackToReference, match="cannot write in place"):
+        fastsim._loop_vectorized(launch)
+    assert {name: arr.data.tolist() for name, arr in a.items()} == before
+    assert memtracker.log == []
+    outcomes = {}
+    for engine in ("reference", "vectorized"):
+        dev = Device(engine=engine)
+        a, args = _unaddressable(dev, case)
+        stats = dev.launch(loop_kernel, args=args)
+        outcomes[engine] = (
+            stats, {name: arr.data.tolist() for name, arr in a.items()}
+        )
+    assert outcomes["vectorized"] == outcomes["reference"]
+    assert outcomes["vectorized"][0].served_by == "reference"
+    assert outcomes["vectorized"][1]["deg"] != before["deg"]  # it swept
 
 
 @needs_cc
@@ -418,7 +455,7 @@ fastsim._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 fastsim._cache_dir = lambda: Path({str(tmp_path / "cache")!r})
 assert fastsim.native_flush_available()
 sys.exit(pytest.main([
-    "-q", "-p", "no:cacheprovider", "-k", "not python",
+    "-q", "-p", "no:cacheprovider",
     "tests/gpusim/test_engine.py::test_big_hub_flush_matches_reference",
     "tests/core/test_native_flush.py::"
     "test_each_loop_fallback_fires_and_reference_serves",

@@ -21,11 +21,8 @@ from repro.gpusim.engine import (
     get_engine,
 )
 from repro.graph.examples import fig1_graph
-from tests.properties.test_engines import (
-    FLUSHES,
-    assert_byte_identical,
-    use_flush,
-)
+from tests.conftest import needs_cc
+from tests.properties.test_engines import assert_byte_identical
 
 
 def test_available_engines_reference_first():
@@ -205,7 +202,9 @@ def test_predicted_overflow_raises_the_reference_error():
         assert np.array_equal(ref, vec)
 
 
-@pytest.mark.parametrize("warp_size", (16, 32, 64))
+@pytest.mark.parametrize(
+    "warp_size", (16, pytest.param(32, marks=needs_cc), 64)
+)
 def test_other_warp_sizes_are_served_by_reference(warp_size):
     """Both executors count lanes, trips and scan chunks in 32-lane
     warps, so at any other warp size each launch declines and the
@@ -221,6 +220,35 @@ def test_other_warp_sizes_are_served_by_reference(warp_size):
     launches = vec.counters["kernel.scan.launches"] \
         + vec.counters["kernel.loop.launches"]
     tier = "vectorized" if warp_size == 32 else "reference"
+    assert vec.counters[f"engine.served.{tier}"] == launches
+
+
+@pytest.mark.parametrize("costs, tier", [
+    pytest.param({"global_load_latency": 13.75, "global_atomic_base": 5.5},
+                 "vectorized", marks=needs_cc),
+    ({"shared_access_cycles": 2.0}, "reference"),
+    ({"shared_atomic_base": 4.0}, "reference"),
+    ({"shared_atomic_conflict": 0.5}, "reference"),
+    ({"global_load_latency": 13.7}, "reference"),
+    ({"global_atomic_base": 5.9}, "reference"),
+])
+def test_cost_models_off_the_replayed_charges_are_served_by_reference(
+    costs, tier
+):
+    """Both executors hard-code the shared charges and fold the global
+    load and atomic charges in bulk, which is exact only on the
+    quarter-integer grid: a cost model off those charges declines every
+    launch, and one on them is replayed."""
+    from repro.gpusim.costmodel import CostModel
+    from repro.graph.generators import barabasi_albert
+
+    graph = barabasi_albert(300, 4, seed=1)
+    cost = CostModel(**costs)
+    ref = gpu_peel(graph, engine="reference", cost_model=cost)
+    vec = gpu_peel(graph, engine="vectorized", cost_model=cost)
+    assert_byte_identical(ref, vec)
+    launches = vec.counters["kernel.scan.launches"] \
+        + vec.counters["kernel.loop.launches"]
     assert vec.counters[f"engine.served.{tier}"] == launches
 
 
@@ -252,17 +280,17 @@ def big_hub():
 
 
 def _assert_every_launch_vectorized(graph, variant):
-    """Both loop replays serve every launch and match the reference."""
+    """The vectorized executors serve every launch and match the
+    reference."""
     ref = gpu_peel(graph, variant=variant, engine="reference")
-    for flush in FLUSHES:
-        with use_flush(flush):
-            vec = gpu_peel(graph, variant=variant, engine="vectorized")
-        assert_byte_identical(ref, vec)
-        launches = vec.counters["kernel.scan.launches"] \
-            + vec.counters["kernel.loop.launches"]
-        assert vec.counters["engine.served.vectorized"] == launches
+    vec = gpu_peel(graph, variant=variant, engine="vectorized")
+    assert_byte_identical(ref, vec)
+    launches = vec.counters["kernel.scan.launches"] \
+        + vec.counters["kernel.loop.launches"]
+    assert vec.counters["engine.served.vectorized"] == launches
 
 
+@needs_cc
 @pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec+sm"))
 def test_big_hub_flush_matches_reference(big_hub, variant):
     _assert_every_launch_vectorized(big_hub, variant)
@@ -279,6 +307,7 @@ def big_matching():
     return graph
 
 
+@needs_cc
 @pytest.mark.parametrize("variant", ("ours", "bc", "ec"))
 def test_big_scan_matches_reference(big_matching, variant):
     """One variant per compaction scheme (per-lane atomics, warp
@@ -290,7 +319,5 @@ def test_big_hub_multi_gpu_matches_reference(big_hub):
     from repro.core.multigpu import multi_gpu_peel
 
     ref = multi_gpu_peel(big_hub, num_devices=2, engine="reference")
-    for flush in FLUSHES:
-        with use_flush(flush):
-            vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
-        assert_byte_identical(ref, vec)
+    vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
+    assert_byte_identical(ref, vec)

@@ -7,51 +7,37 @@ differ only in host wall-clock time.  The reference interpreter is
 ground truth; these properties pin the vectorized engine against it
 on generated graphs across
 every kernel variant, including the ones the vectorized engine serves
-via structural fallback (``vw2``/``vw4``, ring buffers).  Each
-vectorized run is made twice, once per loop replay: the compiled C
-replay and the Python one it is pinned against.
+via structural fallback (``vw2``/``vw4``, ring buffers), and under
+cost models the vectorized executors decline as well as ones they
+replay.  Every vectorized loop launch runs the compiled C replay, so
+these properties pin it against the interpreter.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import fastsim
 from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS
+from repro.gpusim.costmodel import CostModel
 from repro.graph import generators as gen
 
 ALL_VARIANTS = tuple(VARIANTS) + tuple(EXTENSION_VARIANTS)
 
-
-#: the vectorized engine's two loop replays (each flushes its events
-#: itself, so the names of the flushes stand for the whole replay)
-FLUSHES = ("native", "python")
-
-
-@contextlib.contextmanager
-def use_flush(flush):
-    """Serve the vectorized engine's loop launches through ``flush``.
-
-    ``native`` is the default dispatch: the C replay, one call per
-    launch, wherever its library loads
-    (``test_native_flush_loads_with_a_compiler`` holds CI to that).
-    ``python`` swaps the module's library handle for one that reports
-    no library, as on a machine without a compiler.
-    """
-    if flush == "native":
-        yield
-        return
-    saved = fastsim._native_replay
-    fastsim._native_replay = lambda: None
-    try:
-        yield
-    finally:
-        fastsim._native_replay = saved
+#: the default model, two the executors replay off its values, and
+#: four they decline: shared charges they hard-code, and folded global
+#: charges off the quarter-integer grid
+COST_MODELS = (
+    CostModel(),
+    CostModel(global_load_latency=13.75, global_atomic_base=5.5),
+    CostModel(global_atomic_conflict=3.0),
+    CostModel(shared_access_cycles=2.0),
+    CostModel(shared_atomic_base=4.0),
+    CostModel(global_load_latency=13.7),
+    CostModel(global_atomic_base=5.9),
+)
 
 
 def _strip_engine(result):
@@ -97,16 +83,16 @@ def graphs(draw):
     )
 
 
-@given(graphs(), st.sampled_from(ALL_VARIANTS))
+@given(graphs(), st.sampled_from(ALL_VARIANTS), st.sampled_from(COST_MODELS))
 @settings(max_examples=25, deadline=None)
-def test_vectorized_matches_reference_byte_for_byte(graph, variant):
-    ref = gpu_peel(graph, variant=variant, engine="reference")
+def test_vectorized_matches_reference_byte_for_byte(graph, variant, cost):
+    ref = gpu_peel(graph, variant=variant, engine="reference",
+                   cost_model=cost)
     assert "engine.reference" in ref.counters
-    for flush in FLUSHES:
-        with use_flush(flush):
-            vec = gpu_peel(graph, variant=variant, engine="vectorized")
-        assert_byte_identical(ref, vec)
-        assert "engine.vectorized" in vec.counters
+    vec = gpu_peel(graph, variant=variant, engine="vectorized",
+                   cost_model=cost)
+    assert_byte_identical(ref, vec)
+    assert "engine.vectorized" in vec.counters
 
 
 @given(graphs(), st.sampled_from(("ours", "vp", "ec+sm")))
@@ -115,14 +101,12 @@ def test_engines_agree_under_observability_hooks(graph, variant):
     """Hooks attach identically: profiled+memtraced runs stay equal."""
     ref = gpu_peel(graph, variant=variant, engine="reference",
                    profile=True, memtrace=True)
-    for flush in FLUSHES:
-        with use_flush(flush):
-            vec = gpu_peel(graph, variant=variant, engine="vectorized",
-                           profile=True, memtrace=True)
-        assert_byte_identical(ref, vec)
-        assert ref.profile is not None and vec.profile is not None
-        assert ref.profile.to_json() == vec.profile.to_json()
-        assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes
+    vec = gpu_peel(graph, variant=variant, engine="vectorized",
+                   profile=True, memtrace=True)
+    assert_byte_identical(ref, vec)
+    assert ref.profile is not None and vec.profile is not None
+    assert ref.profile.to_json() == vec.profile.to_json()
+    assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes
 
 
 @given(graphs(), st.integers(min_value=1, max_value=8),
@@ -131,11 +115,9 @@ def test_engines_agree_under_observability_hooks(graph, variant):
 def test_multi_gpu_peel_is_engine_invariant(graph, num_devices, variant):
     ref = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
                          engine="reference")
-    for flush in FLUSHES:
-        with use_flush(flush):
-            vec = multi_gpu_peel(graph, num_devices=num_devices,
-                                 variant=variant, engine="vectorized")
-        assert_byte_identical(ref, vec)
+    vec = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
+                         engine="vectorized")
+    assert_byte_identical(ref, vec)
 
 
 @given(graphs())
