@@ -4,8 +4,9 @@ This module is the ``vectorized`` engine's fast path (see
 :mod:`repro.gpusim.engine` and ``docs/SIMULATOR.md``).  Instead of
 stepping one generator per warp through the reference scheduler, each
 executor computes a whole launch — every device-memory side effect and
-every cost-model tally — in one pass (a walk over the hit list for the
-scan, a turn-level replay for the loop), then returns the same
+every cost-model tally — in one call into C (``fastsim_flush.c``: a
+walk over the degree array for the scan, a turn-level replay for the
+loop), which also folds the launch's stats, and returns the same
 :class:`~repro.gpusim.scheduler.KernelStats` the reference interpreter
 would have produced, byte for byte.
 
@@ -16,9 +17,12 @@ How exactness is preserved
 cross-block state: each block's buffer content is its warps' hits
 ordered by ``(trip, warp, lane)``, which is ascending vertex id, and
 every per-trip cost is a function of the trip's lane and hit counts
-alone.  The hit-independent charges are cached per launch shape; each
-launch walks its ascending hit list once, one 32-vertex chunk (one
-trip) at a time.
+alone.  Each launch (``repro_scan``) walks the degree array once in
+ascending 32-vertex chunks (one chunk is one trip) to count each
+block's hits and checks them, then adds up every trip's
+hit-independent charges and walks the chunks with hits again to
+write the buffers and add the hit-dependent charges, the same ones
+per trip the reference makes.
 
 *Loop* (:func:`~repro.core.loop_kernel.loop_kernel`) has cross-block
 ordering semantics (concurrent ``atomicSub`` on shared neighbors), so
@@ -37,16 +41,25 @@ so the degree each lane reads is the value its atomic observes —
 unless an adjacency list contains duplicate neighbors, a case the
 executor detects up front and declines.
 
-The loop replay is C (``fastsim_flush.c``), built once into a per-user
-cache with the system ``cc`` and loaded with :mod:`ctypes` at the
-first loop launch of a process; a launch is one call into it.  Where
-the library does not load, loop launches decline and the reference
-interpreter serves them, which is the fallback the tests pin the C
-replay against.  Both executors charge the shared-memory costs at the
-default cost model's values and fold the global-load latency and the
-global atomic's base charge in bulk, so a launch whose cost model
-differs there, or puts those two off the quarter-integer grid where
-every sum is exact, declines too (see :func:`_bind`).
+Both replays add the reference's charges in their own grouping, which
+is exact because every charge is on the quarter-integer grid: they
+charge the shared-memory costs at the default cost model's values and
+fold the global-load latency and the global atomic's base charge in
+bulk, so a launch whose cost model differs there, or puts those two
+off the grid, declines (see :func:`_bind`).  The *fold*
+(``repro_fold``) is not regrouped: it makes ``run_kernel``'s epilogue's
+double operations in its order (per-block sums in warp order, the
+per-block roofline added to its SM round-robin in block order, ``max``
+keeping the first of equal values), because its ``0.3`` cycles per
+transaction is not dyadic.  Python builds the
+:class:`~repro.gpusim.costmodel.BlockTiming` records from the fold's
+per-block output only for a profiler.
+
+The library is built once into a per-user cache with the system
+``cc`` and loaded with :mod:`ctypes` at the first vectorized launch of
+a process.  Where it does not load, every launch declines and the
+reference interpreter serves it, which is the fallback the tests pin
+the C replays against.
 
 Fallback discipline
 -------------------
@@ -55,34 +68,37 @@ An executor declines a launch by raising
 :class:`~repro.gpusim.engine.FallbackToReference`, leaving no trace —
 the engine then re-runs the launch on the reference interpreter.
 Both executors write the device arrays in place.  The scan declines
-only before its first write (warp size, ring buffer, argument
-binding, the overflow check after the walk).  The loop can decline
-mid-replay, so the C replay logs what it overwrites — the degree ids
-it decremented, each block's global buffer slots (contiguous from the
-block's ``e_init``), its ``gpu_count`` adds — and a decline undoes
-them; the log is bounded, and a full log declines.  Shared-memory
-allocations are staged in both executors.  Declined launches: warp
-sizes other than 32 (lanes, trips and scan chunks are counted in
-32-lane warps), cost models off the replays' charges, ring-buffer
-variants (wraparound head/tail semantics), virtual warping
-(``vw > 1``), duplicate in-adjacency neighbors, predicted buffer
-overflow (the reference run raises
-:class:`~repro.errors.BufferOverflowError` at the exact offending
-write or read, with the exact partial state), tails, CSR rows or
-neighbor ids outside their arrays (the reference's numpy indexing
-raises or wraps; the C replay never reads or writes out of bounds),
-device arrays the C replay cannot write in place, and every loop
-launch when its library does not load.  Shared-memory exhaustion is
-*not* a fallback: the staged allocations are made before the replay
-in :meth:`~repro.gpusim.context.BlockState.alloc_shared` order, fire
-the same memtracker callbacks, and raise the same
+only before its first write: its count pass checks the overflow and
+every index the write pass uses.  The loop can decline mid-replay, so
+the C replay logs what it overwrites — the degree ids it decremented,
+each block's global buffer slots (contiguous from the block's
+``e_init``), its ``gpu_count`` adds — and a decline undoes them; the
+log is bounded, and a full log declines.  Shared-memory allocations
+are staged in both executors.  Declined launches: warp sizes other
+than 32 (lanes, trips and scan chunks are counted in 32-lane warps),
+cost models off the replays' charges or with a zero issue width (the
+reference's division raises), ring-buffer variants (wraparound
+head/tail semantics), virtual warping (``vw > 1``), duplicate
+in-adjacency neighbors, predicted buffer overflow (the reference run
+raises :class:`~repro.errors.BufferOverflowError` at the exact
+offending write or read, with the exact partial state), tails, buffer
+slots, scanned vertices, CSR rows or neighbor ids outside their arrays
+(the reference's numpy indexing raises or wraps; the C replays never
+read or write out of bounds), device arrays the C replays cannot
+address in place, and every launch when the library does not load.
+Shared-memory exhaustion is *not* a fallback: the staged allocations
+are made before the replay in
+:meth:`~repro.gpusim.context.BlockState.alloc_shared` order, fire the
+same memtracker callbacks, and raise the same
 :class:`~repro.errors.SharedMemoryExhaustedError`.
 
 The executors assume the CSR arrays (``offsets``/``neighbors``) are
 immutable for the lifetime of the :class:`~repro.gpusim.memory.DeviceArray`
 objects — true for every host program in this repository — so the
 duplicate-neighbor pre-check and the native replay's CSR context can
-be cached per array pair.
+be cached per array pair.  A scan's C context is cached on the tails
+it writes; each context keeps its accumulator and fold scratch, and
+each device array its address.
 """
 
 from __future__ import annotations
@@ -95,7 +111,7 @@ import platform
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -111,7 +127,6 @@ from repro.gpusim.engine import (
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.scheduler import KernelStats
-from repro.gpusim.vectorized import kernel_cycles
 
 __all__ = ["native_flush_available", "register"]
 
@@ -121,76 +136,51 @@ __all__ = ["native_flush_available", "register"]
 # ---------------------------------------------------------------------------
 
 
-class _Accounting:
-    """Per-warp issue/path and per-block metric accumulators.
+#: the launch totals ``repro_fold`` writes first in its output, in
+#: :class:`KernelStats` field order; each block's issued sum and warp
+#: path maximum follow them
+_TOTALS = 11
 
-    Mirrors what :class:`~repro.gpusim.context.WarpContext` and
-    :class:`~repro.gpusim.costmodel.BlockTiming` accumulate, all in one
-    array, ``values`` (the native replay's ``acc``): ``issued`` and
-    ``path`` per warp, then per block ``mem_transactions``,
-    ``mem_accesses``, ``mem_active_lanes``, ``mem_ideal_transactions``,
+
+def _kernel_stats(
+    launch: VectorLaunch, acc: np.ndarray, out: np.ndarray
+) -> KernelStats:
+    """The launch's stats from the C fold's output ``out``.
+
+    ``acc`` holds the launch's accumulators: ``issued`` and ``path``
+    per warp, then per block ``mem_transactions``, ``mem_accesses``,
+    ``mem_active_lanes``, ``mem_ideal_transactions``,
     ``atomic_cycles``, ``atomic_conflicts``, ``buffer_peak`` and
-    ``barriers``.
+    ``barriers``, the fields of
+    :class:`~repro.gpusim.costmodel.BlockTiming`.  The records are
+    built only for a profiler (``collect_timings``).
     """
-
-    def __init__(
-        self, grid: int, warps: int, values: Optional[np.ndarray] = None
-    ) -> None:
-        self.grid = grid
-        self.warps = warps
-        self.values = (
-            np.zeros(2 * grid * warps + 8 * grid) if values is None
-            else values
+    t = out.tolist()
+    timings = None
+    if launch.collect_timings:
+        grid = launch.grid_dim
+        issued = t[_TOTALS : _TOTALS + grid]
+        paths = t[_TOTALS + grid :]
+        trans, accesses, lanes, ideal, atomic, conflicts, peak, barriers = (
+            acc[acc.size - 8 * grid :].reshape(8, grid).tolist()
         )
-
-    def finish(self, launch: VectorLaunch) -> KernelStats:
-        """The launch's stats, folded as ``run_kernel``'s epilogue.
-
-        The same double operations as the reference's fold over its
-        :class:`BlockTiming` records, in block order, on the
-        accumulators; the records themselves are built only for a
-        profiler (``collect_timings``).
-        """
-        grid = self.grid
-        w = self.warps
-        n = grid * w
-        values = self.values.tolist()
-        issued = [sum(values[b * w : b * w + w]) for b in range(grid)]
-        paths = [max(values[n + b * w : n + b * w + w]) for b in range(grid)]
-        trans, accesses, lanes, ideal, atomic, conflicts, peak, barriers = [
-            values[i : i + grid] for i in range(2 * n, 2 * n + 8 * grid, grid)
-        ]
-        timings = None
-        if launch.collect_timings:
-            timings = tuple(
-                BlockTiming(
-                    issued=issued[b], mem_transactions=trans[b],
-                    max_warp_path=paths[b], barriers=int(barriers[b]),
-                    atomic_conflicts=conflicts[b], buffer_peak=peak[b],
-                    atomic_cycles=atomic[b], mem_accesses=accesses[b],
-                    mem_active_lanes=lanes[b],
-                    mem_ideal_transactions=ideal[b],
-                )
-                for b in range(grid)
+        timings = tuple(
+            BlockTiming(
+                issued=issued[b], mem_transactions=trans[b],
+                max_warp_path=paths[b], barriers=int(barriers[b]),
+                atomic_conflicts=conflicts[b], buffer_peak=peak[b],
+                atomic_cycles=atomic[b], mem_accesses=accesses[b],
+                mem_active_lanes=lanes[b], mem_ideal_transactions=ideal[b],
             )
-        return KernelStats(
-            cycles=kernel_cycles(
-                launch.cost, issued, trans, paths, barriers,
-                launch.spec.num_sms,
-            ),
-            issued=sum(issued),
-            mem_transactions=sum(trans),
-            barriers=int(sum(barriers)),
-            max_warp_path=max(paths, default=0.0),
-            atomic_conflicts=sum(conflicts),
-            buffer_peak=max(peak, default=0.0),
-            atomic_cycles=sum(atomic),
-            mem_accesses=sum(accesses),
-            mem_active_lanes=sum(lanes),
-            mem_ideal_transactions=sum(ideal),
-            block_timings=timings,
-            served_by="vectorized",
+            for b in range(grid)
         )
+    return KernelStats(
+        cycles=t[0], issued=t[1], mem_transactions=t[2], barriers=int(t[3]),
+        max_warp_path=t[4], atomic_conflicts=t[5], buffer_peak=t[6],
+        atomic_cycles=t[7], mem_accesses=t[8], mem_active_lanes=t[9],
+        mem_ideal_transactions=t[10], block_timings=timings,
+        served_by="vectorized",
+    )
 
 
 class _StagedShared:
@@ -294,6 +284,7 @@ def _adjacency_has_duplicates(
     return dup
 
 
+@functools.lru_cache(maxsize=64)
 def _exact_costs(cost: CostModel) -> bool:
     """Whether both executors' charges are ``cost``'s, bit for bit.
 
@@ -302,7 +293,7 @@ def _exact_costs(cost: CostModel) -> bool:
     the global atomic's base charge in bulk (``1 + latency`` per load,
     say, where the reference adds 1, then the latency); that fold is
     exact only for quarter-integers small enough that every sum of
-    them is exact.
+    them is exact.  Cached per (frozen) cost model: every launch asks.
     """
     fold = (cost.global_load_latency, cost.global_atomic_base)
     return (
@@ -319,13 +310,17 @@ def _bind(
 ) -> Dict[str, Any]:
     """The launch's kernel arguments by name, once its shape and cost
     model are ones both executors replay: they count lanes, trips and
-    chunks in 32-lane warps, and charge as :func:`_exact_costs` says."""
+    chunks in 32-lane warps, and charge as :func:`_exact_costs` says.
+    The C fold divides by the issue width, where the reference's
+    division by zero raises."""
     if launch.spec.warp_size != 32:
         raise FallbackToReference("warp size other than 32")
     if not _exact_costs(launch.cost):
         raise FallbackToReference("cost model off the replayed charges")
-    if launch.block_dim < 32:
-        raise FallbackToReference("blocks without a warp")
+    if not launch.cost.issue_width:
+        raise FallbackToReference("cost model with a zero issue width")
+    if launch.block_dim < 32 or launch.grid_dim < 1:
+        raise FallbackToReference("a launch without warps")
     bound: Dict[str, Any] = dict(defaults)
     if len(launch.args) > len(names):
         raise FallbackToReference("unexpected extra positional arguments")
@@ -341,236 +336,8 @@ def _bind(
 
 
 # ---------------------------------------------------------------------------
-# scan kernel: one walk over the hits
+# the native library, compiled on first use
 # ---------------------------------------------------------------------------
-
-_SCAN_PARAMS = (
-    "k", "deg", "buf", "tails", "num_vertices", "capacity", "cfg",
-    "vertex_lo",
-)
-
-
-class _ScanSkeleton:
-    """Hit-independent charges of one scan launch shape.
-
-    A decomposition launches the scan kernel once per peel round with
-    the same grid and vertex range — only ``k`` and the degree array
-    change.  Everything that does not depend on *which* vertices hit
-    (the per-trip base charges, the prologue/epilogue/barrier totals)
-    is computed once here, per warp and per block, and reused, leaving
-    each launch only the walk over its hits.  ``values0`` holds them
-    in ``_Accounting.values`` layout.
-    """
-
-    __slots__ = ("values0",)
-
-    def __init__(
-        self, compaction: str, grid: int, warps: int, nv: int,
-        vertex_lo: int, stride: int,
-    ) -> None:
-        gw = grid * warps
-        gwids = np.arange(gw, dtype=np.int64)
-        base = vertex_lo + gwids * 32
-        if compaction == "block":
-            # every warp makes the same trip count (barriers must line up)
-            span = max(0, nv - vertex_lo)
-            trips_per_warp = np.full(
-                gw, max(1, -(-span // stride)), dtype=np.int64
-            )
-        else:
-            trips_per_warp = np.maximum(0, -(-(nv - base) // stride))
-        # trip enumeration: warp, block and first vertex of every trip
-        trip_warp = np.repeat(gwids, trips_per_warp)
-        trip_block = trip_warp // warps
-        trip_t = np.arange(trip_warp.size, dtype=np.int64) - np.repeat(
-            np.cumsum(trips_per_warp) - trips_per_warp, trips_per_warp
-        )
-        trip_first = base[trip_warp] + trip_t * stride
-        trip_lanes = np.clip(nv - trip_first, 0, 32)
-        has_lanes = trip_lanes > 0
-
-        # _hit_flags charge(4) + coalesced degree read & hit-mask
-        # charge(2) when lanes are in range; issued == path for every
-        # base term, so one fold serves both
-        t_base = 4.0 + np.where(has_lanes, 2.0, 0.0)
-        if compaction == "ballot":
-            t_base += 3.0  # ballot + popc + lane-mask charge, every trip
-        elif compaction == "block":
-            t_base += 12.0  # Hillis-Steele compaction + sstore(counts)
-        warp_base = np.bincount(trip_warp, weights=t_base, minlength=gw)
-        issued0 = warp_base
-        path0 = warp_base.copy()
-        deg_trans = np.where(
-            has_lanes,
-            (trip_first + trip_lanes - 1) // 32 - trip_first // 32 + 1,
-            0,
-        ).astype(np.float64)
-        hl = has_lanes.astype(np.float64)
-        trans0 = np.bincount(
-            trip_block, weights=deg_trans, minlength=grid
-        ) + 1.0  # + tails store
-        acc0 = np.bincount(trip_block, weights=hl, minlength=grid) + 1.0
-        lanes0 = np.bincount(
-            trip_block, weights=trip_lanes.astype(np.float64), minlength=grid
-        ) + 1.0
-        ideal0 = acc0.copy()
-        atomic0 = np.zeros(grid)
-        barriers0 = np.full(grid, 2, dtype=np.int64)  # Line 2 + final
-        w0 = np.arange(grid, dtype=np.int64) * warps
-        if compaction == "block":
-            # Warp 0 stages 2-3, every trip: sload(counts) + 2*log2(W)+2
-            # scan charge + atomicAdd(e, total, lanes=1) + sstore(woffs)
-            steps = max(1, int(np.log2(max(2, warps))))
-            trips0 = trips_per_warp[w0]
-            issued0[w0] += (1.0 + (2 * steps + 2) + 1.0 + 1.0) * trips0
-            path0[w0] += (1.0 + (2 * steps + 2) + 2.0 + 1.0) * trips0
-            atomic0 += 2.0 * trips0
-            barriers0 += 3 * trips0  # three __syncthreads per trip
-        # prologue smem_set("e", 0) + epilogue smem_get("e") + gstore
-        issued0[w0] += 3.0
-        path0[w0] += 3.0
-        self.values0 = np.concatenate((
-            issued0, path0, trans0, acc0, lanes0, ideal0, atomic0,
-            np.zeros(2 * grid), barriers0,  # conflicts, peak: none yet
-        ))
-
-
-_SCAN_SKELETONS: Dict[Tuple[Any, ...], _ScanSkeleton] = {}
-
-
-def _scan_skeleton(
-    compaction: str, grid: int, warps: int, nv: int, vertex_lo: int,
-    stride: int,
-) -> _ScanSkeleton:
-    key = (compaction, grid, warps, nv, vertex_lo, stride)
-    skel = _SCAN_SKELETONS.get(key)
-    if skel is None:
-        if len(_SCAN_SKELETONS) >= 32:
-            _SCAN_SKELETONS.clear()
-        skel = _ScanSkeleton(compaction, grid, warps, nv, vertex_lo, stride)
-        _SCAN_SKELETONS[key] = skel
-    return skel
-
-
-def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
-    b = _bind(_SCAN_PARAMS, {"vertex_lo": 0}, launch)
-    cfg: VariantConfig = b["cfg"]
-    if cfg.ring_buffer:
-        raise FallbackToReference("ring buffers wrap against a moving head")
-    k = int(b["k"])
-    deg: DeviceArray = b["deg"]
-    buf: DeviceArray = b["buf"]
-    tails: DeviceArray = b["tails"]
-    nv = int(b["num_vertices"])
-    capacity = int(b["capacity"])
-    vertex_lo = int(b["vertex_lo"])
-
-    grid = launch.grid_dim
-    warps = launch.block_dim // 32
-    gw = grid * warps
-    stride = launch.grid_dim * launch.block_dim
-    skel = _scan_skeleton(cfg.compaction, grid, warps, nv, vertex_lo, stride)
-    # the precomputed hit-independent charges
-    acc = _Accounting(grid, warps, skel.values0.copy())
-    shared = _StagedShared(launch)
-    if cfg.compaction == "block":
-        # EC allocates its two staging arrays per block, in block order,
-        # before any trip writes (see docs/SIMULATOR.md)
-        for blk in range(grid):
-            shared.alloc(blk, "warp_counts", warps)
-            shared.alloc(blk, "warp_offsets", warps)
-
-    # -- the hit walk ---------------------------------------------------
-    # A trip covers exactly one 32-vertex chunk (stride == gw * 32), and
-    # the append order within a block — (trip, warp) ascending — is
-    # ascending chunk, i.e. ascending vertex id.  So grouping the
-    # (already ascending) hit list by chunk walks trips in append order:
-    # buffer slots are contiguous per block and the peak is the final
-    # tail.  All charges are quarter-integers summed in Python floats —
-    # exact, so folding them in bulk is bit-identical to the
-    # reference's per-trip charges.
-    hits = (
-        np.flatnonzero(deg.data[vertex_lo:nv] == k).tolist()
-        if nv > vertex_lo else []
-    )
-    ti = [0.0] * gw
-    tp = [0.0] * gw
-    at_cyc = [0.0] * grid
-    at_con = [0.0] * grid
-    m_tr = [0.0] * grid
-    m_acc = [0.0] * grid
-    m_lan = [0.0] * grid
-    pos = [0] * grid
-    content: List[List[int]] = [[] for _ in range(grid)]
-    comp = cfg.compaction
-    i = 0
-    n = len(hits)
-    while i < n:
-        chunk = hits[i] >> 5
-        j = i + 1
-        while j < n and hits[j] >> 5 == chunk:
-            j += 1
-        h = j - i
-        wg = chunk % gw
-        bidx = wg // warps
-        if comp == "none":
-            # atomicAdd(e, h): h serialised lanes + buffered gstore
-            ti[wg] += 2.0
-            sa = 2.0 + 0.25 * (h - 1)
-            tp[wg] += sa + 1.0
-            at_cyc[bidx] += sa
-            at_con[bidx] += h - 1
-        elif comp == "ballot":
-            ti[wg] += 4.0  # atomic + shfl + charge(1) + gstore
-            tp[wg] += 5.0
-            at_cyc[bidx] += 2.0
-        else:  # block (EC): sload(woffs) + gstore
-            ti[wg] += 2.0
-            tp[wg] += 2.0
-        a0 = bidx * capacity + pos[bidx]
-        m_tr[bidx] += (a0 + h - 1) // 32 - a0 // 32 + 1
-        m_acc[bidx] += 1.0
-        m_lan[bidx] += h
-        pos[bidx] += h
-        if vertex_lo:
-            content[bidx].extend(v + vertex_lo for v in hits[i:j])
-        else:
-            content[bidx].extend(hits[i:j])
-        i = j
-    if max(pos, default=0) > capacity:
-        raise FallbackToReference("scan buffer overflow; reference raises")
-    # the walk's sums, row by row in ``_Accounting.values`` layout;
-    # each block's peak is its final tail
-    sums = ti + tp + m_tr + m_acc + m_lan + m_acc + at_cyc + at_con
-    acc.values[: len(sums)] += np.asarray(sums)
-    acc.values[len(sums) : len(sums) + grid] = pos  # the buffer_peak row
-    # that was the last decline: the launch completes from here, so it
-    # writes the device arrays in place
-    for bidx, vs in enumerate(content):
-        if vs:
-            buf.data[bidx * capacity : bidx * capacity + len(vs)] = vs
-    tails.data[:grid] = pos
-    stats = acc.finish(launch)
-    shared.commit()
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# loop kernel: the turn-level replay in C, compiled on first use
-# ---------------------------------------------------------------------------
-
-_LOOP_PARAMS = (
-    "k", "offsets", "neighbors", "deg", "buf", "tails", "gpu_count",
-    "capacity", "shared_capacity", "cfg", "own_range",
-)
-
-
-def _scan_cost(compaction: str) -> float:
-    """Per-trip instruction cost of the append scheme's warp scan."""
-    if compaction == "none":
-        return 0.0
-    return 3.0 if compaction == "ballot" else 11.0
-
 
 _FLUSH_SOURCE = Path(__file__).with_name("fastsim_flush.c")
 #: no -ffast-math and no FMA contraction: the compiler must neither
@@ -579,11 +346,41 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _DIGEST = 32  # sha256 of the library, appended to the cached file
 
 
+#: the last fields of both C contexts (``FOLD_FIELDS`` in the C file):
+#: the accumulators, the fold's output and the fold's constants
+_FOLD_FIELDS = [
+    ("acc", ctypes.c_void_p), ("out", ctypes.c_void_p),
+    ("num_sms", ctypes.c_int64), ("issue_width", ctypes.c_double),
+    ("per_transaction", ctypes.c_double), ("per_barrier", ctypes.c_double),
+]
+
+
+class _ScanCtx(ctypes.Structure):
+    """``scan_ctx`` of ``fastsim_flush.c``, field for field."""
+
+    #: the ``acc`` and ``out`` arrays (see :func:`_point_scratch`)
+    scratch: Tuple[np.ndarray, np.ndarray]
+    shape = (0, 0)
+
+    _fields_ = [
+        ("deg", ctypes.c_void_p), ("dsz", ctypes.c_int64),
+        ("buf", ctypes.c_void_p), ("bsz", ctypes.c_int64),
+        ("tails", ctypes.c_void_p), ("tsz", ctypes.c_int64),
+        ("grid", ctypes.c_int64), ("warps", ctypes.c_int64),
+        ("k", ctypes.c_int64), ("nv", ctypes.c_int64),
+        ("lo", ctypes.c_int64), ("cap", ctypes.c_int64),
+        ("compaction", ctypes.c_int64), *_FOLD_FIELDS,
+    ]
+
+
 class _LoopCtx(ctypes.Structure):
     """``loop_ctx`` of ``fastsim_flush.c``, field for field."""
 
     #: the CSR data ``offs`` and ``nbrs`` point into
     arrays: Tuple[np.ndarray, np.ndarray]
+    #: the ``acc`` and ``out`` arrays (see :func:`_point_scratch`)
+    scratch: Tuple[np.ndarray, np.ndarray]
+    shape = (0, 0)
 
     _fields_ = [
         ("offs", ctypes.c_void_p), ("osz", ctypes.c_int64),
@@ -598,7 +395,7 @@ class _LoopCtx(ctypes.Structure):
         ("base", ctypes.c_int64), ("owned", ctypes.c_int64),
         ("lo", ctypes.c_int64), ("hi", ctypes.c_int64),
         ("gll", ctypes.c_double), ("gab", ctypes.c_double),
-        ("scan_cost", ctypes.c_double), ("acc", ctypes.c_void_p),
+        ("scan_cost", ctypes.c_double), *_FOLD_FIELDS,
     ]
 
 
@@ -607,7 +404,7 @@ def _cache_dir() -> Path:
 
 
 def _sha256(data: bytes) -> bytes:
-    # imported here: a process that never replays a loop never loads
+    # imported here: a process that never replays a launch never loads
     # OpenSSL
     import hashlib
 
@@ -678,10 +475,10 @@ def _prune(cache_dir: Path, keep: Path) -> None:
                 stale.unlink()
 
 
-def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
-    """The compiled replay from ``cache_dir``, building it if needed.
+def _load_native(cache_dir: Path) -> Optional[ctypes.CDLL]:
+    """The compiled replays from ``cache_dir``, building them if needed.
 
-    Returns ``None`` (the reference interpreter serves loop launches)
+    Returns ``None`` (the reference interpreter serves every launch)
     when no ``cc`` is on ``PATH``, the build fails, or another user
     owns or can write the cache directory.
     """
@@ -703,27 +500,152 @@ def _load_native(cache_dir: Path) -> Optional[Callable[..., int]]:
         return None
     if lib is None:
         return None
-    fn = lib.repro_loop
-    fn.argtypes = [ctypes.POINTER(_LoopCtx)]
-    fn.restype = ctypes.c_int
-    return fn
+    for fn, ctx in ((lib.repro_scan, _ScanCtx), (lib.repro_loop, _LoopCtx)):
+        fn.argtypes = [ctypes.POINTER(ctx)]
+        fn.restype = ctypes.c_int
+    return lib
 
 
 @functools.cache
-def _native_replay() -> Optional[Callable[..., int]]:
-    """The native replay, loaded at the first loop launch of the process."""
+def _native_replay() -> Optional[ctypes.CDLL]:
+    """The native replays, loaded at the first vectorized launch of the
+    process."""
     return _load_native(_cache_dir())
 
 
 def native_flush_available() -> bool:
-    """True when loop launches replay in C, False when the reference
-    interpreter serves them.
+    """True when scan and loop launches replay in C, False when the
+    reference interpreter serves them.
 
-    The C library replays a whole loop launch, its flushes included.
-    Loads (and on first use compiles) it; see ``docs/SIMULATOR.md``,
-    "The native loop replay".
+    The C library replays a whole launch and folds its stats.  Loads
+    (and on first use compiles) it; see ``docs/SIMULATOR.md``, "The
+    native replays".
     """
     return _native_replay() is not None
+
+
+def _address(array: DeviceArray) -> Optional[int]:
+    """Where the C replay may write ``array`` in place, or ``None``
+    when its data are not a writeable contiguous int64 array."""
+    data = array.data
+    if not (
+        data.dtype == np.int64 and data.flags.c_contiguous
+        and data.flags.writeable
+    ):
+        return None
+    cached = getattr(array, "_fastsim_addr", None)
+    if cached is not None and cached[0] is data:
+        return cached[1]  # type: ignore[no-any-return]
+    addr = int(data.ctypes.data)
+    with contextlib.suppress(AttributeError):
+        setattr(array, "_fastsim_addr", (data, addr))
+    return addr
+
+
+def _point_scratch(ctx: Any, launch: VectorLaunch) -> None:
+    """Point ``ctx``'s accumulators and fold output at scratch arrays
+    sized for ``launch``, and set the fold's constants.
+
+    The arrays are kept on ``ctx`` (with their addresses) for the next
+    launch of the same grid; the C call overwrites both.
+    """
+    grid = launch.grid_dim
+    warps = launch.block_dim // 32
+    if ctx.shape != (grid, warps):
+        ctx.scratch = (
+            np.empty(2 * grid * warps + 8 * grid),
+            np.empty(_TOTALS + 2 * grid),
+        )
+        ctx.acc = ctx.scratch[0].ctypes.data
+        ctx.out = ctx.scratch[1].ctypes.data
+        ctx.grid = grid
+        ctx.warps = warps
+        ctx.shape = (grid, warps)
+    cost = launch.cost
+    ctx.num_sms = launch.spec.num_sms
+    ctx.issue_width = cost.issue_width
+    ctx.per_transaction = cost.mem_transaction_cycles
+    ctx.per_barrier = cost.barrier_cycles
+
+# ---------------------------------------------------------------------------
+# scan kernel: one walk over the degree array in C
+# ---------------------------------------------------------------------------
+
+_SCAN_PARAMS = (
+    "k", "deg", "buf", "tails", "num_vertices", "capacity", "cfg",
+    "vertex_lo",
+)
+
+
+_COMPACTIONS = ("none", "ballot", "block")  # ``scan_ctx.compaction``
+
+
+def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
+    b = _bind(_SCAN_PARAMS, {"vertex_lo": 0}, launch)
+    cfg: VariantConfig = b["cfg"]
+    if cfg.ring_buffer:
+        raise FallbackToReference("ring buffers wrap against a moving head")
+    lib = _native_replay()
+    if lib is None:
+        raise FallbackToReference("no native scan replay")
+    deg: DeviceArray = b["deg"]
+    buf: DeviceArray = b["buf"]
+    tails: DeviceArray = b["tails"]
+    addrs = [_address(deg), _address(buf), _address(tails)]
+    if None in addrs:
+        raise FallbackToReference(
+            "device array the C replay cannot write in place"
+        )
+    ctx = getattr(tails, "_fastsim_scan", None)
+    if ctx is None:  # kept on the tails the scan writes
+        ctx = _ScanCtx()
+        with contextlib.suppress(AttributeError):
+            setattr(tails, "_fastsim_scan", ctx)
+    _point_scratch(ctx, launch)
+    ctx.deg, ctx.buf, ctx.tails = addrs
+    ctx.dsz = deg.data.size
+    ctx.bsz = buf.data.size
+    ctx.tsz = tails.data.size
+    ctx.k = int(b["k"])
+    ctx.nv = int(b["num_vertices"])
+    ctx.lo = int(b["vertex_lo"])
+    ctx.cap = int(b["capacity"])
+    ctx.compaction = _COMPACTIONS.index(cfg.compaction)
+    shared = _StagedShared(launch)
+    if cfg.compaction == "block":
+        # EC allocates its two staging arrays per block, in block order,
+        # before any trip writes (see docs/SIMULATOR.md)
+        warps = launch.block_dim // 32
+        for blk in range(launch.grid_dim):
+            shared.alloc(blk, "warp_counts", warps)
+            shared.alloc(blk, "warp_offsets", warps)
+    code = lib.repro_scan(ctx)
+    if code == 3:
+        raise FallbackToReference("scan buffer overflow; reference raises")
+    if code == 6:
+        raise FallbackToReference("native scan replay out of memory")
+    if code:
+        raise FallbackToReference("scan replay index out of bounds")
+    stats = _kernel_stats(launch, *ctx.scratch)
+    shared.commit()
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# loop kernel: the turn-level replay in C
+# ---------------------------------------------------------------------------
+
+_LOOP_PARAMS = (
+    "k", "offsets", "neighbors", "deg", "buf", "tails", "gpu_count",
+    "capacity", "shared_capacity", "cfg", "own_range",
+)
+
+
+def _scan_cost(compaction: str) -> float:
+    """Per-trip instruction cost of the append scheme's warp scan."""
+    if compaction == "none":
+        return 0.0
+    return 3.0 if compaction == "ballot" else 11.0
 
 
 def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
@@ -751,40 +673,22 @@ def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
     return ctx
 
 
-def _address(array: DeviceArray) -> Optional[int]:
-    """Where the C replay may write ``array`` in place, or ``None``
-    when its data are not a writeable contiguous int64 array."""
-    data = array.data
-    if not (
-        data.dtype == np.int64 and data.flags.c_contiguous
-        and data.flags.writeable
-    ):
-        return None
-    cached = getattr(array, "_fastsim_addr", None)
-    if cached is not None and cached[0] is data:
-        return cached[1]  # type: ignore[no-any-return]
-    addr = int(data.ctypes.data)
-    with contextlib.suppress(AttributeError):
-        setattr(array, "_fastsim_addr", (data, addr))
-    return addr
-
-
 def _replay_native(
-    fn: Callable[..., int], launch: VectorLaunch, bound: Dict[str, Any],
-    addrs: List[Optional[int]], acc: _Accounting,
-) -> None:
+    lib: ctypes.CDLL, launch: VectorLaunch, bound: Dict[str, Any],
+    addrs: List[Optional[int]],
+) -> _LoopCtx:
     """The whole launch in one C call, on the device arrays at
-    ``addrs`` (``deg``, ``buf``, ``tails``, ``gpu_count``)."""
+    ``addrs`` (``deg``, ``buf``, ``tails``, ``gpu_count``); returns the
+    context, whose scratch holds the folded stats."""
     cfg: VariantConfig = bound["cfg"]
     own = bound["own_range"]
     lo, hi = own if own is not None else (0, 0)
     cost = launch.cost
     ctx = _csr_ctx(bound["offsets"], bound["neighbors"])
+    _point_scratch(ctx, launch)
     ctx.deg, ctx.buf, ctx.tails, ctx.gpu_count = addrs
     ctx.dsz = bound["deg"].data.size
     ctx.bsz = bound["buf"].data.size
-    ctx.grid = launch.grid_dim
-    ctx.warps = launch.block_dim // 32
     ctx.k = int(bound["k"])
     ctx.cap = int(bound["capacity"])
     ctx.scap = int(bound["shared_capacity"])
@@ -798,8 +702,7 @@ def _replay_native(
     ctx.gll = cost.global_load_latency
     ctx.gab = cost.global_atomic_base
     ctx.scan_cost = _scan_cost(cfg.compaction)
-    ctx.acc = acc.values.ctypes.data
-    code = fn(ctx)
+    code = lib.repro_loop(ctx)
     if code == 1:
         raise FallbackToReference("loop buffer read overflow")
     if code == 2:
@@ -812,6 +715,7 @@ def _replay_native(
         raise FallbackToReference("native loop replay out of memory")
     if code:
         raise FallbackToReference("loop replay index out of bounds")
+    return ctx
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
@@ -823,6 +727,9 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         raise FallbackToReference("virtual warping is not vectorized")
     if cfg.prefetch and cfg.shared_buffer:
         raise FallbackToReference("prefetch+shared-buffer combination")
+    lib = _native_replay()
+    if lib is None:
+        raise FallbackToReference("no native loop replay")
     if _adjacency_has_duplicates(bound["offsets"], bound["neighbors"]):
         raise FallbackToReference(
             "duplicate in-adjacency neighbors can trigger the restore path"
@@ -831,9 +738,6 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
     warps = launch.block_dim // 32
     if bound["tails"].data.size < grid or bound["gpu_count"].data.size < 1:
         raise FallbackToReference("loop replay index out of bounds")
-    fn = _native_replay()
-    if fn is None:
-        raise FallbackToReference("no native loop replay")
     addrs = [
         _address(bound[name]) for name in ("deg", "buf", "tails", "gpu_count")
     ]
@@ -848,9 +752,8 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         if cfg.prefetch:
             shared.alloc(blk, "pref0", warps)
             shared.alloc(blk, "pref1", warps)
-    acc = _Accounting(grid, warps)
-    _replay_native(fn, launch, bound, addrs, acc)
-    stats = acc.finish(launch)
+    ctx = _replay_native(lib, launch, bound, addrs)
+    stats = _kernel_stats(launch, *ctx.scratch)
     shared.commit()
     return stats
 

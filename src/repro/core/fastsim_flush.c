@@ -1,50 +1,346 @@
 /*
- * Native replay of one loop-kernel launch (Alg. 3) for the vectorized
- * engine in ``repro/core/fastsim.py``.  One call replays the whole
- * launch.  The reference interpreter (``repro/core/loop_kernel.py``
- * run by ``repro/gpusim/scheduler.py``) defines the results this file
- * must reproduce bit for bit; it serves every loop launch this file
- * declines or cannot serve (no compiler, a failed build), and the
- * tests pin this replay against it.
+ * Native replay of the peeling kernels' launches for the vectorized
+ * engine in ``repro/core/fastsim.py``: one call replays one scan launch
+ * (Alg. 2, ``repro_scan``) or one loop launch (Alg. 3, ``repro_loop``)
+ * and folds its stats (``repro_fold``).  The reference interpreter
+ * (``repro/core/scan_kernel.py`` and ``repro/core/loop_kernel.py`` run
+ * by ``repro/gpusim/scheduler.py``) defines the results this file must
+ * reproduce bit for bit; it serves every launch this file declines or
+ * cannot serve (no compiler, a failed build), and the tests pin this
+ * replay against it.
  *
- * The replay walks the reference FIFO scheduler phase by phase (HEAD,
- * BODY or MID/TAIL), emitting one event per warp that fetched a
+ * The scan walks the degree array in 32-vertex chunks, one chunk per
+ * warp trip, in ascending order.  A block appends its warps' hits in
+ * (trip, warp, lane) order, which is ascending vertex id, and every
+ * charge of a trip is a function of the trip's lane and hit counts
+ * and the block's tail alone, so the walk yields the buffer content,
+ * the tails and every charge.  A count pass runs first and checks the
+ * overflow and every index the write pass will use, so a scan
+ * declines before its first write and needs no undo log.
+ *
+ * The loop replay walks the reference FIFO scheduler phase by phase
+ * (HEAD, BODY or MID/TAIL), emitting one event per warp that fetched a
  * frontier vertex; the next HEAD flushes the pending events in
  * emission order.  One event is one warp's sweep of one frontier
  * vertex (Alg. 3, Lines 12-24): buffer read, bounds load, then 32-lane
  * trips whose atomics apply in lane order.
  *
- * The charges are the reference's, summed in a different grouping:
- * init-turn charges, per-flush sums folded at each flush, final-turn
- * charges at their HEAD turn, per-turn phase counts folded last.  The
- * caller declines a cost model whose global-load latency or global
- * atomic base charge is off the quarter-integer grid, or whose
- * shared-memory charges are not the default's (this file hard-codes
- * them), so every sum is exact and the grouping changes no bit.  It is
+ * The charges are the reference's, summed in a different grouping (the
+ * scan's hit-independent ones first; the loop's init-turn charges,
+ * per-flush sums folded at each flush, final-turn charges at their
+ * HEAD turn, per-turn phase counts folded last).  The caller declines
+ * a cost model whose global-load latency or global atomic base charge
+ * is off the quarter-integer grid, or whose shared-memory charges are
+ * not the default's (this file hard-codes them), so every sum is exact
+ * and the grouping changes no bit.  The fold is not regrouped: it
+ * makes ``run_kernel``'s epilogue's double operations in its order,
+ * because its 0.3 cycles per transaction is not dyadic.  The file is
  * built without -ffast-math and with -ffp-contract=off besides.
  *
- * The replay writes ``deg``, ``buf`` and ``gpu_count`` in place and
- * logs what it overwrote: each decremented degree id, each block's
+ * The loop replay writes ``deg``, ``buf`` and ``gpu_count`` in place
+ * and logs what it overwrote: each decremented degree id, each block's
  * global buffer slots (contiguous from the block's ``e_init``) and the
  * ``gpu_count`` adds.  Every index into an array the caller passed is
- * checked against its length.  A non-zero return declines the launch (the
- * caller raises FallbackToReference) after the log has undone every
- * write, so a declined launch leaves no trace.
+ * checked against its length.  A non-zero return declines the launch
+ * (the caller raises FallbackToReference) after the log has undone
+ * every write, so a declined launch leaves no trace.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+/* the return codes; fastsim.py raises the named decline */
 enum {
     REPLAY_OK = 0,
     REPLAY_READ_OVERFLOW = 1,   /* "loop buffer read overflow" */
     REPLAY_OUTSIDE_SLICE = 2,   /* "frontier vertex outside CSR slice" */
-    REPLAY_APPEND_OVERFLOW = 3, /* "loop buffer overflow; reference raises" */
-    REPLAY_OUT_OF_BOUNDS = 4,   /* "loop replay index out of bounds" */
+    REPLAY_APPEND_OVERFLOW = 3, /* "... buffer overflow; reference raises" */
+    REPLAY_OUT_OF_BOUNDS = 4,   /* "... replay index out of bounds" */
     REPLAY_UNDO_FULL = 5,       /* "loop undo log full" */
-    REPLAY_NO_MEMORY = 6,       /* "native loop replay out of memory" */
+    REPLAY_NO_MEMORY = 6,       /* "native ... replay out of memory" */
 };
+
+/* the per-block rows of the accumulators, after issued and path per warp */
+enum {
+    ROW_TRANS, ROW_ACCESSES, ROW_LANES, ROW_IDEAL, ROW_ATOMIC,
+    ROW_CONFLICTS, ROW_PEAK, ROW_BARRIERS, ROW_COUNT
+};
+
+/* the launch totals ``repro_fold`` writes first in ``out``, in
+ * ``KernelStats`` field order; the per-block issued sums and warp-path
+ * maxima follow them */
+enum {
+    TOT_CYCLES, TOT_ISSUED, TOT_TRANS, TOT_BARRIERS, TOT_PATH,
+    TOT_CONFLICTS, TOT_PEAK, TOT_ATOMIC, TOT_ACCESSES, TOT_LANES,
+    TOT_IDEAL, TOT_COUNT
+};
+
+/* Python's ``max`` of n >= 1 doubles: the first of equal values wins */
+static double first_max(const double *x, int64_t n)
+{
+    double m = x[0];
+    for (int64_t i = 1; i < n; ++i)
+        if (x[i] > m)
+            m = x[i];
+    return m;
+}
+
+/* Fold a launch's accumulators into its stats, as ``run_kernel``'s
+ * epilogue does over its BlockTiming records, with the same double
+ * operations in the same order: each block's issued sum in warp order
+ * and its path maximum, each block's roofline
+ * ``max(issued / issue_width, transactions * per_transaction, path)
+ * + barriers * per_barrier`` added to its SM round-robin in block
+ * order, the busiest SM, and the totals summed or maximised over the
+ * blocks in block order.
+ *
+ * ``acc`` holds ``issued`` and ``path`` per warp (``grid * warps``
+ * each), then the ROW_COUNT per-block rows of ``grid``.  ``out`` gets
+ * TOT_COUNT totals, then ``grid`` issued sums and ``grid`` paths. */
+static void repro_fold(const double *acc, int64_t grid, int64_t warps,
+                       int64_t num_sms, double issue_width,
+                       double per_transaction, double per_barrier,
+                       double *out)
+{
+    const int64_t nwarps = grid * warps;
+    const int64_t nsm = num_sms > 1 ? num_sms : 1;
+    const double *rows = acc + 2 * nwarps;
+    double *issued = out + TOT_COUNT, *path = issued + grid;
+    for (int64_t b = 0; b < grid; ++b) {
+        double sum = 0.0;
+        for (int64_t w = 0; w < warps; ++w)
+            sum += acc[b * warps + w];
+        issued[b] = sum;
+        path[b] = first_max(acc + nwarps + b * warps, warps);
+    }
+    /* SM s runs blocks s, s + nsm, ... in block order; an SM without
+     * blocks keeps its 0.0, which the busiest-SM max still sees */
+    double cycles = 0.0;
+    for (int64_t s = 0; s < nsm && s < grid; ++s) {
+        double load = 0.0;
+        for (int64_t b = s; b < grid; b += nsm) {
+            double m = issued[b] / issue_width;
+            const double mem = rows[ROW_TRANS * grid + b] * per_transaction;
+            if (mem > m)
+                m = mem;
+            if (path[b] > m)
+                m = path[b];
+            load += m + rows[ROW_BARRIERS * grid + b] * per_barrier;
+        }
+        if (s == 0 || load > cycles)
+            cycles = load;
+    }
+    if (grid > 0 && nsm > grid && 0.0 > cycles)
+        cycles = 0.0;
+    out[TOT_CYCLES] = cycles;
+    static const int sums[][2] = {
+        {TOT_TRANS, ROW_TRANS}, {TOT_BARRIERS, ROW_BARRIERS},
+        {TOT_CONFLICTS, ROW_CONFLICTS}, {TOT_ATOMIC, ROW_ATOMIC},
+        {TOT_ACCESSES, ROW_ACCESSES}, {TOT_LANES, ROW_LANES},
+        {TOT_IDEAL, ROW_IDEAL},
+    };
+    for (size_t i = 0; i < sizeof sums / sizeof sums[0]; ++i) {
+        double sum = 0.0;
+        for (int64_t b = 0; b < grid; ++b)
+            sum += rows[sums[i][1] * grid + b];
+        out[sums[i][0]] = sum;
+    }
+    double total = 0.0;
+    for (int64_t b = 0; b < grid; ++b)
+        total += issued[b];
+    out[TOT_ISSUED] = total;
+    out[TOT_PATH] = grid ? first_max(path, grid) : 0.0;
+    out[TOT_PEAK] = grid ? first_max(rows + ROW_PEAK * grid, grid) : 0.0;
+}
+
+/* The accumulators and the fold's constants and output, the last
+ * fields of both contexts: ``_FOLD_FIELDS`` in fastsim.py. */
+#define FOLD_FIELDS \
+    double *acc; \
+    double *out; \
+    int64_t num_sms; \
+    double issue_width; \
+    double per_transaction; \
+    double per_barrier
+
+#define FOLD(c) \
+    repro_fold((c)->acc, (c)->grid, (c)->warps, (c)->num_sms, \
+               (c)->issue_width, (c)->per_transaction, (c)->per_barrier, \
+               (c)->out)
+
+/* Mirrors ``_ScanCtx`` in fastsim.py field for field. */
+typedef struct {
+    const int64_t *deg; /* device arrays: deg read, buf and tails written */
+    int64_t dsz;
+    int64_t *buf;
+    int64_t bsz;
+    int64_t *tails;
+    int64_t tsz;
+    int64_t grid;
+    int64_t warps;
+    int64_t k;
+    int64_t nv;
+    int64_t lo;
+    int64_t cap;
+    int64_t compaction; /* 0: per-lane atomics, 1: warp ballot, 2: block */
+    FOLD_FIELDS;
+} scan_ctx;
+
+/* The scan's charges that do not depend on which vertices hit, into
+ * zeroed accumulators.  Every trip charges the hit flags (4), the
+ * coalesced degree read and hit mask (2) when it has lanes in range,
+ * and the append scheme's warp scan (ballot 3, block 12); per block,
+ * Warp 0 runs the prologue and epilogue (3) and the tails store, and
+ * the block passes two barriers.  Block compaction (EC) makes every
+ * warp take the same trip count, so that the barriers line up, and
+ * adds Warp 0's stages 2-3 and three barriers per trip. */
+static void scan_base(const scan_ctx *c)
+{
+    const int64_t grid = c->grid, warps = c->warps, nwarps = grid * warps;
+    const int64_t stride = 32 * nwarps;
+    const int64_t span = c->nv > c->lo ? c->nv - c->lo : 0;
+    const double scheme = c->compaction == 1 ? 3.0
+                          : c->compaction == 2 ? 12.0 : 0.0;
+    double *issued = c->acc, *path = issued + nwarps, *rows = path + nwarps;
+    int64_t steps = 1; /* log2(warps) rounded down, at least 1 */
+    while ((int64_t)1 << (steps + 1) <= warps)
+        ++steps;
+    memset(c->acc, 0,
+           sizeof(double) * (size_t)(2 * nwarps + ROW_COUNT * grid));
+    for (int64_t g = 0; g < nwarps; ++g) {
+        const int64_t b = g / warps, base = c->lo + 32 * g;
+        int64_t trips;
+        if (c->compaction == 2) {
+            trips = (span + stride - 1) / stride;
+            trips = trips < 1 ? 1 : trips;
+        } else {
+            trips = c->nv > base ? (c->nv - base + stride - 1) / stride : 0;
+        }
+        for (int64_t t = 0; t < trips; ++t) {
+            const int64_t first = base + t * stride;
+            const int64_t lanes = c->nv - first < 32 ? c->nv - first : 32;
+            double charge = 4.0 + scheme;
+            if (lanes > 0) {
+                charge += 2.0;
+                rows[ROW_TRANS * grid + b] +=
+                    (double)((first + lanes - 1) / 32 - first / 32 + 1);
+                rows[ROW_ACCESSES * grid + b] += 1.0;
+                rows[ROW_LANES * grid + b] += (double)lanes;
+                rows[ROW_IDEAL * grid + b] += 1.0;
+            }
+            issued[g] += charge;
+            path[g] += charge;
+        }
+        if (g % warps)
+            continue;
+        if (c->compaction == 2) {
+            /* sload(counts) + scan charge(2 log2 W + 2) + atomicAdd(e,
+             * total, lanes=1) + sstore(woffs), every trip */
+            const double stage = 1.0 + (double)(2 * steps + 2);
+            issued[g] += (stage + 1.0 + 1.0) * (double)trips;
+            path[g] += (stage + 2.0 + 1.0) * (double)trips;
+            rows[ROW_ATOMIC * grid + b] += 2.0 * (double)trips;
+            rows[ROW_BARRIERS * grid + b] += 3.0 * (double)trips;
+        }
+        issued[g] += 3.0; /* smem_set("e", 0) + smem_get("e") + gstore */
+        path[g] += 3.0;
+        for (int64_t row = ROW_TRANS; row <= ROW_IDEAL; ++row)
+            rows[row * grid + b] += 1.0; /* the tails store */
+        rows[ROW_BARRIERS * grid + b] += 2.0; /* Line 2 + the final one */
+    }
+}
+
+/* One scan launch (Alg. 2): the hits ``deg[v] == k`` of
+ * ``[lo, nv)``, appended to their blocks' buffers, and the charges
+ * that depend on them added to ``scan_base``'s.  Chunk ``ci`` (the
+ * 32 vertices from ``lo + 32 * ci``) is trip ``ci / (grid * warps)`` of
+ * global warp ``ci % (grid * warps)``, so ascending chunks are every
+ * block's append order.  ``hits`` has room for a count per chunk,
+ * ``tail`` for two rows of ``grid``. */
+static int scan(const scan_ctx *c, int64_t nchunks, uint8_t *hits,
+                int64_t *tail)
+{
+    const int64_t grid = c->grid, warps = c->warps, cap = c->cap;
+    const int64_t nwarps = grid * warps;
+    /* -- the count pass: each block's final tail ----------------------- */
+    for (int64_t ci = 0; ci < nchunks; ++ci) {
+        const int64_t v0 = c->lo + 32 * ci;
+        const int64_t n = c->nv - v0 < 32 ? c->nv - v0 : 32;
+        int h = 0;
+        for (int64_t j = 0; j < n; ++j)
+            h += c->deg[v0 + j] == c->k;
+        hits[ci] = (uint8_t)h;
+        tail[ci % nwarps / warps] += h;
+    }
+    /* the reference raises BufferOverflowError past ``cap``; the writes
+     * must fit ``buf``: ``b * cap + tail <= bsz``, without overflow */
+    for (int64_t b = 0; b < grid; ++b)
+        if (tail[b] > cap)
+            return REPLAY_APPEND_OVERFLOW;
+    for (int64_t b = 0; b < grid; ++b)
+        if (tail[b] && (tail[b] > c->bsz || b > (c->bsz - tail[b]) / cap))
+            return REPLAY_OUT_OF_BOUNDS;
+    /* -- the write pass: no decline from here ------------------------- */
+    double *ti = c->acc, *tp = ti + nwarps, *rows = tp + nwarps;
+    int64_t *at = tail + grid; /* the running tails */
+    scan_base(c);
+    for (int64_t ci = 0; ci < nchunks; ++ci) {
+        const int64_t h = hits[ci];
+        if (!h)
+            continue;
+        const int64_t wg = ci % nwarps, b = wg / warps;
+        if (c->compaction == 0) {
+            /* atomicAdd(e, h): h serialised lanes + buffered gstore */
+            const double sa = 2.0 + 0.25 * (double)(h - 1);
+            ti[wg] += 2.0;
+            tp[wg] += sa + 1.0;
+            rows[ROW_ATOMIC * grid + b] += sa;
+            rows[ROW_CONFLICTS * grid + b] += (double)(h - 1);
+        } else if (c->compaction == 1) {
+            ti[wg] += 4.0; /* atomic + shfl + charge(1) + gstore */
+            tp[wg] += 5.0;
+            rows[ROW_ATOMIC * grid + b] += 2.0;
+        } else { /* sload(woffs) + gstore */
+            ti[wg] += 2.0;
+            tp[wg] += 2.0;
+        }
+        const int64_t a0 = b * cap + at[b];
+        rows[ROW_TRANS * grid + b] +=
+            (double)((a0 + h - 1) / 32 - a0 / 32 + 1);
+        rows[ROW_ACCESSES * grid + b] += 1.0;
+        rows[ROW_LANES * grid + b] += (double)h;
+        rows[ROW_IDEAL * grid + b] += 1.0;
+        const int64_t v0 = c->lo + 32 * ci;
+        const int64_t n = c->nv - v0 < 32 ? c->nv - v0 : 32;
+        int64_t *slot = c->buf + a0;
+        for (int64_t j = 0; j < n; ++j)
+            if (c->deg[v0 + j] == c->k)
+                *slot++ = v0 + j;
+        at[b] += h;
+    }
+    for (int64_t b = 0; b < grid; ++b) {
+        rows[ROW_PEAK * grid + b] = (double)tail[b]; /* the final tail */
+        c->tails[b] = tail[b];
+    }
+    FOLD(c);
+    return REPLAY_OK;
+}
+
+int repro_scan(const scan_ctx *c)
+{
+    const int64_t span = c->nv > c->lo ? c->nv - c->lo : 0;
+    const int64_t nchunks = c->grid > 0 && c->warps > 0 ? (span + 31) / 32 : 0;
+    if (c->tsz < c->grid || (nchunks && (c->lo < 0 || c->nv > c->dsz)))
+        return REPLAY_OUT_OF_BOUNDS;
+    uint8_t *hits = malloc((size_t)nchunks + 1);
+    int64_t *tail = calloc((size_t)(2 * c->grid + 1), sizeof(int64_t));
+    const int rc = hits && tail ? scan(c, nchunks, hits, tail)
+                                : REPLAY_NO_MEMORY;
+    free(hits);
+    free(tail);
+    return rc;
+}
 
 /* Mirrors ``_LoopCtx`` in fastsim.py field for field.  The caller
  * guarantees ``tails`` holds ``grid`` entries and ``gpu_count`` one. */
@@ -74,11 +370,7 @@ typedef struct {
     double gll;
     double gab;
     double scan_cost;
-    /* ``_Accounting.values``: issued and path per warp, then per block
-     * mem_transactions, mem_accesses, mem_active_lanes,
-     * mem_ideal_transactions, atomic_cycles, atomic_conflicts,
-     * buffer_peak and barriers */
-    double *acc;
+    FOLD_FIELDS;
 } loop_ctx;
 
 /* one block's shared scalars */
@@ -87,12 +379,6 @@ typedef struct {
     int64_t head_s, head_e, head_pn, pending;
     int64_t saved; /* global slots logged from b * cap + e_init on */
 } block_state;
-
-/* the per-block rows of ``acc``, after issued and path per warp */
-enum {
-    ROW_TRANS, ROW_ACCESSES, ROW_LANES, ROW_IDEAL, ROW_ATOMIC,
-    ROW_CONFLICTS, ROW_PEAK, ROW_BARRIERS
-};
 
 /* per-turn phase counts, folded into the accumulators last */
 enum {
@@ -628,12 +914,15 @@ int repro_loop(const loop_ctx *c)
     r.dlog = malloc(sizeof(int64_t) * (size_t)(c->nsz + 1));
     if (r.blk && r.ev && r.sums && r.cnt && r.mid_loads && r.order
         && r.worder && r.stay && r.window && r.pref && r.saved && r.dlog) {
+        memset(c->acc, 0,
+               sizeof(double) * (size_t)(2 * r.nwarps + ROW_COUNT * c->grid));
         rc = c->prefetch ? replay_prefetched(&r) : replay_drain(&r);
         if (rc == REPLAY_OK) {
             /* the per-block barrier counts, folded last */
             double *barriers = block_row(&r, ROW_BARRIERS);
             for (int64_t b = 0; b < c->grid; ++b)
                 barriers[b] += (double)r.cnt[CNT_BARRIERS * c->grid + b];
+            FOLD(c);
         } else {
             undo(&r);
         }

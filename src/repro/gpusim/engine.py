@@ -17,11 +17,11 @@ Two engines ship:
   (:func:`~repro.gpusim.scheduler.run_kernel`).  Always available,
   always authoritative; the cross-engine property tests treat its
   output as ground truth.
-* ``vectorized`` — batched launch-level executors that replay the
-  reference FIFO at *block* granularity and execute whole warp batches
-  as numpy array operations (:mod:`repro.gpusim.vectorized` holds the
-  accounting toolkit; the kernel-specific executors register
-  themselves via :func:`register_vectorized_kernel`).  Falls back to
+* ``vectorized`` — launch-level executors that replay each launch in
+  one native call and fold its stats there (``repro.core.fastsim``
+  registers one per kernel via :func:`register_vectorized_kernel`;
+  the replay of the reference FIFO runs at *phase* granularity).
+  Falls back to
   the reference interpreter — per launch, leaving no trace on any
   device state — whenever exactness cannot be guaranteed; see
   :meth:`VectorizedEngine.run` for the trigger list.

@@ -1519,7 +1519,8 @@ def engine_preconditions(
     kernel: str = "both",
 ) -> Tuple[FallbackRule, ...]:
     """All fallback sites of ``engine_module``, structural guards
-    evaluated on ``cfg``.
+    evaluated on ``cfg``: each executor's own sites first, in the
+    order it checks them, then its helpers' and the shared ones.
 
     ``engine_module`` is the contract-declared module registering the
     kernel's vectorized executor; ``None`` means no executor exists and
@@ -1594,13 +1595,15 @@ def engine_preconditions(
 
         walk(list(fn.body), ())
 
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
+    # the executors' own rules first, each kernel's in the order its
+    # executor checks them; then the helpers' rules, in file order
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for node in functions:
         if node.name in executors:
             visit(node, executors[node.name].split(".")[-1],
                   structural_ok=True)
-        else:
+    for node in functions:
+        if node.name not in executors:
             visit(node, attribution.get(node.name, "both"),
                   structural_ok=False)
     out = tuple(rules)
@@ -1945,9 +1948,13 @@ class DataflowChecker:
                 "reference interpreter",
             )])
         else:
+            # the kernel's own rules before the shared ones, so the
+            # first few name the checks this executor alone makes
             caveats = [
                 f"{r.func}:{r.line} ({r.message})"
-                for r in cert.preconditions
+                for r in sorted(
+                    cert.preconditions, key=lambda r: r.kernel != kernel
+                )
                 if not r.structural and r.kernel in (kernel, "both")
             ]
             self.report.extend([SanitizerFinding(

@@ -15,8 +15,8 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import fig1_graph, k_clique, path_graph, triangle
 
-#: for tests that need the vectorized engine's C loop replay: without a
-#: compiler the reference interpreter serves every loop launch
+#: for tests that need the vectorized engine's C replays: without a
+#: compiler the reference interpreter serves every scan and loop launch
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )

@@ -1,21 +1,22 @@
-"""The vectorized engine's native loop replay (``core/fastsim_flush.c``).
+"""The vectorized engine's native replays (``core/fastsim_flush.c``).
 
 Three things are pinned here.  Loading: the library is compiled once
 into a per-user cache, reused from there, never loaded from a file it
 did not finish writing, and its absence (no compiler) silently leaves
-the reference interpreter serving every loop launch; a loop launch is
-one call into it.  Fallbacks: each condition on which the replay
-declines a loop launch fires with its message, leaves no trace (also
-when it fires after earlier flushes wrote the device arrays), the
-engine then serves the launch by reference, and the outcome is the
-reference interpreter's.  The C source: warning-free under strict
-flags, and free of undefined behaviour on those cases under UBSan.
-The byte-identity of the replay and the interpreter on generated
-graphs is in ``tests/properties/test_engines.py``.
+the reference interpreter serving every launch; a scan or loop launch
+is one call into it.  Fallbacks: each condition on which a replay
+declines a launch fires with its message, leaves no trace (also when
+the loop replay declines after earlier flushes wrote the device
+arrays), the engine then serves the launch by reference, and the
+outcome is the reference interpreter's.  The C source: warning-free
+under strict flags, and free of undefined behaviour on those cases
+under UBSan.  The byte-identity of the replays and the interpreter on
+generated graphs is in ``tests/properties/test_engines.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -28,6 +29,7 @@ import pytest
 from repro.core import fastsim
 from repro.core.host import gpu_peel
 from repro.core.loop_kernel import loop_kernel
+from repro.core.scan_kernel import scan_kernel
 from repro.core.variants import get_variant
 from repro.gpusim.device import Device
 from repro.gpusim.engine import (
@@ -38,7 +40,7 @@ from repro.gpusim.engine import (
 from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from repro.graph.examples import k_clique
+from repro.graph.examples import fig1_graph, k_clique
 from tests.conftest import needs_cc
 from tests.properties.test_engines import assert_byte_identical
 
@@ -53,51 +55,103 @@ def test_native_flush_loads_with_a_compiler():
     assert fastsim.native_flush_available()
 
 
-def test_no_compiler_serves_loop_launches_by_reference(
-    tmp_path, monkeypatch
-):
-    """Without ``cc`` every loop launch declines, silently, and the
-    interpreter serves it with the same results; scans stay
-    vectorized."""
-    graph = gen.barabasi_albert(150, 4, seed=3)
-    ref = gpu_peel(graph, variant="sm", engine="reference")
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """A process without ``cc`` on ``PATH`` and with an empty library
+    cache: the native replays do not load."""
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     monkeypatch.setattr(fastsim, "_cache_dir", lambda: tmp_path / "cache")
     fastsim._native_replay.cache_clear()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not fastsim.native_flush_available()
-            vec = gpu_peel(graph, variant="sm", engine="vectorized")
-    finally:
-        fastsim._native_replay.cache_clear()
+    yield
+    fastsim._native_replay.cache_clear()
+
+
+def test_no_compiler_serves_loop_launches_by_reference(no_compiler):
+    """Without ``cc`` every scan and loop launch declines, silently,
+    and the interpreter serves it with the same results."""
+    graph = gen.barabasi_albert(150, 4, seed=3)
+    ref = gpu_peel(graph, variant="sm", engine="reference")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not fastsim.native_flush_available()
+        vec = gpu_peel(graph, variant="sm", engine="vectorized")
     assert_byte_identical(ref, vec)
-    assert vec.counters["engine.served.vectorized"] \
-        == vec.counters["kernel.scan.launches"]
+    assert "engine.served.vectorized" not in vec.counters
     assert vec.counters["engine.served.reference"] \
-        == vec.counters["kernel.loop.launches"]
+        == vec.counters["kernel.scan.launches"] \
+        + vec.counters["kernel.loop.launches"]
 
 
-@needs_cc
-@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec"))
-def test_a_loop_launch_is_one_native_call(variant, monkeypatch):
-    """The whole replay, its flushes included, is one C call."""
-    replay = fastsim._native_replay()
-    calls = []
+def test_no_compiler_warnings_name_the_missing_replay(no_compiler):
+    """A ``dataflow=True`` run reports each launch the analysis
+    predicted vectorized as an ``engine-precondition`` warning, whose
+    candidates lead with the declining kernel's own rules: the
+    missing replay comes first, not the shared argument checks."""
+    result = gpu_peel(fig1_graph()[0], variant="ours", dataflow=True)
+    warned = {
+        f.kernel.split("[")[0]: f.message
+        for f in result.staticheck.findings
+        if f.detector == "engine-precondition"
+    }
+    assert sorted(warned) == ["loop_kernel", "scan_kernel"]
+    for kernel, message in warned.items():
+        replay = kernel.split("_")[0]
+        candidates = message.split("(candidates: ")[1]
+        assert candidates.startswith(
+            f"_{replay}_vectorized:"
+        ), candidates
+        assert f"(no native {replay} replay)" in candidates.split(";")[0]
+    assert all(f.severity == "warning" for f in result.staticheck.findings)
 
-    def spy(ctx):
-        calls.append(ctx.k)
-        return replay(ctx)
 
+class _Spy:
+    """The native library, counting the calls into each replay."""
+
+    def __init__(self, lib):
+        self.calls = {"repro_scan": [], "repro_loop": []}
+        for name, calls in self.calls.items():
+            setattr(self, name, self._spy(getattr(lib, name), calls))
+
+    @staticmethod
+    def _spy(fn, calls):
+        def call(ctx):
+            calls.append(ctx.k)
+            return fn(ctx)
+        return call
+
+
+def _spied_run(variant, monkeypatch):
+    """A vectorized run of ``variant`` and the spy on its C calls."""
+    spy = _Spy(fastsim._native_replay())
     monkeypatch.setattr(fastsim, "_native_replay", lambda: spy)
     result = gpu_peel(
         gen.barabasi_albert(200, 4, seed=5), variant=variant,
         engine="vectorized",
     )
+    scans = result.counters["kernel.scan.launches"]
     loops = result.counters["kernel.loop.launches"]
-    assert len(calls) == loops > 1
-    assert result.counters["engine.served.vectorized"] \
-        == result.counters["kernel.scan.launches"] + loops
+    assert result.counters["engine.served.vectorized"] == scans + loops
+    return result, spy
+
+
+@needs_cc
+@pytest.mark.parametrize("variant", ("ours", "sm", "vp", "ec"))
+def test_a_loop_launch_is_one_native_call(variant, monkeypatch):
+    """The whole replay, its flushes and stats fold included, is one C
+    call."""
+    result, spy = _spied_run(variant, monkeypatch)
+    loops = result.counters["kernel.loop.launches"]
+    assert len(spy.calls["repro_loop"]) == loops > 1
+
+
+@needs_cc
+@pytest.mark.parametrize("variant", ("ours", "bc", "ec"))
+def test_a_scan_launch_is_one_native_call(variant, monkeypatch):
+    """The walk, its writes and the stats fold are one C call, per
+    compaction scheme."""
+    result, spy = _spied_run(variant, monkeypatch)
+    scans = result.counters["kernel.scan.launches"]
+    assert len(spy.calls["repro_scan"]) == scans > 1
 
 
 @needs_cc
@@ -428,6 +482,140 @@ def test_an_array_the_replay_cannot_write_is_served_by_reference(case):
     assert outcomes["vectorized"][1]["deg"] != before["deg"]  # it swept
 
 
+# -- the scan fallbacks ---------------------------------------------------------
+
+#: how each scan case doctors the launch: the arrays' sizes and dtypes,
+#: ``num_vertices`` and the capacity (40 vertices of degree 1, all
+#: hits at k = 1 in block 0's two 32-vertex chunks)
+SCAN_FALLBACKS = {
+    "overflow": "scan buffer overflow; reference raises",
+    "short-tails": "scan replay index out of bounds",
+    "short-buf": "scan replay index out of bounds",
+    "vertices-past-deg": "scan replay index out of bounds",
+    "int32-deg": "device array the C replay cannot write in place",
+    "strided-deg": "device array the C replay cannot write in place",
+}
+
+
+def _scan_args(dev, case):
+    """The arrays of a doctored EC scan launch on ``dev`` (EC, so the
+    launch stages shared memory) and the kernel's arguments."""
+    deg = np.ones(40, dtype=np.int64)
+    buf = np.full(4 * 64, -7, dtype=np.int64)
+    tails = np.full(4, -7, dtype=np.int64)
+    nv, cap = 40, 64
+    if case == "overflow":
+        cap = 16  # block 0's 40 hits overflow it
+    elif case == "short-tails":
+        tails = tails[:2]  # four blocks write a tail each
+    elif case == "short-buf":
+        buf = buf[:30]  # block 0's slots 30..39 are past the end
+    elif case == "short-buf-fits":
+        buf = buf[:45]  # shorter than grid * capacity, yet the hits fit
+    elif case == "vertices-past-deg":
+        nv = 50
+    a = {name: dev.malloc(name, data) for name, data in
+         (("deg", deg), ("buf", buf), ("buf_tails", tails))}
+    if case == "int32-deg":
+        a["deg"].data = a["deg"].data.astype(np.int32)
+    elif case == "strided-deg":
+        a["deg"].data = np.repeat(a["deg"].data, 2)[::2]
+    return a, (1, a["deg"], a["buf"], a["buf_tails"], nv, cap,
+               get_variant("ec"))
+
+
+def _scan_launch(engine, case):
+    """One scan launch: its stats and final arrays, or what it raised."""
+    dev = Device(engine=engine)
+    a, args = _scan_args(dev, case)
+    try:
+        stats = dev.launch(scan_kernel, args=args)
+    except Exception as exc:  # the reference's own error is the outcome
+        return (type(exc), str(exc)), None
+    return stats, {name: arr.data.tolist() for name, arr in a.items()}
+
+
+@needs_cc
+@pytest.mark.parametrize("case", sorted(SCAN_FALLBACKS))
+def test_each_scan_fallback_fires_and_reference_serves(case, monkeypatch):
+    """The scan checks its overflow and every index before its first
+    write: a declined launch leaves the arrays and the memtracker as
+    they were, and the engine serves it by reference, which completes
+    (a deg the replay cannot read) or raises its own error."""
+    dev = Device()
+    a, args = _scan_args(dev, case)
+    before = {name: arr.data.tobytes() for name, arr in a.items()}
+    memtracker = _SharedLog()
+    launch = VectorLaunch(
+        spec=dev.spec, cost=dev.cost_model,
+        grid_dim=dev.spec.default_grid_dim,
+        block_dim=dev.spec.default_block_dim, args=args,
+        memtracker=memtracker,
+    )
+    with pytest.raises(
+        FallbackToReference, match=re.escape(SCAN_FALLBACKS[case])
+    ):
+        fastsim._scan_vectorized(launch)
+    assert {n: arr.data.tobytes() for n, arr in a.items()} == before
+    assert memtracker.log == []
+    served = []
+    run = ReferenceEngine.run
+
+    def spy(self, *args, **kwargs):
+        served.append(args[0].__name__)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReferenceEngine, "run", spy)
+    observed = _scan_launch("vectorized", case)
+    assert served == ["scan_kernel"]
+    assert observed == _scan_launch("reference", case)
+    if case in ("int32-deg", "strided-deg"):
+        assert observed[0].served_by == "reference"  # it completed
+    else:
+        assert observed[1] is None  # the reference raised
+
+
+@needs_cc
+@pytest.mark.parametrize("variant", ("ours", "bc", "ec"))
+@pytest.mark.parametrize("window", ((37, 300), (0, 2100), (300, 300)))
+def test_a_scan_window_matches_reference(variant, window):
+    """The scan over ``[vertex_lo, num_vertices)``: an offset window
+    whose warps start mid-chunk, more vertices than one sweep of the
+    grid's warps (2,048) covers, and an empty window."""
+    lo, nv = window
+    deg = np.random.default_rng(5).integers(0, 4, 2100)
+    outcomes = {}
+    for engine in ("reference", "vectorized"):
+        dev = Device(engine=engine)
+        a = {name: dev.malloc(name, data) for name, data in (
+            ("deg", deg.copy()), ("buf", np.full(4 * 800, -7)),
+            ("buf_tails", np.full(4, -7)),
+        )}
+        stats = dev.launch(scan_kernel, args=(
+            2, a["deg"], a["buf"], a["buf_tails"], nv, 800,
+            get_variant(variant), lo,
+        ))
+        outcomes[engine] = (
+            dataclasses.replace(stats, served_by="reference"),
+            {name: arr.data.tolist() for name, arr in a.items()},
+        )
+        assert stats.served_by == engine
+    assert outcomes["vectorized"] == outcomes["reference"]
+
+
+@needs_cc
+def test_a_short_buffer_the_hits_fit_is_replayed():
+    """Only the slots a scan writes must lie in ``buf``: a buffer
+    shorter than grid x capacity that holds them is replayed, with the
+    reference's outcome."""
+    observed = _scan_launch("vectorized", "short-buf-fits")
+    assert observed[0].served_by == "vectorized"
+    expected = _scan_launch("reference", "short-buf-fits")
+    assert dataclasses.replace(observed[0], served_by="reference") \
+        == expected[0]
+    assert observed[1] == expected[1]
+
+
 @needs_cc
 def test_the_c_source_compiles_without_warnings():
     proc = subprocess.run(
@@ -440,8 +628,9 @@ def test_the_c_source_compiles_without_warnings():
 
 @needs_cc
 def test_the_replay_has_no_undefined_behaviour(tmp_path):
-    """The big-hub and doctored-decline cases, through a library built
-    with UBSan that aborts at the first report, in a child process."""
+    """The big-hub, big-scan and doctored-decline cases, through a
+    library built with UBSan that aborts at the first report, in a
+    child process."""
     root = Path(__file__).resolve().parents[2]
     script = f"""
 import sys
@@ -460,6 +649,11 @@ sys.exit(pytest.main([
     "tests/core/test_native_flush.py::"
     "test_each_loop_fallback_fires_and_reference_serves",
     "tests/core/test_native_flush.py::test_a_late_decline_leaves_no_trace",
+    "tests/gpusim/test_engine.py::test_big_scan_matches_reference",
+    "tests/core/test_native_flush.py::"
+    "test_each_scan_fallback_fires_and_reference_serves",
+    "tests/core/test_native_flush.py::"
+    "test_a_short_buffer_the_hits_fit_is_replayed",
 ]))
 """
     proc = subprocess.run(

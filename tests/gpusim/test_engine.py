@@ -90,6 +90,7 @@ def test_result_attribution_counter_stats_and_span():
     )
 
 
+@needs_cc
 def test_virtual_warp_variants_fall_back_to_reference():
     """vw2/vw4 decline vectorization but still succeed byte-identically."""
     graph, _ = fig1_graph()
@@ -155,6 +156,7 @@ def test_preempting_launches_are_served_by_reference():
     assert "engine.served.vectorized" not in result.counters
 
 
+@needs_cc
 def test_duplicate_adjacency_routes_loop_launches_to_reference():
     """Parallel edges defeat the replay's per-vertex dedup assumption:
     the loop executor declines dynamically, scan still vectorizes."""
@@ -250,6 +252,40 @@ def test_cost_models_off_the_replayed_charges_are_served_by_reference(
     launches = vec.counters["kernel.scan.launches"] \
         + vec.counters["kernel.loop.launches"]
     assert vec.counters[f"engine.served.{tier}"] == launches
+
+
+def test_a_zero_issue_width_raises_as_the_reference_does():
+    """The reference's roofline divides by the issue width and raises;
+    the C fold would not, so such a launch declines and the
+    interpreter raises."""
+    from repro.gpusim.costmodel import CostModel
+
+    graph, _ = fig1_graph()
+    for engine in ("reference", "vectorized"):
+        with pytest.raises(ZeroDivisionError):
+            gpu_peel(graph, engine=engine,
+                     cost_model=CostModel(issue_width=0.0))
+
+
+@needs_cc
+@pytest.mark.parametrize("num_sms", (1, 3, 8))
+def test_the_fold_matches_reference_per_sm_count(num_sms):
+    """Four blocks on one SM, on three (SM 0 runs blocks 0 and 3) and
+    on eight (four idle SMs): every launch's stats, cycles included,
+    are the reference's."""
+    from repro.gpusim.spec import DeviceSpec
+    from repro.graph.generators import barabasi_albert
+    from tests.properties.test_engines import assert_launches_identical
+
+    graph = barabasi_albert(300, 4, seed=1)
+    devices = [
+        Device(spec=DeviceSpec(num_sms=num_sms), engine=engine)
+        for engine in ("reference", "vectorized")
+    ]
+    ref, vec = (gpu_peel(graph, device=device) for device in devices)
+    assert_byte_identical(ref, vec)
+    assert_launches_identical(*devices)
+    assert all(s.served_by == "vectorized" for s in devices[1].launch_log)
 
 
 def test_sanitized_run_is_identical_under_vectorized_engine():

@@ -4,16 +4,18 @@ The execution-engine contract (``docs/SIMULATOR.md``): every engine
 produces byte-identical simulated results — core numbers, simulated
 milliseconds, rounds, memory peaks, counters and stats — and may
 differ only in host wall-clock time.  The reference interpreter is
-ground truth; these properties pin the vectorized engine against it
-on generated graphs across
+ground truth; these properties pin the vectorized engine against it,
+run totals and every launch's stats, on generated graphs across
 every kernel variant, including the ones the vectorized engine serves
 via structural fallback (``vw2``/``vw4``, ring buffers), and under
 cost models the vectorized executors decline as well as ones they
-replay.  Every vectorized loop launch runs the compiled C replay, so
-these properties pin it against the interpreter.
+replay.  Every vectorized launch runs the compiled C replay and
+fold, so these properties pin them against the interpreter.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS
 from repro.gpusim.costmodel import CostModel
+from repro.gpusim.device import Device
 from repro.graph import generators as gen
 
 ALL_VARIANTS = tuple(VARIANTS) + tuple(EXTENSION_VARIANTS)
@@ -58,6 +61,32 @@ def assert_byte_identical(ref, other):
     assert _strip_engine(ref) == _strip_engine(other)
 
 
+def peel_on_devices(graph, variant, cost=None, **instruments):
+    """``gpu_peel`` under each engine on a device of its own: the two
+    results and the two devices, reference first."""
+    devices = [
+        Device(cost_model=cost, engine=engine)
+        for engine in ("reference", "vectorized")
+    ]
+    results = [
+        gpu_peel(graph, variant=variant, device=device, **instruments)
+        for device in devices
+    ]
+    return results, devices
+
+
+def assert_launches_identical(ref_device, other_device):
+    """Every launch's :class:`KernelStats`, field for field, except the
+    tier that served it: a charge that moves no run total (an
+    ``issued`` sum while no block is issue-bound, say) still shows."""
+    ref_log, other_log = ref_device.launch_log, other_device.launch_log
+    assert len(ref_log) == len(other_log)
+    for i, (ref, other) in enumerate(zip(ref_log, other_log)):
+        assert dataclasses.replace(other, served_by=ref.served_by) == ref, (
+            f"launch {i}: {other} != {ref}"
+        )
+
+
 @st.composite
 def graphs(draw):
     kind = draw(st.sampled_from(("planted", "er", "ba")))
@@ -86,24 +115,23 @@ def graphs(draw):
 @given(graphs(), st.sampled_from(ALL_VARIANTS), st.sampled_from(COST_MODELS))
 @settings(max_examples=25, deadline=None)
 def test_vectorized_matches_reference_byte_for_byte(graph, variant, cost):
-    ref = gpu_peel(graph, variant=variant, engine="reference",
-                   cost_model=cost)
+    (ref, vec), devices = peel_on_devices(graph, variant, cost)
     assert "engine.reference" in ref.counters
-    vec = gpu_peel(graph, variant=variant, engine="vectorized",
-                   cost_model=cost)
     assert_byte_identical(ref, vec)
+    assert_launches_identical(*devices)
     assert "engine.vectorized" in vec.counters
 
 
 @given(graphs(), st.sampled_from(("ours", "vp", "ec+sm")))
 @settings(max_examples=8, deadline=None)
 def test_engines_agree_under_observability_hooks(graph, variant):
-    """Hooks attach identically: profiled+memtraced runs stay equal."""
-    ref = gpu_peel(graph, variant=variant, engine="reference",
-                   profile=True, memtrace=True)
-    vec = gpu_peel(graph, variant=variant, engine="vectorized",
-                   profile=True, memtrace=True)
+    """Hooks attach identically: profiled+memtraced runs stay equal,
+    per-block timings included."""
+    (ref, vec), devices = peel_on_devices(
+        graph, variant, profile=True, memtrace=True
+    )
     assert_byte_identical(ref, vec)
+    assert_launches_identical(*devices)
     assert ref.profile is not None and vec.profile is not None
     assert ref.profile.to_json() == vec.profile.to_json()
     assert ref.memtrace.peak_bytes == vec.memtrace.peak_bytes

@@ -158,13 +158,11 @@ def test_precondition_violation_stats_fire_engine_precondition():
 # -- the live checker ----------------------------------------------------
 
 
-# a loop launch the analysis predicts vectorized but the interpreter
-# serves is a finding, and without a compiler the interpreter serves
-# them all
-@pytest.mark.parametrize("variant", [
-    v if get_variant(v).virtual_warps > 1 else pytest.param(v, marks=needs_cc)
-    for v in ALL_VARIANTS
-])
+# a launch the analysis predicts vectorized but the interpreter serves
+# is a finding, and without a compiler the interpreter serves them all
+# (the scans of every variant among them)
+@needs_cc
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_fig1_launches_agree_with_the_certificates(variant):
     graph, expected = fig1_graph()
     result = gpu_peel(graph, variant=get_variant(variant), dataflow=True)
