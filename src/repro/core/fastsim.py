@@ -234,21 +234,8 @@ class _StagedShared:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_has_duplicates(
-    offsets: DeviceArray, neighbors: DeviceArray
-) -> bool:
-    """True when any vertex's adjacency slice repeats a neighbor.
-
-    Cached on the ``neighbors`` array (CSR arrays are immutable in
-    every host program here); the cache key ties it to the paired
-    ``offsets`` array so multi-GPU slices don't collide.
-    """
-    key = (id(offsets), offsets.data.size, neighbors.data.size)
-    cached = getattr(neighbors, "_fastsim_dup", None)
-    if cached is not None and cached[0] == key:
-        return bool(cached[1])
-    offs = offsets.data
-    nbrs = neighbors.data
+def _adjacency_has_duplicates(offs: np.ndarray, nbrs: np.ndarray) -> bool:
+    """True when any vertex's adjacency slice repeats a neighbor."""
     nv = offs.size - 1
     if nbrs.size < 2 or nv <= 0:
         dup = False
@@ -277,10 +264,6 @@ def _adjacency_has_duplicates(
             dup = bool(
                 np.any((sv[1:] == sv[:-1]) & (sn[1:] == sn[:-1]))
             )
-    try:
-        setattr(neighbors, "_fastsim_dup", (key, dup))
-    except Exception:  # frozen/slots array: just skip the cache
-        pass
     return dup
 
 
@@ -321,6 +304,8 @@ def _bind(
         raise FallbackToReference("cost model with a zero issue width")
     if launch.block_dim < 32 or launch.grid_dim < 1:
         raise FallbackToReference("a launch without warps")
+    if not launch.kwargs and len(launch.args) == len(names):
+        return dict(zip(names, launch.args))  # every argument positional
     bound: Dict[str, Any] = dict(defaults)
     if len(launch.args) > len(names):
         raise FallbackToReference("unexpected extra positional arguments")
@@ -361,6 +346,8 @@ class _ScanCtx(ctypes.Structure):
     #: the ``acc`` and ``out`` arrays (see :func:`_point_scratch`)
     scratch: Tuple[np.ndarray, np.ndarray]
     shape = (0, 0)
+    #: what the fold's constants were set from (see :func:`_point_scratch`)
+    fold_key: Any = None
 
     _fields_ = [
         ("deg", ctypes.c_void_p), ("dsz", ctypes.c_int64),
@@ -378,9 +365,13 @@ class _LoopCtx(ctypes.Structure):
 
     #: the CSR data ``offs`` and ``nbrs`` point into
     arrays: Tuple[np.ndarray, np.ndarray]
+    #: whether an adjacency slice of that CSR repeats a neighbor
+    duplicates: bool
     #: the ``acc`` and ``out`` arrays (see :func:`_point_scratch`)
     scratch: Tuple[np.ndarray, np.ndarray]
     shape = (0, 0)
+    #: what the fold's constants were set from (see :func:`_point_scratch`)
+    fold_key: Any = None
 
     _fields_ = [
         ("offs", ctypes.c_void_p), ("osz", ctypes.c_int64),
@@ -526,28 +517,37 @@ def native_flush_available() -> bool:
 
 def _address(array: DeviceArray) -> Optional[int]:
     """Where the C replay may write ``array`` in place, or ``None``
-    when its data are not a writeable contiguous int64 array."""
+    when its data are not a writeable contiguous int64 array.
+
+    Cached on ``array`` with the data and dtype it was checked on, so a
+    launch on the same data re-checks only that they are writeable."""
     data = array.data
+    cached = getattr(array, "_fastsim_addr", None)
+    if (
+        cached is not None and cached[0] is data and cached[1] is data.dtype
+        and data.flags.writeable
+    ):
+        return cached[2]  # type: ignore[no-any-return]
     if not (
         data.dtype == np.int64 and data.flags.c_contiguous
         and data.flags.writeable
     ):
         return None
-    cached = getattr(array, "_fastsim_addr", None)
-    if cached is not None and cached[0] is data:
-        return cached[1]  # type: ignore[no-any-return]
     addr = int(data.ctypes.data)
     with contextlib.suppress(AttributeError):
-        setattr(array, "_fastsim_addr", (data, addr))
+        setattr(array, "_fastsim_addr", (data, data.dtype, addr))
     return addr
 
 
-def _point_scratch(ctx: Any, launch: VectorLaunch) -> None:
+def _point_scratch(ctx: Any, launch: VectorLaunch) -> bool:
     """Point ``ctx``'s accumulators and fold output at scratch arrays
     sized for ``launch``, and set the fold's constants.
 
     The arrays are kept on ``ctx`` (with their addresses) for the next
-    launch of the same grid; the C call overwrites both.
+    launch of the same grid; the C call overwrites both.  The constants
+    are set only when the cost model or the SM count differs from the
+    last launch's (the model is frozen, so it is the key); returns
+    whether they were, so the caller can set its own cost fields.
     """
     grid = launch.grid_dim
     warps = launch.block_dim // 32
@@ -562,10 +562,15 @@ def _point_scratch(ctx: Any, launch: VectorLaunch) -> None:
         ctx.warps = warps
         ctx.shape = (grid, warps)
     cost = launch.cost
-    ctx.num_sms = launch.spec.num_sms
-    ctx.issue_width = cost.issue_width
-    ctx.per_transaction = cost.mem_transaction_cycles
-    ctx.per_barrier = cost.barrier_cycles
+    fold_key = (cost, launch.spec.num_sms)
+    if ctx.fold_key != fold_key:
+        ctx.num_sms = launch.spec.num_sms
+        ctx.issue_width = cost.issue_width
+        ctx.per_transaction = cost.mem_transaction_cycles
+        ctx.per_barrier = cost.barrier_cycles
+        ctx.fold_key = fold_key
+        return True
+    return False
 
 # ---------------------------------------------------------------------------
 # scan kernel: one walk over the degree array in C
@@ -649,11 +654,12 @@ def _scan_cost(compaction: str) -> float:
 
 
 def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
-    """A ``loop_ctx`` with its CSR part set, cached per array pair.
+    """A ``loop_ctx`` with its CSR part and duplicate-adjacency check
+    set, cached per array pair.
 
-    Cached like the duplicate-adjacency check, on ``neighbors`` and
-    keyed on the paired ``offsets`` (CSR arrays are immutable in every
-    host program here); the launch fields are set on every use.
+    Cached on ``neighbors`` and keyed on the paired ``offsets`` (CSR
+    arrays are immutable in every host program here, and the key keeps
+    multi-GPU slices apart); the launch fields are set on use.
     """
     cached = getattr(neighbors, "_fastsim_ctx", None)
     key = (id(offsets), offsets.data.size, neighbors.data.size)
@@ -667,6 +673,7 @@ def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
         nbrs=nbrs.ctypes.data, nsz=nbrs.size,
     )
     ctx.arrays = (offs, nbrs)  # keeps the pointers valid
+    ctx.duplicates = _adjacency_has_duplicates(offs, nbrs)
     with contextlib.suppress(AttributeError):
         # holding ``offsets`` keeps its id from being reused
         setattr(neighbors, "_fastsim_ctx", (key, ctx, offsets))
@@ -674,18 +681,18 @@ def _csr_ctx(offsets: DeviceArray, neighbors: DeviceArray) -> _LoopCtx:
 
 
 def _replay_native(
-    lib: ctypes.CDLL, launch: VectorLaunch, bound: Dict[str, Any],
-    addrs: List[Optional[int]],
-) -> _LoopCtx:
+    lib: ctypes.CDLL, ctx: _LoopCtx, launch: VectorLaunch,
+    bound: Dict[str, Any], addrs: List[Optional[int]],
+) -> None:
     """The whole launch in one C call, on the device arrays at
-    ``addrs`` (``deg``, ``buf``, ``tails``, ``gpu_count``); returns the
-    context, whose scratch holds the folded stats."""
+    ``addrs`` (``deg``, ``buf``, ``tails``, ``gpu_count``); ``ctx``'s
+    scratch then holds the folded stats."""
     cfg: VariantConfig = bound["cfg"]
     own = bound["own_range"]
     lo, hi = own if own is not None else (0, 0)
-    cost = launch.cost
-    ctx = _csr_ctx(bound["offsets"], bound["neighbors"])
-    _point_scratch(ctx, launch)
+    if _point_scratch(ctx, launch):
+        ctx.gll = launch.cost.global_load_latency
+        ctx.gab = launch.cost.global_atomic_base
     ctx.deg, ctx.buf, ctx.tails, ctx.gpu_count = addrs
     ctx.dsz = bound["deg"].data.size
     ctx.bsz = bound["buf"].data.size
@@ -699,8 +706,6 @@ def _replay_native(
     ctx.owned = int(own is not None)
     ctx.lo = lo
     ctx.hi = hi
-    ctx.gll = cost.global_load_latency
-    ctx.gab = cost.global_atomic_base
     ctx.scan_cost = _scan_cost(cfg.compaction)
     code = lib.repro_loop(ctx)
     if code == 1:
@@ -715,7 +720,6 @@ def _replay_native(
         raise FallbackToReference("native loop replay out of memory")
     if code:
         raise FallbackToReference("loop replay index out of bounds")
-    return ctx
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
@@ -730,7 +734,8 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
     lib = _native_replay()
     if lib is None:
         raise FallbackToReference("no native loop replay")
-    if _adjacency_has_duplicates(bound["offsets"], bound["neighbors"]):
+    ctx = _csr_ctx(bound["offsets"], bound["neighbors"])
+    if ctx.duplicates:
         raise FallbackToReference(
             "duplicate in-adjacency neighbors can trigger the restore path"
         )
@@ -752,7 +757,7 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         if cfg.prefetch:
             shared.alloc(blk, "pref0", warps)
             shared.alloc(blk, "pref1", warps)
-    ctx = _replay_native(lib, launch, bound, addrs)
+    _replay_native(lib, ctx, launch, bound, addrs)
     stats = _kernel_stats(launch, *ctx.scratch)
     shared.commit()
     return stats

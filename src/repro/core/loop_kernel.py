@@ -327,7 +327,7 @@ def _process_vertex(
             is_new = old == k + 1
             if own_range is not None:
                 # multi-GPU: only the owner collects a k-shell vertex;
-                # the master's aggregation finds other devices' crossings
+                # other devices' crossings reach it as routed delta sums
                 is_new &= (candidates >= own_range[0]) & (
                     candidates < own_range[1]
                 )

@@ -6,65 +6,61 @@ can be computed at a master GPU.  Moreover, the updates may cause new
 border vertices to be in k-shell, so more than one round may be needed
 to compute a k-shell."
 
-The implementation follows that sketch with an owner-compute layout:
+The implementation follows that sketch with an owner-compute layout,
+and keeps the master only for border aggregation:
 
 * vertices are partitioned into contiguous, edge-balanced ranges; each
-  worker device holds its slice of the CSR arrays plus a full-length
-  replica of the degree array.  The replica is *exact* for the
-  worker's own vertices and *lazy* for the others (ghosts): a ghost
-  only ever sits at or above its true degree, so the worker at most
-  over-decrements it;
-* per peel round ``k``, the *master* identifies the current k-shell
-  frontier from its aggregated degree array, seeds each owner's block
-  buffers with its members, and the workers run the unmodified
-  ``loop`` kernel over their partition with their ownership window.
-  An owned vertex whose exact replica drops to ``k`` is appended and
-  peeled inside the launch, as on one GPU; ghosts are decremented but
-  never appended.  The master reads back the ids each owner collected
-  (one word each) and marks them dead with core ``k``;
+  worker device owns one range ``[lo, hi)`` and holds its slice of the
+  CSR arrays plus a full-length replica of the degree array.  The
+  replica is *exact* for the worker's own vertices and *lazy* for the
+  others (ghosts): a ghost only ever sits at or above its true degree,
+  so the worker at most over-decrements it;
+* each owner finds its own frontier.  Round ``k`` starts with every
+  owner running the paper's ``scan`` kernel (Alg. 2) over its window
+  ``[lo, hi)`` and, where the scan found a vertex (the host reads the
+  block tails, as it reads ``gpu_count``), the unmodified ``loop``
+  kernel (Alg. 3) with its ownership window.  An owned vertex whose
+  exact replica drops to ``k`` is appended and peeled inside the
+  launch, as on one GPU; ghosts are decremented but never appended.
+  An owner whose window is fully peeled (its ``gpu_count`` equals
+  ``hi - lo``) stops launching, as ``gpu_peel`` stops at ``n``;
 * after each sub-round, each worker sends the master ``(id, delta)``
-  pairs for the vertices whose replica moved since its last exchange.
-  The master keeps a host-side copy of each replica as of that
-  exchange, so the deltas are the replica minus that copy.  It drops
-  pairs for dead vertices, sums the rest, clamps vertices
-  over-decremented below ``k`` back to ``k`` — the cross-device
-  analogue of the Fig. 6 restore trick — and sends each alive vertex
-  whose degree changed to its owner only, as an ``(id, value)`` pair,
-  unless the owner's replica already holds that value (the owner was
-  the only device to decrement it and no clamp applied).
+  pairs for the *ghosts* whose replica moved since its last exchange
+  (a host-side copy of the replica as of that exchange gives the
+  deltas).  The master sums them per id and routes each sum to the
+  vertex's owner as an ``(id, sum)`` pair.  The owner applies a sum
+  only where its exact replica is still above ``k`` — every owned
+  vertex at or below ``k`` is already dead — and clamps the result at
+  ``k``, the cross-device analogue of the Fig. 6 restore trick.
   Transfers and the reduction are charged per word actually moved, so
   a sub-round that touches few border vertices exchanges little;
-* sub-rounds repeat while the aggregation exposes new k-shell members
-  — vertices pushed to ``k`` only by other devices' decrements, exactly
-  as the sketch warns ("more than one round may be needed").  With one
-  device the owner holds every vertex, so each non-empty round takes
-  one sub-round.  The master finds each frontier with work
-  proportional to what changed, not to ``n`` per round.  It keeps a
-  lazy degree-bucket queue, as BZ does: a counting sort of the initial
-  degrees (charged ``n`` once), plus one entry in its new degree's
-  bucket for every alive vertex an aggregation moves to a degree above
-  ``k``.  The first sub-round of round ``k`` is charged the entries of
-  bucket ``k``, stale ones included.  Every alive vertex outside a
-  frontier sits above ``k``, so a later sub-round's new members are
-  among the vertices the previous aggregation changed, and the master
-  filters only those.  A filter that finds nothing carries its charge
-  to the next sub-round that finds a frontier.
+* the routed ids that land on ``k`` are new k-shell members, pushed
+  there only by other devices' decrements, exactly as the sketch warns
+  ("more than one round may be needed").  They seed their owner's
+  block buffers for a further sub-round that runs only the ``loop``
+  kernel, charged one transferred word per seed; no owner re-scans.
+  Sub-rounds repeat while some owner has seeds.  With one device there
+  is no ghost, so each round is one sub-round, and the run makes
+  ``gpu_peel``'s launches less the loop launches of the rounds whose
+  scan found nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 import repro.core.fastsim  # noqa: F401  (registers vectorized executors)
 from repro.core.loop_kernel import loop_kernel
+from repro.core.scan_kernel import scan_kernel
 from repro.core.variants import VariantConfig, get_variant
 from repro.errors import ReproError
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device
 from repro.gpusim.engine import ExecutionEngine, get_engine
+from repro.gpusim.scheduler import KernelFn
 from repro.gpusim.spec import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.result import DecompositionResult
@@ -105,6 +101,102 @@ def partition_ranges(graph: CSRGraph, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+class _Worker:
+    """One worker device: its window ``[lo, hi)``, its CSR slice, the
+    full-length degree replica and its block buffers."""
+
+    def __init__(
+        self, graph: CSRGraph, device: Device, lo: int, hi: int,
+        cfg: VariantConfig, grid_dim: int, capacity: int,
+    ) -> None:
+        self.device = device
+        self.lo = lo
+        self.hi = hi
+        self.grid_dim = grid_dim
+        self.capacity = capacity
+        # the CSR slice: offsets re-based to the window's first vertex
+        self.offsets = device.malloc(
+            "offsets", graph.offsets[lo : hi + 1] - graph.offsets[lo]
+        )
+        self.neighbors = device.malloc(
+            "neighbors", graph.neighbors[graph.offsets[lo] : graph.offsets[hi]]
+        )
+        self.deg = device.malloc("deg", graph.degrees)  # full replica
+        # host-side copy of the ghost replicas as of the last exchange
+        self.base = graph.degrees.astype(np.int64)
+        self.buf = device.malloc("buf", grid_dim * capacity)
+        self.tails = device.malloc("buf_tails", grid_dim)
+        self.count = device.malloc("gpu_count", 1)
+        if cfg.compaction != "none":
+            # the scan's compaction staging, sized as gpu_peel sizes it
+            device.malloc(
+                "compaction_scratch",
+                3 * grid_dim * device.spec.default_block_dim,
+            )
+        self.peeled = 0  # gpu_count as last read back
+
+    def launch(
+        self, kernel: KernelFn, args: tuple[Any, ...]
+    ) -> dict[str, Any]:
+        """Launch ``kernel`` on this device; its critpath record."""
+        stats = self.device.launch(kernel, args=args)
+        return {"device": self.device.name,
+                "kernel": getattr(kernel, "__name__", "kernel"),
+                "stats": stats}
+
+    def seed(self, ids: np.ndarray) -> None:
+        """Deal ``ids`` round-robin over the block buffers."""
+        self.tails.data[:] = 0
+        for b in range(self.grid_dim):
+            share = ids[b :: self.grid_dim]
+            start = b * self.capacity
+            self.buf.data[start : start + share.size] = share
+            self.tails.data[b] = share.size
+
+    def ghost_deltas(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ghosts the last launch decremented, as ``(id, delta)``
+        pairs: a ghost replica still equals its last-exchange copy
+        wherever no kernel decremented it."""
+        deg, base = self.deg.data, self.base
+        moved = deg != base
+        moved[self.lo : self.hi] = False  # owned entries are not tracked
+        ids = moved.nonzero()[0]
+        delta = deg[ids] - base[ids]
+        base[ids] = deg[ids]
+        return ids, delta
+
+    def apply(self, ids: np.ndarray, sums: np.ndarray, k: int) -> np.ndarray:
+        """Apply the routed ghost-delta ``sums`` to owned ``ids``;
+        returns the ids that land on ``k``."""
+        deg = self.deg.data
+        now = deg[ids]
+        # an owned vertex at or below k is dead: it keeps its core
+        live = now > k
+        ids = ids[live]
+        # cross-device restore: a vertex driven below k by concurrent
+        # remote decrements belongs to the k-shell
+        now = np.maximum(now[live] + sums[live], k)
+        deg[ids] = now
+        return ids[now == k]
+
+
+def _sum_by_id(
+    gathered: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gathered ``(id, delta)`` pairs summed per id, as sorted ids
+    and their sums (each worker's ids are unique)."""
+    if len(gathered) == 1:  # one worker's ids are already sorted
+        return gathered[0]
+    ids = np.concatenate([ids for ids, _ in gathered])
+    deltas = np.concatenate([delta for _, delta in gathered])
+    order = np.argsort(ids, kind="stable")
+    ids, deltas = ids[order], deltas[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    return ids[starts], np.add.reduceat(deltas, starts)
+
+
 def multi_gpu_peel(
     graph: CSRGraph,
     num_devices: int = 2,
@@ -128,6 +220,9 @@ def multi_gpu_peel(
     plus the aggregation steps, and whose ``peak_memory_bytes`` is the
     busiest single device — the quantity that decides whether a graph
     too big for one GPU fits a partitioned cluster.
+    ``stats["sub_rounds"]`` counts the sub-rounds whose frontier is not
+    empty; ``exchange_words`` counts every word moved (gathered and
+    routed pairs) and ``broadcast_words`` the routed ones.
 
     With ``sanitize=True`` every worker device shares one
     :class:`~repro.sanitize.racecheck.KernelSanitizer`, so the report on
@@ -209,39 +304,17 @@ def multi_gpu_peel(
         )
         for d in range(num_devices)
     ]
-    workers = []
-    for d, (lo, hi) in enumerate(ranges):
-        device = devices[d]
-        # the worker's CSR slice: offsets re-based to its first vertex
-        local_offsets = (
-            graph.offsets[lo : hi + 1] - graph.offsets[lo]
-        )
-        local_neighbors = graph.neighbors[
-            graph.offsets[lo] : graph.offsets[hi]
-        ]
-        workers.append({
-            "range": (lo, hi),
-            "device": device,
-            "offsets": device.malloc("offsets", local_offsets),
-            "neighbors": device.malloc("neighbors", local_neighbors),
-            "deg": device.malloc("deg", graph.degrees),  # full replica
-            # host-side copy of the replica as of its last exchange
-            "base": graph.degrees.astype(np.int64),
-            "buf": device.malloc(
-                "buf", spec.default_grid_dim * spec.block_buffer_capacity
-            ),
-            "tails": device.malloc("buf_tails", spec.default_grid_dim),
-            "count": device.malloc("gpu_count", 1),
-        })
-
+    grid_dim = spec.default_grid_dim
     capacity = spec.block_buffer_capacity
     shared_capacity = spec.shared_buffer_capacity if cfg.shared_buffer else 0
-    grid_dim = spec.default_grid_dim
+    workers = [
+        _Worker(graph, device, lo, hi, cfg, grid_dim, capacity)
+        for device, (lo, hi) in zip(devices, ranges)
+    ]
+
     cost = devices[0].cost_model
     coordinator_cycles = 0.0
     raw_rounds: list[dict] = []  # per sub-round cost terms for critpath
-    alive = np.ones(n, dtype=bool)
-    master_deg = graph.degrees.astype(np.int64).copy()
     removed = 0
     k = 0
     sub_rounds = 0
@@ -250,10 +323,6 @@ def multi_gpu_peel(
     # each worker's first vertex, then n: cuts a sorted id list by owner
     owner_starts = [lo for lo, _ in ranges] + [n]
     max_rounds = graph.max_degree + 2
-    # the master's lazy degree buckets, kept as entry counts (live and
-    # stale): a counting sort of the initial degrees, charged n once
-    bucket_entries = np.bincount(master_deg, minlength=max_rounds + 1)
-    pending_cycles = float(n)  # filter work no sub-round has paid for
     while removed < n:
         if k > max_rounds:
             raise ReproError(
@@ -263,119 +332,72 @@ def multi_gpu_peel(
         if trackers is not None:
             for mt in trackers:
                 mt.set_round(k)
-        # vertices the previous sub-round's aggregation changed
-        changed: np.ndarray | None = None
+        # owner index -> the routed ids that crossed to k; None in the
+        # round's first sub-round, whose frontiers the owners scan
+        seeds: dict[int, np.ndarray] | None = None
         while True:  # sub-rounds of round k
-            # master: the current k-shell frontier (clamping guarantees
-            # alive degrees never sit below k, so bucket k's live entries
-            # are the alive vertices of degree k; every alive vertex a
-            # sub-round left unchanged still sits above k)
-            if changed is None:
-                frontier = np.flatnonzero(alive & (master_deg == k))
-                pending_cycles += int(bucket_entries[k])
-            else:
-                frontier = changed[master_deg[changed] <= k]
-                pending_cycles += changed.size
-            if frontier.size == 0:
-                break  # the next charged filter pays for this one
-            filter_cycles = pending_cycles
-            pending_cycles = 0.0
-            sub_rounds += 1
-            alive[frontier] = False
-            removed += frontier.size
-            coordinator_cycles += filter_cycles
+            frontier = 0
             gathered: list[tuple[np.ndarray, np.ndarray]] = []
-            collected: list[np.ndarray] = []
             worker_ms = []
             seed_cycles = []
-            round_launches: list[dict | None] = []
-            for w in workers:
-                device = w["device"]
-                lo, hi = w["range"]
-                mine = frontier[(frontier >= lo) & (frontier < hi)]
+            round_launches: list[list[dict[str, Any]]] = []
+            for d, w in enumerate(workers):
+                device = w.device
                 before_ms = device.elapsed_ms
-                # seed the owner's block buffers round-robin (the role
-                # the scan kernel plays on a single device)
-                w["tails"].data[:] = 0
-                for b in range(grid_dim):
-                    share = mine[b::grid_dim]
-                    w["buf"].data[
-                        b * capacity : b * capacity + share.size
-                    ] = share
-                    w["tails"].data[b] = share.size
-                seed = mine.size * opts.transfer_cycles_per_word
+                launches: list[dict[str, Any]] = []
+                seed = 0.0
+                members = 0  # the frontier this worker starts from
+                if seeds is None:
+                    if w.peeled < w.hi - w.lo:
+                        launches.append(w.launch(
+                            scan_kernel,
+                            (k, w.deg, w.buf, w.tails, w.hi, capacity, cfg,
+                             w.lo),
+                        ))
+                        # the scan's block tails, read back
+                        members = sum(device.read_back(w.tails).tolist())
+                else:
+                    mine = seeds.get(d)
+                    if mine is not None:
+                        w.seed(mine)
+                        seed = mine.size * opts.transfer_cycles_per_word
+                        members = mine.size
+                frontier += members
                 seed_cycles.append(seed)
                 coordinator_cycles += seed
-                stats = None
-                if mine.size:
-                    stats = device.launch(
+                if members:
+                    launches.append(w.launch(
                         loop_kernel,
-                        args=(k, w["offsets"], w["neighbors"], w["deg"],
-                              w["buf"], w["tails"], w["count"], capacity,
-                              shared_capacity, cfg, (lo, hi)),
-                    )
-                    # the replica still equals its last-exchange copy
-                    # everywhere the kernel did not decrement
-                    deg = w["deg"].data
-                    base = w["base"]
-                    touched = np.flatnonzero(deg != base)
-                    gathered.append((touched, deg[touched] - base[touched]))
-                    base[touched] = deg[touched]
-                    # an owned replica is exact at launch, so an owned
-                    # alive vertex now at k was appended and peeled here
-                    own = touched[(touched >= lo) & (touched < hi)]
-                    collected.append(own[alive[own] & (deg[own] == k)])
+                        (k, w.offsets, w.neighbors, w.deg, w.buf, w.tails,
+                         w.count, capacity, shared_capacity, cfg,
+                         (w.lo, w.hi)),
+                    ))
+                    w.peeled = int(device.read_back(w.count)[0])
+                    ghosts = w.ghost_deltas()
+                    if ghosts[0].size:
+                        gathered.append(ghosts)
                 worker_ms.append(device.elapsed_ms - before_ms)
-                round_launches.append(
-                    None if stats is None
-                    else {"device": device.name, "kernel": "loop_kernel",
-                          "stats": stats}
-                )
+                round_launches.append(launches)
+            removed = sum(w.peeled for w in workers)
             # ---- master aggregation of border-vertex degree updates ----
-            # the owners' collected ids are read back: core = k
-            peeled = np.concatenate(collected)
-            alive[peeled] = False
-            removed += peeled.size
-            master_deg[peeled] = k
-            pairs = sum(touched.size for touched, _ in gathered)
-            # pairs for dead vertices are dropped: each keeps its core
-            gathered = [(t[alive[t]], d[alive[t]]) for t, d in gathered]
-            # sorted union by sort + adjacent compare: ~10x faster than
-            # np.unique's hashing on a few thousand ids
-            ids = np.sort(np.concatenate([t for t, _ in gathered]))
-            first = np.ones(ids.size, dtype=bool)
-            first[1:] = ids[1:] != ids[:-1]
-            live = ids[first]
-            pre = master_deg[live]
-            for touched, delta in gathered:  # ids are unique per worker
-                master_deg[touched] += delta
-            # cross-device restore: an alive vertex driven below k by
-            # concurrent remote decrements belongs to the k-shell
-            master_deg[live] = np.maximum(master_deg[live], k)
-            # decrements only lower degrees, so every alive vertex a
-            # worker touched is in ``changed``.  Only its owner hears of
-            # it, which keeps owned replicas exact; ghosts stay lazy
-            changed = live[master_deg[live] != pre]
-            values = master_deg[changed]
-            cuts = np.searchsorted(changed, owner_starts)
-            sent = 0
-            for w, a, b in zip(workers, cuts[:-1], cuts[1:]):
-                ids, vals = changed[a:b], values[a:b]
-                # an owner that alone decremented a vertex already holds
-                # its new value: only stale replica entries are sent
-                stale = w["base"][ids] != vals
-                ids, vals = ids[stale], vals[stale]
-                w["deg"].data[ids] = vals
-                w["base"][ids] = vals
-                sent += ids.size
-            # route each vertex moved above k to its new bucket; one at
-            # k is in the next sub-round's filter over changed
-            bucket_entries += np.bincount(
-                values[values > k], minlength=bucket_entries.size
-            )
-            words = 2 * pairs + peeled.size + 2 * sent
+            pairs = sum(ids.size for ids, _ in gathered)
+            routed = 0
+            seeds = {}
+            if gathered:
+                ids, sums = _sum_by_id(gathered)
+                routed = ids.size
+                # each sum goes to the vertex's owner only, which keeps
+                # owned replicas exact; ghosts stay lazy
+                cuts = np.searchsorted(ids, owner_starts).tolist()
+                for d, w in enumerate(workers):
+                    a, b = cuts[d], cuts[d + 1]
+                    if a < b:
+                        crossed = w.apply(ids[a:b], sums[a:b], k)
+                        if crossed.size:
+                            seeds[d] = crossed
+            words = 2 * pairs + 2 * routed
             exchange_words += words
-            broadcast_words += 2 * sent
+            broadcast_words += 2 * routed
             exchange_cycles = (
                 words * opts.transfer_cycles_per_word
                 + pairs * opts.reduce_cycles_per_word
@@ -389,21 +411,25 @@ def multi_gpu_peel(
             worker_cycles = [
                 ms * 1e6 * cost.clock_ghz for ms in worker_ms
             ]
-            if worker_cycles:
-                coordinator_cycles += max(worker_cycles)
+            coordinator_cycles += max(worker_cycles)
+            if frontier:
+                sub_rounds += 1
             if critpath:
                 raw_rounds.append({
                     "k": k,
-                    "frontier": int(frontier.size),
-                    "filter_cycles": filter_cycles,
+                    "frontier": frontier,
                     "seed_cycles": seed_cycles,
                     "worker_cycles": worker_cycles,
                     "exchange_cycles": exchange_cycles,
                     "launches": round_launches,
                 })
+            if not seeds:
+                break
         k += 1
 
-    core = master_deg
+    core = np.empty(n, dtype=np.int64)
+    for w in workers:  # each owner's exact replica holds its cores
+        core[w.lo : w.hi] = w.device.read_back(w.deg)[w.lo : w.hi]
     total_ms = cost.cycles_to_ms(coordinator_cycles)
     cpath_report = None
     if critpath:

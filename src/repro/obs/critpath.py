@@ -36,11 +36,10 @@ analyzer edits.
 
 **Causal attribution for multi-GPU.**  Each ``multi_gpu_peel``
 sub-round is classified by the component that dominated it —
-``compute`` (mean worker load + the coordinator's frontier filter),
-``straggler`` (the gap between the slowest and the mean worker), or
-``exchange`` (partition seeding + frontier gather/broadcast + core
-merge) — the communication attribution ROADMAP item 5 asks for before
-the partitioned engine lands.
+``compute`` (mean worker load), ``straggler`` (the gap between the
+slowest and the mean worker), or ``exchange`` (seeding the crossed
+vertices + the ghost-delta gather and routing) — the communication
+attribution of the partitioned run.
 
 See the "Critical path & what-if" section of ``docs/OBSERVABILITY.md``
 and the CI gate ``scripts/gate.py critpath``.
@@ -204,7 +203,6 @@ def _fold(values: Any) -> float:
 
 
 def _classify_round(
-    filter_cycles: float,
     seed_cycles: Sequence[float],
     worker_cycles: Sequence[float],
     exchange_cycles: float,
@@ -212,21 +210,19 @@ def _classify_round(
 ) -> Dict[str, Any]:
     """Attribute one multi-GPU sub-round to its dominating component.
 
-    * ``compute``  = mean worker load + the coordinator's frontier
-      filter — the work an ideal, perfectly balanced, zero-exchange
-      cluster would still do;
+    * ``compute``  = mean worker load — the work an ideal, perfectly
+      balanced, zero-exchange cluster would still do;
     * ``straggler`` = slowest worker minus the mean — pure imbalance;
-    * ``exchange`` = partition seeding + frontier gather/broadcast +
-      core merge — pure communication.
+    * ``exchange`` = seeding the crossed vertices + the ghost-delta
+      gather and routing — pure communication.
 
     The bound class is the argmax, ties resolved in that priority
     order.  Builder and validator share this function, so the gate's
     "pin each round's class" check is a re-derivation, not a heuristic.
     """
-    mean = _fold(worker_cycles) / float(num_devices)
+    compute = _fold(worker_cycles) / float(num_devices)
     peak = max(worker_cycles)
-    compute = mean + filter_cycles
-    straggler = peak - mean
+    straggler = peak - compute
     exchange = _fold(seed_cycles) + exchange_cycles
     bound = "compute"
     best = compute
@@ -313,12 +309,12 @@ def _project_multi(
     """Projected coordinator cycles + per-kernel breakdown for one
     scenario over a multi-GPU record's rounds.
 
-    Follows the coordinator's accumulation order exactly (filter,
-    seeds, exchange, slowest worker), dropping the seeding and exchange
-    terms under ``infinite_interconnect`` and re-timing each worker's
-    kernel under the block-level flags.  A worker's launch overhead
-    (its cycles beyond the kernel) is preserved; the projection is
-    clamped at the measurement.
+    Follows the coordinator's accumulation order exactly (seeds,
+    exchange, slowest worker), dropping the seeding and exchange terms
+    under ``infinite_interconnect`` and re-timing each worker's kernels
+    under the block-level flags.  A worker's launch overhead (its
+    cycles beyond its kernels) is preserved; the projection is clamped
+    at the measurement.
     """
     atomics, coalesce, barriers, interconnect = _scenario_flags(scenario)
     num_sms = int(record["clock"]["num_sms"])
@@ -326,33 +322,37 @@ def _project_multi(
     total = 0.0
     per_kernel: Dict[str, Dict[str, float]] = {}
     for rnd in record["rounds"]:
-        total += rnd["filter_cycles"]
         projected_workers: List[float] = []
         for worker, measured in enumerate(rnd["worker_cycles"]):
-            launch = rnd["launches"][worker]
-            if launch is None:
-                projected_workers.append(measured)
-                continue
-            if transform:
-                kernel = _project_launch(
-                    launch["blocks"], num_sms, atomics, coalesce, barriers
+            launches = rnd["launches"][worker]
+            kernels: List[float] = []
+            for launch in launches:
+                kernel = (
+                    _project_launch(
+                        launch["blocks"], num_sms, atomics, coalesce,
+                        barriers,
+                    )
+                    if transform else launch["cycles"]
                 )
-                residual = measured - launch["cycles"]
+                kernels.append(kernel)
+                agg = per_kernel.setdefault(
+                    launch["kernel"],
+                    {"measured_cycles": 0.0, "projected_cycles": 0.0},
+                )
+                agg["measured_cycles"] += launch["cycles"]
+                agg["projected_cycles"] += kernel
+            if transform and launches:
+                residual = measured - _fold(
+                    launch["cycles"] for launch in launches
+                )
                 if residual < 0.0:
                     residual = 0.0
-                projected = residual + kernel
+                projected = residual + _fold(kernels)
                 if projected > measured:
                     projected = measured
             else:
-                kernel = launch["cycles"]
                 projected = measured
             projected_workers.append(projected)
-            agg = per_kernel.setdefault(
-                launch["kernel"],
-                {"measured_cycles": 0.0, "projected_cycles": 0.0},
-            )
-            agg["measured_cycles"] += launch["cycles"]
-            agg["projected_cycles"] += kernel
         if not interconnect:
             for seed in rnd["seed_cycles"]:
                 total += seed
@@ -543,10 +543,10 @@ def _multi_nodes(
 ) -> Tuple[List[Dict[str, Any]], List[int]]:
     """The causal DAG of a multi-GPU run, derived from its rounds.
 
-    Per sub-round: a coordinator ``filter`` node, one ``seed`` node per
-    worker (the coordinator is serial, so these chain), one ``worker``
-    node per device (gated by its seed; only the slowest is on the
-    path), and an ``exchange`` join node gated by every worker.
+    Per sub-round: one ``seed`` node per worker (the coordinator is
+    serial, so these chain), one ``worker`` node per device (gated by
+    its seed; only the slowest is on the path), and an ``exchange``
+    join node gated by every worker.
     """
     nodes: List[Dict[str, Any]] = []
     path: List[int] = []
@@ -563,39 +563,25 @@ def _multi_nodes(
         k = rnd["k"]
         peak = max(rnd["worker_cycles"])
         critical_worker = rnd["critical_worker"]
-        prev_master = add({
-            "kind": "filter",
-            "name": f"filter k={k}",
-            "round": k,
-            "track": "master",
-            "deps": [prev_master] if prev_master >= 0 else [],
-            "cycles": rnd["filter_cycles"],
-            "critical": True,
-            "slack_cycles": 0.0,
-        }, on_path=True)
         worker_ids: List[int] = []
         for worker in range(num_devices):
-            launch = rnd["launches"][worker]
-            track = (
-                launch["device"] if launch is not None else f"gpu{worker}"
-            )
+            launches = rnd["launches"][worker]
+            track = launches[0]["device"] if launches else f"gpu{worker}"
             prev_master = add({
                 "kind": "seed",
                 "name": f"seed {track} k={k}",
                 "round": k,
                 "track": "master",
                 "worker": worker,
-                "deps": [prev_master],
+                "deps": [prev_master] if prev_master >= 0 else [],
                 "cycles": rnd["seed_cycles"][worker],
                 "critical": True,
                 "slack_cycles": 0.0,
             }, on_path=True)
+            kernels = "+".join(launch["kernel"] for launch in launches)
             worker_ids.append(add({
                 "kind": "worker",
-                "name": (
-                    f"{launch['kernel']} k={k}" if launch is not None
-                    else f"idle k={k}"
-                ),
+                "name": f"{kernels or 'idle'} k={k}",
                 "round": k,
                 "track": track,
                 "worker": worker,
@@ -622,10 +608,9 @@ def _multi_accounting(
     rounds: Sequence[Mapping[str, Any]]
 ) -> float:
     """The coordinator's cycle accumulation, re-folded in its exact
-    bookkeeping order: filter, seeds, exchange, slowest worker."""
+    bookkeeping order: seeds, exchange, slowest worker."""
     total = 0.0
     for rnd in rounds:
-        total += rnd["filter_cycles"]
         for seed in rnd["seed_cycles"]:
             total += seed
         total += rnd["exchange_cycles"]
@@ -646,7 +631,6 @@ def _multi_tracks(
     worker_busy = [0.0] * num_devices
     worker_on_path = [0.0] * num_devices
     for rnd in rounds:
-        master_busy += rnd["filter_cycles"]
         for seed in rnd["seed_cycles"]:
             master_busy += seed
         master_busy += rnd["exchange_cycles"]
@@ -690,9 +674,9 @@ def build_multi_critpath(
     """Finalise the causal record of one ``multi_gpu_peel`` run.
 
     ``rounds`` carries, per sub-round, the coordinator's raw cost
-    components (``k``, ``frontier``, ``filter_cycles``,
-    ``seed_cycles``, ``worker_cycles``, ``exchange_cycles``) and per
-    worker either ``None`` or ``{"device", "kernel", "stats"}`` under
+    components (``k``, ``frontier``, ``seed_cycles``,
+    ``worker_cycles``, ``exchange_cycles``) and per worker the list of
+    its launches, each ``{"device", "kernel", "stats"}``, under
     ``"launches"`` — the builder converts the stats into stored block
     terms, classifies every round, and assembles DAG, tracks,
     accounting and the what-if table.
@@ -700,26 +684,26 @@ def build_multi_critpath(
     kernels: Dict[str, Dict[str, Any]] = {}
     for rnd in rounds:
         rnd.update(_classify_round(
-            rnd["filter_cycles"], rnd["seed_cycles"],
-            rnd["worker_cycles"], rnd["exchange_cycles"], num_devices,
+            rnd["seed_cycles"], rnd["worker_cycles"],
+            rnd["exchange_cycles"], num_devices,
         ))
-        launches: List[Optional[Dict[str, Any]]] = []
-        for raw in rnd["launches"]:
-            if raw is None:
-                launches.append(None)
-                continue
-            stats = raw["stats"]
-            launches.append({
-                "device": raw["device"],
-                "kernel": raw["kernel"],
-                "cycles": stats.cycles,
-                "blocks": _blocks_from_stats(stats, cost),
-            })
-            agg = kernels.setdefault(raw["kernel"], {
-                "launches": 0, "cycles": 0.0, "lane_slack_cycles": 0.0,
-            })
-            agg["launches"] += 1
-            agg["cycles"] += stats.cycles
+        launches: List[List[Dict[str, Any]]] = []
+        for worker_launches in rnd["launches"]:
+            launches.append([])
+            for raw in worker_launches:
+                stats = raw["stats"]
+                launches[-1].append({
+                    "device": raw["device"],
+                    "kernel": raw["kernel"],
+                    "cycles": stats.cycles,
+                    "blocks": _blocks_from_stats(stats, cost),
+                })
+                agg = kernels.setdefault(raw["kernel"], {
+                    "launches": 0, "cycles": 0.0,
+                    "lane_slack_cycles": 0.0,
+                })
+                agg["launches"] += 1
+                agg["cycles"] += stats.cycles
         rnd["launches"] = launches
     for name, agg in kernels.items():
         # a D-way partition sweeps the same total adjacency, so the
@@ -1005,8 +989,8 @@ def _validate_multi(
                 )
                 return
         derived = _classify_round(
-            rnd["filter_cycles"], rnd["seed_cycles"],
-            rnd["worker_cycles"], rnd["exchange_cycles"], num_devices,
+            rnd["seed_cycles"], rnd["worker_cycles"],
+            rnd["exchange_cycles"], num_devices,
         )
         for key, value in derived.items():
             if rnd.get(key) != value:
@@ -1018,26 +1002,26 @@ def _validate_multi(
             problems.append(f"{where}: unclassified round")
         else:
             histogram[rnd["bound"]] += 1
-        for worker, launch in enumerate(rnd["launches"]):
-            if launch is None:
-                continue
-            lanes = _fold_lanes(
-                [
-                    max(b[0], b[1], b[2]) + b[3]
-                    for b in launch["blocks"]
-                ],
-                num_sms,
-            )
-            if launch["cycles"] != max(lanes):
-                problems.append(
-                    f"{where}: worker {worker} launch cycles do not "
-                    "re-derive from block terms"
+        for worker, launches in enumerate(rnd["launches"]):
+            for launch in launches:
+                lanes = _fold_lanes(
+                    [
+                        max(b[0], b[1], b[2]) + b[3]
+                        for b in launch["blocks"]
+                    ],
+                    num_sms,
                 )
-            agg = kernels.setdefault(launch["kernel"], {
-                "launches": 0, "cycles": 0.0, "lane_slack_cycles": 0.0,
-            })
-            agg["launches"] += 1
-            agg["cycles"] += launch["cycles"]
+                if launch["cycles"] != max(lanes):
+                    problems.append(
+                        f"{where}: worker {worker} launch cycles do not "
+                        "re-derive from block terms"
+                    )
+                agg = kernels.setdefault(launch["kernel"], {
+                    "launches": 0, "cycles": 0.0,
+                    "lane_slack_cycles": 0.0,
+                })
+                agg["launches"] += 1
+                agg["cycles"] += launch["cycles"]
     if record.get("round_bounds") != histogram:
         problems.append(
             f"round_bounds {record.get('round_bounds')!r} != recounted "
@@ -1180,9 +1164,11 @@ def render_critpath(record: Mapping[str, Any]) -> str:
     if kind == "multi":
         histogram = record["round_bounds"]
         total_rounds = len(record["rounds"])
+        empty = sum(1 for rnd in record["rounds"] if not rnd["frontier"])
         lines.append(
             f"  round attribution ({record['num_devices']} workers, "
-            f"{total_rounds} sub-round(s)): "
+            f"{total_rounds} sub-round(s), {empty} with an empty "
+            "frontier): "
             + ", ".join(
                 f"{histogram[cls]} {cls}-bound"
                 for cls in ROUND_BOUND_CLASSES

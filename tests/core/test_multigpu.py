@@ -8,17 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.host import gpu_peel
 from repro.core.multigpu import MultiGpuOptions, multi_gpu_peel, partition_ranges
+from repro.core.variants import VARIANTS
 from repro.cpu.bz import bz_core_numbers
 from repro.errors import ReproError
+from repro.gpusim.device import Device
 from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import path_graph
 from tests.conftest import BATTERY, BATTERY_IDS, assert_cores_equal
+from tests.properties.test_engines import (
+    assert_stats_identical,
+    multi_gpu_launches,
+)
 
-#: worker-side observables, re-captured when owners began peeling
-#: their own k-shell inside the launch; rewrite with
+#: worker-side observables, re-captured when each owner began scanning
+#: its own window for its frontier; rewrite with
 #: ``PYTHONPATH=src python -m tests.core.test_multigpu`` only for a
 #: change that is meant to move the workers
 WORKER_PIN = (
@@ -170,26 +177,25 @@ class TestReporting:
 
 
 class TestSparseExchange:
-    """Per-sub-round filter and exchange charges, worked by hand.
+    """Per-sub-round scan, seed and exchange charges, worked by hand.
 
-    On the path 0-1-2 both leaves form round 1's first frontier and
-    sit on different workers, so each worker decrements the centre in
-    its replica and sends one ``(id, delta)`` pair for it.  At 2
+    Round 0 finds nothing on these graphs: every owner with vertices
+    left scans its window, finds no vertex of degree 0 and launches no
+    loop, which is a recorded round of frontier 0 with no exchange.
+
+    On the path 0-1-2 both leaves form round 1's frontier.  At 2
     devices the ranges are ``(0, 2), (2, 3)``: the centre's owner also
     holds leaf 0, so its exact replica drops to ``k = 1`` and the
-    centre is appended and peeled inside the launch.  The master reads
-    back its id (one word), drops both pairs of the now dead centre
-    and broadcasts nothing.  At 4 devices the ranges are ``(0, 1),
-    (1, 2), (2, 2), (2, 3)``: the centre's owner holds no leaf, so the
-    master sums the two pairs to a degree of 0, clamps it back to
-    ``k`` and sends that one changed vertex to its owner only.  The
-    second sub-round filters only that vertex, finds it in the
-    1-shell, and its sweep touches nothing.
-
-    The master's degree buckets are built by a counting sort charged
-    ``n``.  Round 0 reads the empty bucket 0 and finds nothing, so the
-    build is carried to round 1's first filter, which reads bucket 1's
-    two leaves.
+    centre is appended and peeled inside the launch.  Only the other
+    leaf's worker decrements a ghost, the centre: one ``(id, delta)``
+    pair, which the master routes to the owner as one ``(id, sum)``
+    pair, and the owner drops it (its replica is at ``k``, so the
+    centre is dead).  At 4 devices the ranges are ``(0, 1), (1, 2),
+    (2, 2), (2, 3)``: the centre's owner holds no leaf, so the master
+    sums two pairs to ``-2``, routes one, and the owner clamps the
+    centre from 0 back to ``k``.  The centre landed on ``k``, so it
+    seeds its owner's second sub-round: one word, and a loop launch
+    that touches nothing.
     """
 
     OPTS = MultiGpuOptions()
@@ -200,103 +206,203 @@ class TestSparseExchange:
         result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
         t = self.OPTS.transfer_cycles_per_word
         r = self.OPTS.reduce_cycles_per_word
-        n = graph.num_vertices
-        gathered = 2  # the centre, once from each leaf's worker
-        # the centre: collected by its owner, or clamped and sent to it
-        collected, changed = (1, 0) if devices == 2 else (0, 1)
-        words = 2 * gathered + collected + 2 * changed
-        build, bucket0, bucket1 = n, 0, 2
+        # the centre: a ghost of one leaf's worker, or of both
+        gathered = 1 if devices == 2 else 2
+        routed = 1
+        words = 2 * gathered + 2 * routed
         rounds = [
-            (rnd["k"], rnd["frontier"], rnd["filter_cycles"],
-             rnd["exchange_cycles"])
+            (rnd["k"], rnd["frontier"], rnd["exchange_cycles"])
             for rnd in result.critpath.record["rounds"]
         ]
-        expected = [
-            (1, 2, float(build + bucket0 + bucket1),
-             words * t + gathered * r),
-        ]
-        if changed:
-            expected.append((1, 1, float(changed), 0.0))
+        expected = [(0, 0, 0.0), (1, 2, words * t + gathered * r)]
+        if devices == 4:
+            expected.append((1, 1, 0.0))
+            assert result.critpath.record["rounds"][2]["seed_cycles"] == [
+                0.0, t, 0.0, 0.0,
+            ]
         assert rounds == expected
         assert result.stats["exchange_words"] == words
-        assert result.stats["broadcast_words"] == 2 * changed
+        assert result.stats["broadcast_words"] == 2 * routed
+        assert result.stats["sub_rounds"] == len(expected) - 1
 
-    #: graph edges and the expected ``(k, frontier, filter_cycles)`` rows
-    BUCKET_CASES = {
-        # the path 0-1-2 plus a disjoint K4 (vertices 3-6): round 1 pays
-        # the build (n = 7), the empty bucket 0 and bucket 1's two
-        # leaves.  The path lies in worker 0's range at every device
-        # count, so the centre is collected inside the launch and
-        # nothing changes.  The centre's initial entry in bucket 2 is
-        # stale by round 2, which finds nothing; round 3 pays for that
-        # entry plus the K4's four in bucket 3
+    #: per case, its edges and per device count the expected ``(k,
+    #: frontier, kernels per worker, seed_cycles, (exchange words,
+    #: gathered pairs))`` rows: ``C`` is a worker's scan that found
+    #: nothing, ``S`` its scan and loop
+    C = ["scan_kernel"]
+    S = ["scan_kernel", "loop_kernel"]
+    CASES = {
+        # the path 0-1-2 plus a disjoint K4 (3-6).  Every round scans,
+        # the empty rounds 0 and 2 included, and only an owner whose
+        # scan found a vertex launches its loop.  The path lies in
+        # worker 0's range at every device count, so its centre is
+        # peeled inside round 1's launch; at 4 devices (ranges (0, 3),
+        # (3, 5), (5, 6), (6, 7)) that finishes worker 0, which
+        # launches nothing after.  The K4 sits at k = 3 exactly, so its
+        # sweeps decrement nothing and no ghost moves
         "empty-round": (
             [(0, 1), (1, 2)]
             + [(a, b) for a in range(3, 7) for b in range(a + 1, 7)],
-            [(1, 2, 7.0 + 0 + 2), (3, 4, 1.0 + 4)],
+            {
+                1: [(0, 0, [C], [0.0], (0, 0)),
+                    (1, 2, [S], [0.0], (0, 0)),
+                    (2, 0, [C], [0.0], (0, 0)),
+                    (3, 4, [S], [0.0], (0, 0))],
+                2: [(0, 0, [C, C], [0.0] * 2, (0, 0)),
+                    (1, 2, [S, C], [0.0] * 2, (0, 0)),
+                    (2, 0, [C, C], [0.0] * 2, (0, 0)),
+                    (3, 4, [S, S], [0.0] * 2, (0, 0))],
+                4: [(0, 0, [C, C, C, C], [0.0] * 4, (0, 0)),
+                    (1, 2, [S, C, C, C], [0.0] * 4, (0, 0)),
+                    (2, 0, [[], C, C, C], [0.0] * 4, (0, 0)),
+                    (3, 4, [[], S, S, S], [0.0] * 4, (0, 0))],
+            },
         ),
-        # the triangle 0-1-2 with a leaf 3 on vertex 2: round 1 pays the
-        # build (n = 4) and bucket 1's leaf; removing it lowers vertex 2
-        # to degree 2, which routes one entry to bucket 2.  The filter
-        # over that changed vertex finds nothing and is carried, so
-        # round 2 pays 1 plus bucket 2's three entries
-        "routed": (
-            [(0, 1), (0, 2), (1, 2), (2, 3)],
-            [(1, 1, 4.0 + 0 + 1), (2, 3, 1.0 + 3)],
+        # the star with centre 0 and leaves 1 and 2.  One owner's scan
+        # finds both leaves and the centre drops to k inside the launch
+        # (no scan hit, so not in the frontier).  At 2 devices (ranges
+        # (0, 1), (1, 3)) the leaves' worker decrements the centre's
+        # ghost once (its lazy replica stops at k): one pair gathered
+        # and routed, and the owner's 2 - 1 lands on k, which seeds a
+        # loop-only sub-round on the owner alone, charged one word.  At
+        # 4 devices (ranges (0, 1), (1, 1), (1, 2), (2, 3)) each leaf's
+        # worker sends a pair, the master sums them to -2 and routes
+        # one, the owner clamps 2 - 2 = 0 back to k, and worker 1 owns
+        # nothing and never launches
+        "crossing": (
+            [(0, 1), (0, 2)],
+            {
+                1: [(0, 0, [C], [0.0], (0, 0)),
+                    (1, 2, [S], [0.0], (0, 0))],
+                2: [(0, 0, [C, C], [0.0] * 2, (0, 0)),
+                    (1, 2, [C, S], [0.0] * 2, (4, 1)),
+                    (1, 1, [["loop_kernel"], []], [0.5, 0.0], (0, 0))],
+                4: [(0, 0, [C, [], C, C], [0.0] * 4, (0, 0)),
+                    (1, 2, [C, [], S, S], [0.0] * 4, (6, 2)),
+                    (1, 1, [["loop_kernel"], [], [], []],
+                     [0.5, 0.0, 0.0, 0.0], (0, 0))],
+            },
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("devices", [1, 2, 4])
-    def test_bucket_reads_by_hand(self, case, devices):
-        edges, expected = self.BUCKET_CASES[case]
+    def test_owner_scans_and_crossing_seeds_by_hand(self, case, devices):
+        edges, expected = self.CASES[case]
         graph = CSRGraph.from_edges(edges)
         result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
+        t = self.OPTS.transfer_cycles_per_word
+        r = self.OPTS.reduce_cycles_per_word
         rows = [
-            (rnd["k"], rnd["frontier"], rnd["filter_cycles"])
+            (rnd["k"], rnd["frontier"],
+             [[launch["kernel"] for launch in launches]
+              for launches in rnd["launches"]],
+             rnd["seed_cycles"], rnd["exchange_cycles"])
             for rnd in result.critpath.record["rounds"]
         ]
-        assert rows == expected
+        assert rows == [
+            (k, frontier, kernels, seeds, words * t + pairs * r)
+            for k, frontier, kernels, seeds, (words, pairs)
+            in expected[devices]
+        ]
         assert_cores_equal(result.core, bz_core_numbers(graph), case)
 
     @pytest.mark.parametrize("devices", [1, 2, 4])
     def test_an_owner_is_not_sent_what_it_holds(self, devices):
         """The triangle 0-1-2 with a leaf 3 on vertex 2: round 1 peels
-        the leaf, whose worker decrements vertex 2 from 3 to 2 and
-        sends one pair.  At 1 and 2 devices that worker owns vertex 2
-        too, so its replica already holds 2 and nothing is sent back:
-        2 words.  At 4 devices vertex 2 has another owner, which is
-        sent the new value: 4 words."""
+        the leaf, whose worker decrements vertex 2 from 3 to 2.  At 1
+        and 2 devices that worker owns vertex 2, so its exact replica
+        took the decrement and nothing is sent: 0 words.  At 4 devices
+        vertex 2 has another owner: one pair gathered and one routed,
+        4 words.  Round 2 scans the triangle; at 2 devices worker 0
+        peels 0 and 1 and decrements its lazy ghost of vertex 2 once,
+        at 4 devices workers 0 and 1 each do, and the routed sum finds
+        vertex 2 dead on its owner."""
         graph = CSRGraph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
         result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
         t = self.OPTS.transfer_cycles_per_word
         r = self.OPTS.reduce_cycles_per_word
-        sent = 0 if devices < 4 else 1
-        first = result.critpath.record["rounds"][0]
-        assert (first["k"], first["frontier"]) == (1, 1)
-        assert first["exchange_cycles"] == (2 + 2 * sent) * t + r
-        # round 2 peels the triangle whole: no alive vertex changes
-        assert result.stats["broadcast_words"] == 2 * sent
+        pairs = {1: (0, 0), 2: (0, 1), 4: (1, 2)}[devices]
+        rows = [
+            (rnd["k"], rnd["frontier"], rnd["exchange_cycles"])
+            for rnd in result.critpath.record["rounds"]
+        ]
+        assert rows == [(0, 0, 0.0)] + [
+            (k, frontier, (2 * p + 2 * (p > 0)) * t + p * r)
+            for k, frontier, p in ((1, 1, pairs[0]), (2, 3, pairs[1]))
+        ]
+        assert result.stats["broadcast_words"] == 2 * sum(
+            p > 0 for p in pairs
+        )
         assert_cores_equal(result.core, bz_core_numbers(graph), "sent")
 
     def test_idle_worker_gathers_nothing(self):
-        """At 4 devices worker 2 owns no vertex and workers 1 and 2 own
-        no first-sub-round frontier: they launch nothing and add no
-        gathered pair.  The one changed vertex, the clamped centre, is
-        sent to its owner alone, so the idle devices add no broadcast
-        words either."""
+        """At 4 devices worker 2 owns no vertex: it never launches.
+        Worker 1 scans its window in round 1 but finds nothing, so it
+        launches no loop and gathers no pair.  The two leaves' workers
+        each send one pair for the centre, and the one routed sum goes
+        to the centre's owner alone."""
         four = multi_gpu_peel(path_graph(3), num_devices=4, critpath=True)
         assert four.stats["partition_ranges"][2] == (2, 2)
-        first = four.critpath.record["rounds"][0]
-        assert [launch is None for launch in first["launches"]] == [
-            False, True, True, False,
+        first = four.critpath.record["rounds"][1]
+        assert first["k"] == 1
+        assert [len(launches) for launches in first["launches"]] == [
+            2, 1, 0, 2,
         ]
-        gathered, changed = 2, 1  # the centre, from each leaf's worker
-        assert four.stats["broadcast_words"] == 2 * changed
-        assert four.stats["exchange_words"] == 2 * gathered + 2 * changed
+        assert all(
+            not rnd["launches"][2] for rnd in four.critpath.record["rounds"]
+        )
+        gathered, routed = 2, 1  # the centre, from each leaf's worker
+        assert four.stats["broadcast_words"] == 2 * routed
+        assert four.stats["exchange_words"] == 2 * gathered + 2 * routed
 
 
-# -- work-efficient frontier --------------------------------------------------
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_one_device_is_gpu_peel(variant):
+    """One owner holds every vertex, so it has no ghost and makes
+    ``gpu_peel``'s launches, with the same allocations, less the loop
+    launch of each round whose scan found nothing: the launches left
+    match ``gpu_peel``'s field for field.  The coordinator adds no seed
+    or exchange charge, so ``simulated_ms`` is ``gpu_peel``'s less
+    those loop launches (kernel cycles plus launch overhead), to the
+    rounding of the per-round sum."""
+    graph = datasets.load("web-Google")
+    device = Device()
+    single = gpu_peel(graph, variant=variant, device=device, profile=True)
+    one, log = multi_gpu_launches(graph, 1, variant, "vectorized")
+    assert np.array_equal(one.core, single.core)
+    assert one.rounds == single.rounds
+    assert one.peak_memory_bytes == single.peak_memory_bytes
+    assert one.stats["exchange_words"] == 0
+    empty = [
+        2 * r + 1
+        for r, frontier in enumerate(single.stats["frontier_per_round"])
+        if not frontier
+    ]
+    assert empty, "web-Google has rounds that find no vertex"
+    kept = [s for i, s in enumerate(device.launch_log) if i not in empty]
+    assert_stats_identical(kept, [stats for _, stats in log])
+    cost = device.cost_model
+    skipped_ms = sum(
+        cost.cycles_to_ms(device.launch_log[i].cycles)
+        + cost.kernel_launch_us / 1000.0
+        for i in empty
+    )
+    assert one.simulated_ms == pytest.approx(
+        single.simulated_ms - skipped_ms, rel=1e-12
+    )
+    assert one.stats["per_device_ms"][0] == pytest.approx(
+        one.simulated_ms, rel=1e-12
+    )
+    rounds = one.critpath.record["rounds"]
+    assert len(rounds) == single.rounds
+    assert all(
+        rnd["seed_cycles"] == [0.0] and rnd["exchange_cycles"] == 0.0
+        for rnd in rounds
+    )
+
+
+# -- exchange bound -----------------------------------------------------------
 
 @st.composite
 def graphs_with_gaps(draw):
@@ -326,24 +432,19 @@ def graphs_with_gaps(draw):
 
 @given(graphs_with_gaps(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
-def test_filter_work_is_bounded_by_changes(graph, devices):
-    """The master's frontier filters examine at most the initial
-    bucket entries, one routed entry per changed vertex and each
-    sub-round's changed vertices once: ``2n + 2·Σ|changed|``, whatever
-    the number of rounds.  Every changed vertex was touched by some
-    worker, so ``|changed|`` is at most the sub-round's gathered pairs,
-    and ``2·Σpairs`` plus the read-back words is what the exchange
-    charges beyond the broadcast."""
-    result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
-    assert_cores_equal(result.core, bz_core_numbers(graph), "bucketed")
-    filtered = sum(
-        rnd["filter_cycles"] for rnd in result.critpath.record["rounds"]
-    )
-    n = graph.num_vertices
-    gathered_words = (
-        result.stats["exchange_words"] - result.stats["broadcast_words"]
-    )
-    assert filtered <= 2 * n + gathered_words
+def test_exchange_is_bounded_by_ghost_pairs(graph, devices):
+    """The master routes one ``(id, sum)`` pair per distinct gathered
+    ghost id, so routed pairs never exceed gathered ones; with one
+    device there is no ghost and nothing is exchanged.  Every word is
+    one of those pairs' two: ``exchange_words = 2·gathered +
+    2·routed`` and ``broadcast_words = 2·routed``."""
+    result = multi_gpu_peel(graph, num_devices=devices)
+    assert_cores_equal(result.core, bz_core_numbers(graph), "exchange")
+    routed_words = result.stats["broadcast_words"]
+    gathered_words = result.stats["exchange_words"] - routed_words
+    assert routed_words <= gathered_words
+    if devices == 1:
+        assert result.stats["exchange_words"] == 0
 
 
 @st.composite
@@ -384,7 +485,7 @@ def _core_digest(core):
 
 def worker_side(graph, devices):
     """Everything the workers decide: the coordinator's exchange and
-    filter costs are deliberately absent."""
+    seed costs are deliberately absent."""
     result = multi_gpu_peel(graph, num_devices=devices, critpath=True)
     rounds = result.critpath.record["rounds"] if result.critpath else []
     worker_cycles = json.dumps([r["worker_cycles"] for r in rounds])

@@ -628,9 +628,9 @@ def test_the_c_source_compiles_without_warnings():
 
 @needs_cc
 def test_the_replay_has_no_undefined_behaviour(tmp_path):
-    """The big-hub, big-scan and doctored-decline cases, through a
-    library built with UBSan that aborts at the first report, in a
-    child process."""
+    """The big-hub (single and multi-GPU), big-scan and
+    doctored-decline cases, through a library built with UBSan that
+    aborts at the first report, in a child process."""
     root = Path(__file__).resolve().parents[2]
     script = f"""
 import sys
@@ -646,6 +646,7 @@ assert fastsim.native_flush_available()
 sys.exit(pytest.main([
     "-q", "-p", "no:cacheprovider",
     "tests/gpusim/test_engine.py::test_big_hub_flush_matches_reference",
+    "tests/gpusim/test_engine.py::test_big_hub_multi_gpu_matches_reference",
     "tests/core/test_native_flush.py::"
     "test_each_loop_fallback_fires_and_reference_serves",
     "tests/core/test_native_flush.py::test_a_late_decline_leaves_no_trace",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.fastsim  # noqa: F401  (registers vectorized executors)
+from repro.core.fastsim import native_flush_available
 from repro.core.host import gpu_peel
 from repro.core.loop_kernel import loop_kernel
 from repro.core.scan_kernel import scan_kernel
@@ -22,7 +22,11 @@ from repro.gpusim.engine import (
 )
 from repro.graph.examples import fig1_graph
 from tests.conftest import needs_cc
-from tests.properties.test_engines import assert_byte_identical
+from tests.properties.test_engines import (
+    assert_byte_identical,
+    assert_worker_launches_identical,
+    multi_gpu_launches,
+)
 
 
 def test_available_engines_reference_first():
@@ -352,8 +356,11 @@ def test_big_scan_matches_reference(big_matching, variant):
 
 
 def test_big_hub_multi_gpu_matches_reference(big_hub):
-    from repro.core.multigpu import multi_gpu_peel
-
-    ref = multi_gpu_peel(big_hub, num_devices=2, engine="reference")
-    vec = multi_gpu_peel(big_hub, num_devices=2, engine="vectorized")
+    """Both workers' scans (the second at ``vertex_lo > 0``) and loops,
+    launch by launch, all served by the C replays where ``cc`` is."""
+    ref, ref_log = multi_gpu_launches(big_hub, 2, "ours", "reference")
+    vec, vec_log = multi_gpu_launches(big_hub, 2, "ours", "vectorized")
     assert_byte_identical(ref, vec)
+    assert_worker_launches_identical(ref_log, vec_log)
+    if native_flush_available():
+        assert all(stats.served_by == "vectorized" for _, stats in vec_log)

@@ -16,6 +16,7 @@ fold, so these properties pin them against the interpreter.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -79,7 +80,12 @@ def assert_launches_identical(ref_device, other_device):
     """Every launch's :class:`KernelStats`, field for field, except the
     tier that served it: a charge that moves no run total (an
     ``issued`` sum while no block is issue-bound, say) still shows."""
-    ref_log, other_log = ref_device.launch_log, other_device.launch_log
+    assert_stats_identical(ref_device.launch_log, other_device.launch_log)
+
+
+def assert_stats_identical(ref_log, other_log):
+    """Two launch logs' :class:`KernelStats`, launch by launch, as
+    :func:`assert_launches_identical` compares them."""
     assert len(ref_log) == len(other_log)
     for i, (ref, other) in enumerate(zip(ref_log, other_log)):
         assert dataclasses.replace(other, served_by=ref.served_by) == ref, (
@@ -141,11 +147,42 @@ def test_engines_agree_under_observability_hooks(graph, variant):
        st.sampled_from(ALL_VARIANTS))
 @settings(max_examples=8, deadline=None)
 def test_multi_gpu_peel_is_engine_invariant(graph, num_devices, variant):
-    ref = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
-                         engine="reference")
-    vec = multi_gpu_peel(graph, num_devices=num_devices, variant=variant,
-                         engine="vectorized")
+    """Every worker's scan runs over its window (``vertex_lo > 0`` on
+    all but the first) and its loop with an ownership window; each
+    launch's stats, per-block timings included, match."""
+    ref, ref_log = multi_gpu_launches(graph, num_devices, variant,
+                                      "reference")
+    vec, vec_log = multi_gpu_launches(graph, num_devices, variant,
+                                      "vectorized")
     assert_byte_identical(ref, vec)
+    assert_worker_launches_identical(ref_log, vec_log)
+
+
+def multi_gpu_launches(graph, num_devices, variant, engine):
+    """A critpath-profiled ``multi_gpu_peel`` run and every worker
+    launch as ``(device name, stats)``, in launch order."""
+    log = []
+    launch = Device.launch
+
+    def recorded(device, *args, **kwargs):
+        stats = launch(device, *args, **kwargs)
+        log.append((device.name, stats))
+        return stats
+
+    with mock.patch.object(Device, "launch", recorded):
+        result = multi_gpu_peel(graph, num_devices=num_devices,
+                                variant=variant, engine=engine,
+                                critpath=True)
+    return result, log
+
+
+def assert_worker_launches_identical(ref_log, other_log):
+    """Two :func:`multi_gpu_launches` logs: the same devices launch in
+    the same order, and each launch's stats match."""
+    assert [name for name, _ in ref_log] == [name for name, _ in other_log]
+    assert_stats_identical(
+        [stats for _, stats in ref_log], [stats for _, stats in other_log]
+    )
 
 
 @given(graphs())
