@@ -616,8 +616,8 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
     ctx.lo = int(b["vertex_lo"])
     ctx.cap = int(b["capacity"])
     ctx.compaction = _COMPACTIONS.index(cfg.compaction)
-    shared = _StagedShared(launch)
-    if cfg.compaction == "block":
+    shared = _StagedShared(launch) if cfg.compaction == "block" else None
+    if shared is not None:
         # EC allocates its two staging arrays per block, in block order,
         # before any trip writes (see docs/SIMULATOR.md)
         warps = launch.block_dim // 32
@@ -631,9 +631,9 @@ def _scan_vectorized(launch: VectorLaunch) -> KernelStats:
         raise FallbackToReference("native scan replay out of memory")
     if code:
         raise FallbackToReference("scan replay index out of bounds")
-    stats = _kernel_stats(launch, *ctx.scratch)
-    shared.commit()
-    return stats
+    if shared is not None:
+        shared.commit()
+    return _kernel_stats(launch, *ctx.scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -750,17 +750,19 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         raise FallbackToReference(
             "device array the C replay cannot write in place"
         )
-    shared = _StagedShared(launch)
-    for blk in range(grid):  # the reference's allocation order
-        if cfg.shared_buffer:
-            shared.alloc(blk, "B", int(bound["shared_capacity"]))
-        if cfg.prefetch:
-            shared.alloc(blk, "pref0", warps)
-            shared.alloc(blk, "pref1", warps)
+    shared = None  # only SM and VP stage shared memory in the loop
+    if cfg.shared_buffer or cfg.prefetch:
+        shared = _StagedShared(launch)
+        for blk in range(grid):  # the reference's allocation order
+            if cfg.shared_buffer:
+                shared.alloc(blk, "B", int(bound["shared_capacity"]))
+            if cfg.prefetch:
+                shared.alloc(blk, "pref0", warps)
+                shared.alloc(blk, "pref1", warps)
     _replay_native(lib, ctx, launch, bound, addrs)
-    stats = _kernel_stats(launch, *ctx.scratch)
-    shared.commit()
-    return stats
+    if shared is not None:
+        shared.commit()
+    return _kernel_stats(launch, *ctx.scratch)
 
 
 def register() -> None:

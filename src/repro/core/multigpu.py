@@ -14,7 +14,13 @@ and keeps the master only for border aggregation:
   CSR arrays plus a full-length replica of the degree array.  The
   replica is *exact* for the worker's own vertices and *lazy* for the
   others (ghosts): a ghost only ever sits at or above its true degree,
-  so the worker at most over-decrements it;
+  so the worker at most over-decrements it.  Its block buffers are
+  sized to its window, not to a whole GPU: a launch appends only owned
+  vertices, each at most once, so each block gets ``hi - lo`` slots
+  rounded up to a whole 32-slot (128-byte) segment, capped at the
+  spec's ``block_buffer_capacity``.  The rounding keeps every block's
+  slice segment-aligned, so transactions and cycles are those of a
+  whole-GPU buffer and only the device's peak memory moves;
 * each owner finds its own frontier.  Round ``k`` starts with every
   owner running the paper's ``scan`` kernel (Alg. 2) over its window
   ``[lo, hi)`` and, where the scan found a vertex (the host reads the
@@ -101,19 +107,30 @@ def partition_ranges(graph: CSRGraph, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+#: block-buffer slots per 128-byte global-memory transaction (4-byte ids)
+_SEGMENT_SLOTS = 32
+
+
 class _Worker:
     """One worker device: its window ``[lo, hi)``, its CSR slice, the
-    full-length degree replica and its block buffers."""
+    full-length degree replica and its block buffers, sized to the
+    window."""
 
     def __init__(
         self, graph: CSRGraph, device: Device, lo: int, hi: int,
-        cfg: VariantConfig, grid_dim: int, capacity: int,
+        cfg: VariantConfig,
     ) -> None:
+        spec = device.spec
         self.device = device
         self.lo = lo
         self.hi = hi
-        self.grid_dim = grid_dim
-        self.capacity = capacity
+        self.grid_dim = grid_dim = spec.default_grid_dim
+        # A launch appends each owned vertex at most once and never a
+        # ghost, and seed() resets the tails, so no block holds more
+        # than hi - lo entries.  Rounding up to whole segments keeps
+        # every transaction count, and so every cycle, unchanged.
+        window = -(-max(hi - lo, 1) // _SEGMENT_SLOTS) * _SEGMENT_SLOTS
+        self.capacity = min(spec.block_buffer_capacity, window)
         # the CSR slice: offsets re-based to the window's first vertex
         self.offsets = device.malloc(
             "offsets", graph.offsets[lo : hi + 1] - graph.offsets[lo]
@@ -124,14 +141,14 @@ class _Worker:
         self.deg = device.malloc("deg", graph.degrees)  # full replica
         # host-side copy of the ghost replicas as of the last exchange
         self.base = graph.degrees.astype(np.int64)
-        self.buf = device.malloc("buf", grid_dim * capacity)
+        self.buf = device.malloc("buf", grid_dim * self.capacity)
         self.tails = device.malloc("buf_tails", grid_dim)
         self.count = device.malloc("gpu_count", 1)
         if cfg.compaction != "none":
             # the scan's compaction staging, sized as gpu_peel sizes it
             device.malloc(
                 "compaction_scratch",
-                3 * grid_dim * device.spec.default_block_dim,
+                3 * grid_dim * spec.default_block_dim,
             )
         self.peeled = 0  # gpu_count as last read back
 
@@ -219,7 +236,11 @@ def multi_gpu_peel(
     the parallel sub-round time (the *slowest* worker each sub-round)
     plus the aggregation steps, and whose ``peak_memory_bytes`` is the
     busiest single device — the quantity that decides whether a graph
-    too big for one GPU fits a partitioned cluster.
+    too big for one GPU fits a partitioned cluster.  A device holds its
+    CSR slice, a full-length degree replica and block buffers sized to
+    its window (see the module docs), so the peak falls as devices are
+    added; with one device it is ``gpu_peel``'s at
+    ``buffer_capacity`` = ``n`` rounded up to 32 slots.
     ``stats["sub_rounds"]`` counts the sub-rounds whose frontier is not
     empty; ``exchange_words`` counts every word moved (gathered and
     routed pairs) and ``broadcast_words`` the routed ones.
@@ -304,11 +325,9 @@ def multi_gpu_peel(
         )
         for d in range(num_devices)
     ]
-    grid_dim = spec.default_grid_dim
-    capacity = spec.block_buffer_capacity
     shared_capacity = spec.shared_buffer_capacity if cfg.shared_buffer else 0
     workers = [
-        _Worker(graph, device, lo, hi, cfg, grid_dim, capacity)
+        _Worker(graph, device, lo, hi, cfg)
         for device, (lo, hi) in zip(devices, ranges)
     ]
 
@@ -351,8 +370,8 @@ def multi_gpu_peel(
                     if w.peeled < w.hi - w.lo:
                         launches.append(w.launch(
                             scan_kernel,
-                            (k, w.deg, w.buf, w.tails, w.hi, capacity, cfg,
-                             w.lo),
+                            (k, w.deg, w.buf, w.tails, w.hi, w.capacity,
+                             cfg, w.lo),
                         ))
                         # the scan's block tails, read back
                         members = sum(device.read_back(w.tails).tolist())
@@ -369,7 +388,7 @@ def multi_gpu_peel(
                     launches.append(w.launch(
                         loop_kernel,
                         (k, w.offsets, w.neighbors, w.deg, w.buf, w.tails,
-                         w.count, capacity, shared_capacity, cfg,
+                         w.count, w.capacity, shared_capacity, cfg,
                          (w.lo, w.hi)),
                     ))
                     w.peeled = int(device.read_back(w.count)[0])
@@ -448,8 +467,10 @@ def multi_gpu_peel(
             reduce_cycles_per_word=opts.reduce_cycles_per_word,
             worker_names=[d.name for d in devices],
             cfg=cfg,
+            # the capacity the largest window's launches ran with
             env=launch_env(
-                n, len(graph.neighbors), graph.max_degree, spec, cfg, None
+                n, len(graph.neighbors), graph.max_degree, spec, cfg,
+                max(w.capacity for w in workers),
             ),
         )
     if trackers is not None:

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.host import gpu_peel
+from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import MultiGpuOptions, multi_gpu_peel, partition_ranges
 from repro.core.variants import VARIANTS
 from repro.cpu.bz import bz_core_numbers
-from repro.errors import ReproError
+from repro.errors import BufferOverflowError, ReproError
 from repro.gpusim.device import Device
+from repro.gpusim.spec import DeviceSpec
 from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from repro.graph.examples import path_graph
+from repro.graph.examples import k_clique, path_graph
 from tests.conftest import BATTERY, BATTERY_IDS, assert_cores_equal
 from tests.properties.test_engines import (
     assert_stats_identical,
@@ -357,22 +358,40 @@ class TestSparseExchange:
         assert four.stats["exchange_words"] == 2 * gathered + 2 * routed
 
 
+def window_capacity(spec, lo, hi):
+    """A worker's per-block buffer slots: its window rounded up to
+    whole 32-slot segments, at most the spec's capacity."""
+    return min(spec.block_buffer_capacity, -(-max(hi - lo, 1) // 32) * 32)
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_one_device_is_gpu_peel(variant):
     """One owner holds every vertex, so it has no ghost and makes
-    ``gpu_peel``'s launches, with the same allocations, less the loop
-    launch of each round whose scan found nothing: the launches left
-    match ``gpu_peel``'s field for field.  The coordinator adds no seed
-    or exchange charge, so ``simulated_ms`` is ``gpu_peel``'s less
-    those loop launches (kernel cycles plus launch overhead), to the
-    rounding of the per-round sum."""
+    ``gpu_peel``'s launches, with the same allocations at its window's
+    buffer capacity, less the loop launch of each round whose scan
+    found nothing: the launches left match ``gpu_peel``'s field for
+    field, both at that capacity and at the default one (the sizing
+    moves memory and nothing else).  The coordinator adds no seed or
+    exchange charge, so ``simulated_ms`` is ``gpu_peel``'s less those
+    loop launches (kernel cycles plus launch overhead), to the rounding
+    of the per-round sum."""
     graph = datasets.load("web-Google")
+    spec = DeviceSpec()
+    cap_w = window_capacity(spec, 0, graph.num_vertices)
+    assert cap_w < spec.block_buffer_capacity
+    sized_device = Device()
+    sized = gpu_peel(
+        graph, variant=variant, device=sized_device, profile=True,
+        options=GpuPeelOptions(buffer_capacity=cap_w),
+    )
     device = Device()
     single = gpu_peel(graph, variant=variant, device=device, profile=True)
     one, log = multi_gpu_launches(graph, 1, variant, "vectorized")
-    assert np.array_equal(one.core, single.core)
-    assert one.rounds == single.rounds
-    assert one.peak_memory_bytes == single.peak_memory_bytes
+    for peel in (sized, single):
+        assert np.array_equal(one.core, peel.core)
+        assert one.rounds == peel.rounds
+    assert one.peak_memory_bytes == sized.peak_memory_bytes
+    assert one.peak_memory_bytes < single.peak_memory_bytes
     assert one.stats["exchange_words"] == 0
     empty = [
         2 * r + 1
@@ -380,8 +399,9 @@ def test_one_device_is_gpu_peel(variant):
         if not frontier
     ]
     assert empty, "web-Google has rounds that find no vertex"
-    kept = [s for i, s in enumerate(device.launch_log) if i not in empty]
-    assert_stats_identical(kept, [stats for _, stats in log])
+    for launch_log in (sized_device.launch_log, device.launch_log):
+        kept = [s for i, s in enumerate(launch_log) if i not in empty]
+        assert_stats_identical(kept, [stats for _, stats in log])
     cost = device.cost_model
     skipped_ms = sum(
         cost.cycles_to_ms(device.launch_log[i].cycles)
@@ -470,6 +490,114 @@ def test_agrees_with_bz_at_every_device_count(graph, devices):
     vertices; the random graphs reach that within a few examples."""
     result = multi_gpu_peel(graph, num_devices=devices)
     assert_cores_equal(result.core, bz_core_numbers(graph), f"multi-{devices}")
+
+
+# -- worker buffers sized to the window ---------------------------------------
+
+def expected_worker_peaks(graph, ranges, cfg, spec):
+    """Each worker's bytes: context, CSR slice, degree replica, block
+    buffers at its window's capacity, tails and ``gpu_count``, plus the
+    scan's compaction staging for BC/EC."""
+    n = graph.num_vertices
+    peaks = []
+    for lo, hi in ranges:
+        slots = (
+            (hi - lo + 1)
+            + int(graph.offsets[hi] - graph.offsets[lo])
+            + n
+            + spec.default_grid_dim * window_capacity(spec, lo, hi)
+            + spec.default_grid_dim
+            + 1
+        )
+        if cfg.compaction != "none":
+            slots += 3 * spec.default_grid_dim * spec.default_block_dim
+        peaks.append(spec.context_overhead_bytes + spec.id_bytes * slots)
+    return peaks
+
+
+def assert_exact_worker_peaks(graph, devices, variant):
+    """Every worker holds exactly :func:`expected_worker_peaks`, and a
+    worker whose window is empty never launches."""
+    spec = DeviceSpec()
+    result, log = multi_gpu_launches(graph, devices, variant, "vectorized")
+    ranges = result.stats["partition_ranges"]
+    assert result.stats["per_device_peak_bytes"] == expected_worker_peaks(
+        graph, ranges, VARIANTS[variant], spec
+    )
+    assert result.peak_memory_bytes == max(
+        result.stats["per_device_peak_bytes"]
+    )
+    launched = {name for name, _ in log}
+    for d, (lo, hi) in enumerate(ranges):
+        if hi == lo:
+            assert f"gpu{d}" not in launched
+    assert_cores_equal(result.core, bz_core_numbers(graph), variant)
+
+
+@given(
+    graphs_with_gaps(),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(list(VARIANTS)),
+)
+@settings(max_examples=40, deadline=None)
+def test_worker_peaks_are_exact(graph, devices, variant):
+    assert_exact_worker_peaks(graph, devices, variant)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_web_google_worker_peaks_are_exact(variant):
+    graph = datasets.load("web-Google")
+    for devices in range(1, 9):
+        assert_exact_worker_peaks(graph, devices, variant)
+
+
+def test_eight_devices_hold_under_half_a_gpu():
+    """web-Google's busiest worker at 8 devices holds at most half of
+    one GPU's peak."""
+    graph = datasets.load("web-Google")
+    single = gpu_peel(graph)
+    eight = multi_gpu_peel(graph, num_devices=8)
+    assert 2 * eight.peak_memory_bytes <= single.peak_memory_bytes
+
+
+ALL_BUFFERINGS = [
+    cfg for base in VARIANTS.values()
+    for cfg in (base, base.with_ring_buffer())
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", ALL_BUFFERINGS, ids=[cfg.name for cfg in ALL_BUFFERINGS]
+)
+@pytest.mark.parametrize("case", ["star", "clique"])
+def test_a_full_window_fits_one_block(case, cfg):
+    """64 vertices, all inside block 0's first stride (512 threads), so
+    one block receives the whole frontier.  The star's scan collects its
+    63 leaves and its loop appends the centre; the clique's scan
+    collects all 64 at k = 63.  Either way block 0 fills all
+    ``round_up(64, 32) = 64`` slots of a one-device worker exactly, and
+    no variant overflows at any device count."""
+    if case == "star":
+        graph = CSRGraph.from_edges([(0, leaf) for leaf in range(1, 64)])
+    else:
+        graph = k_clique(64)
+    assert window_capacity(DeviceSpec(), 0, graph.num_vertices) == 64
+    for devices in (1, 2, 3, 4):
+        result, log = multi_gpu_launches(graph, devices, cfg, "vectorized")
+        assert_cores_equal(result.core, bz_core_numbers(graph), cfg.name)
+        if devices == 1:
+            assert max(stats.buffer_peak for _, stats in log) == 64
+
+
+@pytest.mark.parametrize("variant", ["ours", "sm"])
+def test_a_spec_capacity_below_the_window_still_overflows(variant):
+    """A spec capacity smaller than the window is kept, so the scan
+    overflows it with the same typed error as a whole-GPU buffer."""
+    spec = DeviceSpec(block_buffer_capacity=8)
+    with pytest.raises(BufferOverflowError) as raised:
+        multi_gpu_peel(k_clique(64), num_devices=1, variant=variant, spec=spec)
+    assert raised.value.block == 0
+    assert raised.value.capacity == 8
 
 
 # -- worker side pinned across aggregation changes ---------------------------

@@ -30,7 +30,7 @@ from repro.core import fastsim
 from repro.core.host import gpu_peel
 from repro.core.loop_kernel import loop_kernel
 from repro.core.scan_kernel import scan_kernel
-from repro.core.variants import get_variant
+from repro.core.variants import VARIANTS, get_variant
 from repro.gpusim.device import Device
 from repro.gpusim.engine import (
     FallbackToReference,
@@ -41,6 +41,7 @@ from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import fig1_graph, k_clique
+from repro.memtrace.tracker import MemoryTracker
 from tests.conftest import needs_cc
 from tests.properties.test_engines import assert_byte_identical
 
@@ -381,6 +382,38 @@ class _SharedLog:
 
     def on_shared_alloc(self, block, name, nbytes):
         self.log.append((block, name, nbytes))
+
+
+@needs_cc
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_the_memtracker_hears_the_reference_shared_allocations(
+    variant, monkeypatch
+):
+    """Served vectorized or by reference, a run tells the memtracker
+    the same shared allocations in the same order: EC's scan staging,
+    SM's ``B`` windows and VP's prefetch buffers, and nothing for the
+    launches that stage no shared memory."""
+    heard = []
+    hear = MemoryTracker.on_shared_alloc
+
+    def record(self, block, name, nbytes):
+        heard.append((block, name, nbytes))
+        hear(self, block, name, nbytes)
+
+    monkeypatch.setattr(MemoryTracker, "on_shared_alloc", record)
+    graph = gen.barabasi_albert(120, 3, seed=1)
+    logs = {}
+    for engine in ("reference", "vectorized"):
+        heard.clear()
+        result = gpu_peel(graph, variant=variant, engine=engine, memtrace=True)
+        served = result.counters.get(f"engine.served.{engine}", 0)
+        assert served == result.counters["device.kernel_launches"], engine
+        logs[engine] = list(heard)
+    assert logs["vectorized"] == logs["reference"]
+    cfg = VARIANTS[variant]
+    assert bool(logs["reference"]) == (
+        cfg.compaction == "block" or cfg.shared_buffer or cfg.prefetch
+    )
 
 
 @needs_cc
