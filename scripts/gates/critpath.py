@@ -6,10 +6,16 @@ programs plus the 2- and 4-worker multi-GPU runners — with
 ``critpath=True`` and fails the build when:
 
 1. **accounting** — the ``repro.critpath/v1`` record must validate:
-   the causal DAG, per-span slack, per-track cycle accounting, and the
-   ranked what-if table all re-derive **exactly** (no tolerance), and
-   every projection sits between the measured time and the static
-   floor (:mod:`repro.obs.critpath`);
+   the validator re-runs the builder's derivation over the stored raw
+   terms (block terms, launch cycles and names, node rounds, track
+   names, per-round coordinator components, floors, ``elapsed_ms``,
+   ``kernel_launches``, ``base`` and ``clock``), so the causal DAG,
+   per-span slack, per-track cycle accounting and the ranked what-if
+   table must equal the re-derived ones **exactly** (no tolerance).
+   Checked explicitly besides: each launch's cycles against its busiest
+   SM lane, the launch count, ``elapsed_ms`` against the accounting,
+   non-negative floors, and every projection between the measured time
+   and the static floor (:mod:`repro.obs.critpath`);
 2. **floors** — the per-kernel static floors must independently
    re-derive from the contract registry's ``floors`` callables
    (:func:`repro.obs.critpath.kernel_floor_cycles`), so a stale stored

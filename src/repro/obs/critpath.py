@@ -11,18 +11,30 @@ access coalesced perfectly?  if the interconnect were infinite?").
 
 Three properties make the analysis trustworthy rather than indicative:
 
-**Exact accounting.**  Every figure in a ``repro.critpath/v1`` record
-is re-derivable from the record itself, and :func:`validate_critpath`
-re-derives all of them with *zero tolerance* — in the style of
-:func:`repro.profile.validate_profile` and
-:func:`repro.obs.runreport.validate_runreport`.  Exactness is achieved
-by re-running the identical float operations in the identical order
-the simulator used (the scheduler's round-robin SM fold, the device's
-left-to-right cycle accumulation, the coordinator's bookkeeping
-order), never by comparing algebraically-equivalent rearrangements.
-In particular the per-track invariant *critical-path cycles + off-path
-slack == elapsed* is enforced as ``off_path == elapsed - on_path`` —
-the very subtraction that produced the stored slack.
+**Exact accounting.**  A ``repro.critpath/v1`` record holds *raw
+terms* — what the run measured: each launch's block terms, cycles and
+name, node rounds and track names; per multi-GPU round ``k``,
+``frontier``, ``seed_cycles``, ``worker_cycles``, ``exchange_cycles``
+and launches; each kernel's ``floor_cycles``; ``elapsed_ms``,
+``kernel_launches``, ``base`` and ``clock`` — and figures derived from
+them.  One function per record kind (``_derive_single``,
+``_derive_multi``) builds the whole record from the raw terms.  The
+builders call it, and :func:`validate_critpath` runs it again over the
+stored raw terms and requires the result to equal the stored record
+with *zero tolerance*, naming the path of every figure that differs.
+Exactness comes from running the identical float operations in the
+identical order the simulator used (the scheduler's round-robin SM
+fold, the device's left-to-right cycle accumulation, the
+coordinator's bookkeeping order), never algebraically-equivalent
+rearrangements; the per-track *critical-path cycles + off-path slack
+== elapsed* is stored as ``off_path = elapsed - on_path``, the very
+subtraction.  The validator checks explicitly only what is not a
+derivation: schema, kind, clock fields and scenario coverage;
+per-device list lengths and at least one multi-GPU round; each
+launch's ``cycles`` against its busiest SM lane re-folded from its
+block terms; ``kernel_launches == base.launches + len(nodes)``;
+``elapsed_ms`` against the accounting; non-negative floors; and the
+bracket below.
 
 **Bracketed projections.**  Every what-if projection is clamped below
 the measured time (a counterfactual that removes work can only help)
@@ -48,6 +60,7 @@ and the CI gate ``scripts/gate.py critpath``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -92,15 +105,14 @@ SCENARIOS = (
 #: what dominated one multi-GPU sub-round
 ROUND_BOUND_CLASSES = ("compute", "straggler", "exchange")
 
-_BLOCK_FIELDS = (
-    "compute", "memory", "latency", "barrier", "atomic", "ideal_memory",
+#: the cost-model fields a record's ``clock`` carries, before ``num_sms``
+_COST_FIELDS = (
+    "clock_ghz", "kernel_launch_us", "issue_width",
+    "mem_transaction_cycles", "barrier_cycles",
 )
 
 
 # -- shared primitives -------------------------------------------------------
-#
-# Builder and validator both go through these helpers, so "re-derive"
-# means literally re-running the same code over the stored record.
 
 
 def _blocks_from_stats(
@@ -168,29 +180,23 @@ def _project_block(
     return max(compute, memory, latency) + barrier
 
 
-def _fold_lanes(busies: Sequence[float], num_sms: int) -> List[float]:
-    """The scheduler's round-robin SM assignment, verbatim
-    (:meth:`CostModel.kernel_cycles`)."""
-    lanes = [0.0] * max(1, num_sms)
-    for i, busy in enumerate(busies):
-        lanes[i % len(lanes)] += busy
-    return lanes
-
-
-def _project_launch(
+def _lanes(
     blocks: Sequence[Sequence[float]],
     num_sms: int,
-    atomics: bool,
-    coalesce: bool,
-    barriers: bool,
-) -> float:
-    """One launch's kernel cycles under a counterfactual."""
-    if not blocks:
-        return 0.0
-    return max(_fold_lanes(
-        [_project_block(b, atomics, coalesce, barriers) for b in blocks],
-        num_sms,
-    ))
+    atomics: bool = False,
+    coalesce: bool = False,
+    barriers: bool = False,
+) -> List[float]:
+    """Each SM's busy cycles under a counterfactual: the scheduler's
+    round-robin assignment of the blocks, verbatim
+    (:meth:`CostModel.kernel_cycles`); the busiest lane is the launch's
+    kernel cycles."""
+    lanes = [0.0] * max(1, num_sms)
+    for i, block in enumerate(blocks):
+        lanes[i % len(lanes)] += _project_block(
+            block, atomics, coalesce, barriers
+        )
+    return lanes
 
 
 def _fold(values: Any) -> float:
@@ -267,7 +273,18 @@ def kernel_floor_cycles(
     return value * float(launches) if floors.per_launch else value
 
 
-# -- what-if projection (shared by builder and validator) --------------------
+# -- what-if projection ------------------------------------------------------
+
+
+def _cycles_to_ms(record: Mapping[str, Any], cycles: float) -> float:
+    """Simulated milliseconds for ``cycles`` on the record's clock, plus
+    a single-device run's launch overhead (a multi-GPU worker's cycles
+    already carry its own)."""
+    clock = record["clock"]
+    ms: float = cycles / (clock["clock_ghz"] * 1e6)
+    if record["kind"] == "single":
+        ms += record["kernel_launches"] * clock["kernel_launch_us"] / 1000.0
+    return ms
 
 
 def _project_single(
@@ -286,9 +303,9 @@ def _project_single(
     for node in record["nodes"]:
         measured = node["cycles"]
         if transform:
-            projected = _project_launch(
+            projected = max(_lanes(
                 node["blocks"], num_sms, atomics, coalesce, barriers
-            )
+            ))
             if projected > measured:
                 projected = measured
         else:
@@ -327,13 +344,9 @@ def _project_multi(
             launches = rnd["launches"][worker]
             kernels: List[float] = []
             for launch in launches:
-                kernel = (
-                    _project_launch(
-                        launch["blocks"], num_sms, atomics, coalesce,
-                        barriers,
-                    )
-                    if transform else launch["cycles"]
-                )
+                kernel = max(_lanes(
+                    launch["blocks"], num_sms, atomics, coalesce, barriers,
+                )) if transform else launch["cycles"]
                 kernels.append(kernel)
                 agg = per_kernel.setdefault(
                     launch["kernel"],
@@ -362,34 +375,21 @@ def _project_multi(
     return total, per_kernel
 
 
-def _whatif_table(
-    record: Mapping[str, Any],
-    kernels: Mapping[str, Mapping[str, Any]],
-) -> List[Dict[str, Any]]:
+def _whatif_table(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """The ranked speedup-ceiling table, one row per scenario."""
     single = record["kind"] == "single"
-    clock = record["clock"]
+    project = _project_single if single else _project_multi
+    kernels = record["kernels"]
     measured_ms = record["elapsed_ms"]
-    rows: List[Dict[str, Any]] = []
     floor_fold = _fold(agg["floor_cycles"] for agg in kernels.values())
+    floor_ms = _cycles_to_ms(
+        record, record["base"]["cycles"] + floor_fold if single
+        else floor_fold,
+    )
+    rows: List[Dict[str, Any]] = []
     for scenario in SCENARIOS:
-        if single:
-            cycles, per_kernel = _project_single(record, scenario)
-            projected_ms = (
-                cycles / (clock["clock_ghz"] * 1e6)
-                + record["kernel_launches"]
-                * clock["kernel_launch_us"] / 1000.0
-            )
-            floor_ms = (
-                (record["base"]["cycles"] + floor_fold)
-                / (clock["clock_ghz"] * 1e6)
-                + record["kernel_launches"]
-                * clock["kernel_launch_us"] / 1000.0
-            )
-        else:
-            cycles, per_kernel = _project_multi(record, scenario)
-            projected_ms = cycles / (clock["clock_ghz"] * 1e6)
-            floor_ms = floor_fold / (clock["clock_ghz"] * 1e6)
+        cycles, per_kernel = project(record, scenario)
+        projected_ms = _cycles_to_ms(record, cycles)
         for name, agg in per_kernel.items():
             agg["floor_cycles"] = kernels[name]["floor_cycles"]
         rows.append({
@@ -407,64 +407,52 @@ def _whatif_table(
     return rows
 
 
-# -- single-device collector -------------------------------------------------
+# -- the derivations ---------------------------------------------------------
+#
+# One function per record kind builds the whole record from its raw
+# terms.  The builders call it on what the run measured; the validator
+# calls it on the stored record, whose raw terms sit where the
+# derivation reads them, and compares the result with the stored
+# record figure for figure.
 
 
-@dataclass
-class CritPathCollector:
-    """Accumulates the causal record of one single-device host run.
+def _floor(
+    kernels: Dict[str, Dict[str, Any]], floors: Mapping[str, Any]
+) -> None:
+    """Attach each kernel's stored static floor (zero for a kernel the
+    record gives none, which the comparison then names)."""
+    for name, agg in kernels.items():
+        agg["floor_cycles"] = (
+            floors[name]["floor_cycles"] if name in floors else 0.0
+        )
 
-    The host calls :meth:`observe_launch` after every
-    :meth:`~repro.gpusim.device.Device.launch` (with a profiler
-    attached, so per-block timings ride along on the stats) and
-    :meth:`build` once the device clock is final.  ``cfg``/``env`` feed
-    the contract registry's floor certificates; without them every
-    floor is zero.
-    """
 
-    spec: DeviceSpec
-    cost: CostModel
-    algorithm: str
-    variant: str
-    track: str = "device"
-    cfg: Any = None
-    env: Optional[Mapping[str, float]] = None
-    base_cycles: float = 0.0
-    base_launches: int = 0
-    _nodes: List[Dict[str, Any]] = field(default_factory=list)
-
-    def observe_launch(
-        self, name: str, stats: KernelStats, round_index: Any = None
-    ) -> None:
-        """Record one kernel launch as the next node of the serial
-        dependency chain."""
-        node_id = len(self._nodes)
-        self._nodes.append({
+def _derive_single(raw: Mapping[str, Any]) -> Dict[str, Any]:
+    """A single-device record from its raw terms: per node ``name``,
+    ``round``, ``cycles`` and ``blocks``; the track name; per kernel
+    ``floor_cycles``; ``algorithm``, ``variant``, ``elapsed_ms``,
+    ``kernel_launches``, ``base`` and ``clock``."""
+    num_sms = int(raw["clock"]["num_sms"])
+    track = raw["tracks"][0]["track"]
+    window = 0.0
+    total = raw["base"]["cycles"]
+    lane_slack_total = 0.0
+    nodes: List[Dict[str, Any]] = []
+    kernels: Dict[str, Dict[str, Any]] = {}
+    for node_id, launch in enumerate(raw["nodes"]):
+        cycles = launch["cycles"]
+        lanes = _lanes(launch["blocks"], num_sms)
+        lane_slack = _fold(cycles - lane for lane in lanes)
+        nodes.append({
             "id": node_id,
             "kind": "kernel",
-            "name": name,
-            "round": round_index,
-            "track": self.track,
+            "name": launch["name"],
+            "round": launch["round"],
+            "track": track,
             "deps": [node_id - 1] if node_id else [],
-            "cycles": stats.cycles,
-            "blocks": _blocks_from_stats(stats, self.cost),
-        })
-
-    def build(self, elapsed_ms: float, kernel_launches: int) -> "CritPathReport":
-        """Finalise the record: lanes, slack, accounting, floors and
-        the ranked what-if table."""
-        num_sms = self.spec.num_sms
-        window = 0.0
-        total = self.base_cycles
-        lane_slack_total = 0.0
-        kernels: Dict[str, Dict[str, Any]] = {}
-        for node in self._nodes:
-            cycles = node["cycles"]
-            lanes = _fold_lanes(
-                [max(b[0], b[1], b[2]) + b[3] for b in node["blocks"]],
-                num_sms,
-            )
-            node["lanes"] = [
+            "cycles": cycles,
+            "blocks": launch["blocks"],
+            "lanes": [
                 {
                     "sm": sm,
                     "cycles": lane,
@@ -472,70 +460,52 @@ class CritPathCollector:
                     "critical": lane == cycles,
                 }
                 for sm, lane in enumerate(lanes)
-            ]
-            node["lane_slack_cycles"] = _fold(
-                cycles - lane for lane in lanes
-            )
+            ],
+            "lane_slack_cycles": lane_slack,
             # the chain is serial: every launch gates the next, so every
             # node is on the path and inter-node slack is zero — the
             # interesting slack lives inside the launch, across SM lanes
-            node["critical"] = True
-            node["slack_cycles"] = 0.0
-            window += cycles
-            total += cycles
-            lane_slack_total += node["lane_slack_cycles"]
-            agg = kernels.setdefault(node["name"], {
-                "launches": 0, "cycles": 0.0, "lane_slack_cycles": 0.0,
-            })
-            agg["launches"] += 1
-            agg["cycles"] += cycles
-            agg["lane_slack_cycles"] += node["lane_slack_cycles"]
-        for name, agg in kernels.items():
-            agg["floor_cycles"] = kernel_floor_cycles(
-                name, self.cfg, self.env, self.cost, num_sms,
-                agg["launches"],
-            )
-        record: Dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "kind": "single",
-            "algorithm": self.algorithm,
-            "variant": self.variant,
-            "elapsed_ms": elapsed_ms,
-            "kernel_launches": kernel_launches,
-            "base": {
-                "cycles": self.base_cycles,
-                "launches": self.base_launches,
-            },
-            "clock": {
-                "clock_ghz": self.cost.clock_ghz,
-                "kernel_launch_us": self.cost.kernel_launch_us,
-                "issue_width": self.cost.issue_width,
-                "mem_transaction_cycles": self.cost.mem_transaction_cycles,
-                "barrier_cycles": self.cost.barrier_cycles,
-                "num_sms": num_sms,
-            },
-            "nodes": self._nodes,
-            "critical_path": [node["id"] for node in self._nodes],
-            "tracks": [{
-                "track": self.track,
-                "busy_cycles": window,
-                "idle_cycles": window - window,
-                "on_path_cycles": window,
-                "off_path_cycles": window - window,
-            }],
-            "accounting": {
-                "window_cycles": window,
-                "total_cycles": total,
-                "lane_slack_cycles": lane_slack_total,
-            },
-            "kernels": kernels,
-            "rounds": [],
-        }
-        record["whatif"] = _whatif_table(record, kernels)
-        return CritPathReport(record)
-
-
-# -- multi-GPU builder -------------------------------------------------------
+            "critical": True,
+            "slack_cycles": 0.0,
+        })
+        window += cycles
+        total += cycles
+        lane_slack_total += lane_slack
+        agg = kernels.setdefault(launch["name"], {
+            "launches": 0, "cycles": 0.0, "lane_slack_cycles": 0.0,
+        })
+        agg["launches"] += 1
+        agg["cycles"] += cycles
+        agg["lane_slack_cycles"] += lane_slack
+    _floor(kernels, raw["kernels"])
+    record: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "kind": "single",
+        "algorithm": raw["algorithm"],
+        "variant": raw["variant"],
+        "elapsed_ms": raw["elapsed_ms"],
+        "kernel_launches": raw["kernel_launches"],
+        "base": raw["base"],
+        "clock": raw["clock"],
+        "nodes": nodes,
+        "critical_path": [node["id"] for node in nodes],
+        "tracks": [{
+            "track": track,
+            "busy_cycles": window,
+            "idle_cycles": window - window,
+            "on_path_cycles": window,
+            "off_path_cycles": window - window,
+        }],
+        "accounting": {
+            "window_cycles": window,
+            "total_cycles": total,
+            "lane_slack_cycles": lane_slack_total,
+        },
+        "kernels": kernels,
+        "rounds": [],
+    }
+    record["whatif"] = _whatif_table(record)
+    return record
 
 
 def _multi_nodes(
@@ -552,11 +522,11 @@ def _multi_nodes(
     path: List[int] = []
 
     def add(node: Dict[str, Any], on_path: bool) -> int:
-        node["id"] = len(nodes)
+        node_id = node["id"] = len(nodes)
         nodes.append(node)
         if on_path:
-            path.append(node["id"])
-        return node["id"]
+            path.append(node_id)
+        return node_id
 
     prev_master = -1
     for rnd in rounds:
@@ -604,22 +574,6 @@ def _multi_nodes(
     return nodes, path
 
 
-def _multi_accounting(
-    rounds: Sequence[Mapping[str, Any]]
-) -> float:
-    """The coordinator's cycle accumulation, re-folded in its exact
-    bookkeeping order: seeds, exchange, slowest worker."""
-    total = 0.0
-    for rnd in rounds:
-        for seed in rnd["seed_cycles"]:
-            total += seed
-        total += rnd["exchange_cycles"]
-        worker_cycles = rnd["worker_cycles"]
-        if worker_cycles:
-            total += max(worker_cycles)
-    return total
-
-
 def _multi_tracks(
     rounds: Sequence[Mapping[str, Any]],
     num_devices: int,
@@ -656,6 +610,135 @@ def _multi_tracks(
     return tracks
 
 
+#: the raw terms of one multi-GPU round, in their stored order
+_ROUND_TERMS = (
+    "k", "frontier", "seed_cycles", "worker_cycles", "exchange_cycles",
+    "launches",
+)
+
+
+def _derive_multi(raw: Mapping[str, Any]) -> Dict[str, Any]:
+    """A multi-GPU record from its raw terms: per round the
+    ``_ROUND_TERMS`` (each launch ``device``, ``kernel``, ``cycles`` and
+    ``blocks``); the worker track names; per kernel ``floor_cycles``;
+    ``algorithm``, ``variant``, ``num_devices``, ``elapsed_ms`` and
+    ``clock``."""
+    num_devices = raw["num_devices"]
+    rounds: List[Dict[str, Any]] = []
+    histogram = {cls: 0 for cls in ROUND_BOUND_CLASSES}
+    kernels: Dict[str, Dict[str, Any]] = {}
+    for stored in raw["rounds"]:
+        rnd = {key: stored[key] for key in _ROUND_TERMS}
+        rnd.update(_classify_round(
+            rnd["seed_cycles"], rnd["worker_cycles"],
+            rnd["exchange_cycles"], num_devices,
+        ))
+        histogram[rnd["bound"]] += 1
+        rounds.append(rnd)
+        for launches in rnd["launches"]:
+            for launch in launches:
+                agg = kernels.setdefault(launch["kernel"], {
+                    "launches": 0, "cycles": 0.0,
+                    "lane_slack_cycles": 0.0,
+                })
+                agg["launches"] += 1
+                agg["cycles"] += launch["cycles"]
+    _floor(kernels, raw["kernels"])
+    nodes, path = _multi_nodes(rounds, num_devices)
+    record: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "kind": "multi",
+        "algorithm": raw["algorithm"],
+        "variant": raw["variant"],
+        "num_devices": num_devices,
+        "elapsed_ms": raw["elapsed_ms"],
+        "clock": raw["clock"],
+        "rounds": rounds,
+        "round_bounds": histogram,
+        "nodes": nodes,
+        "critical_path": path,
+    }
+    # the coordinator's own accumulation is the projection under no
+    # counterfactual
+    total, _ = _project_multi(record, "measured")
+    worker_names = [track["track"] for track in raw["tracks"][1:]]
+    record["tracks"] = _multi_tracks(rounds, num_devices, total, worker_names)
+    record["accounting"] = {"window_cycles": total, "total_cycles": total}
+    record["kernels"] = kernels
+    record["whatif"] = _whatif_table(record)
+    return record
+
+
+# -- builders ----------------------------------------------------------------
+
+
+def _clock(cost: CostModel, num_sms: int) -> Dict[str, Any]:
+    clock = {key: getattr(cost, key) for key in _COST_FIELDS}
+    clock["num_sms"] = num_sms
+    return clock
+
+
+@dataclass
+class CritPathCollector:
+    """Accumulates the causal record of one single-device host run.
+
+    The host calls :meth:`observe_launch` after every
+    :meth:`~repro.gpusim.device.Device.launch` (with a profiler
+    attached, so per-block timings ride along on the stats) and
+    :meth:`build` once the device clock is final.  ``cfg``/``env`` feed
+    the contract registry's floor certificates; without them every
+    floor is zero.
+    """
+
+    spec: DeviceSpec
+    cost: CostModel
+    algorithm: str
+    variant: str
+    track: str = "device"
+    cfg: Any = None
+    env: Optional[Mapping[str, float]] = None
+    base_cycles: float = 0.0
+    base_launches: int = 0
+    _nodes: List[Dict[str, Any]] = field(default_factory=list)
+
+    def observe_launch(
+        self, name: str, stats: KernelStats, round_index: Any = None
+    ) -> None:
+        """Record one kernel launch as the next node of the serial
+        dependency chain."""
+        self._nodes.append({
+            "name": name,
+            "round": round_index,
+            "cycles": stats.cycles,
+            "blocks": _blocks_from_stats(stats, self.cost),
+        })
+
+    def build(self, elapsed_ms: float, kernel_launches: int) -> "CritPathReport":
+        """Finalise the record: lanes, slack, accounting, floors and
+        the ranked what-if table."""
+        launches = Counter(node["name"] for node in self._nodes)
+        return CritPathReport(_derive_single({
+            "algorithm": self.algorithm,
+            "variant": self.variant,
+            "elapsed_ms": elapsed_ms,
+            "kernel_launches": kernel_launches,
+            "base": {
+                "cycles": self.base_cycles,
+                "launches": self.base_launches,
+            },
+            "clock": _clock(self.cost, self.spec.num_sms),
+            "nodes": self._nodes,
+            "tracks": [{"track": self.track}],
+            "kernels": {
+                name: {"floor_cycles": kernel_floor_cycles(
+                    name, self.cfg, self.env, self.cost,
+                    self.spec.num_sms, count,
+                )}
+                for name, count in launches.items()
+            },
+        }))
+
+
 def build_multi_critpath(
     *,
     algorithm: str,
@@ -681,74 +764,49 @@ def build_multi_critpath(
     terms, classifies every round, and assembles DAG, tracks,
     accounting and the what-if table.
     """
-    kernels: Dict[str, Dict[str, Any]] = {}
-    for rnd in rounds:
-        rnd.update(_classify_round(
-            rnd["seed_cycles"], rnd["worker_cycles"],
-            rnd["exchange_cycles"], num_devices,
-        ))
-        launches: List[List[Dict[str, Any]]] = []
-        for worker_launches in rnd["launches"]:
-            launches.append([])
-            for raw in worker_launches:
-                stats = raw["stats"]
-                launches[-1].append({
-                    "device": raw["device"],
-                    "kernel": raw["kernel"],
-                    "cycles": stats.cycles,
-                    "blocks": _blocks_from_stats(stats, cost),
-                })
-                agg = kernels.setdefault(raw["kernel"], {
-                    "launches": 0, "cycles": 0.0,
-                    "lane_slack_cycles": 0.0,
-                })
-                agg["launches"] += 1
-                agg["cycles"] += stats.cycles
-        rnd["launches"] = launches
-    for name, agg in kernels.items():
-        # a D-way partition sweeps the same total adjacency, so the
-        # makespan floor is the run-level work floor spread over D
-        # workers (busiest worker >= mean)
-        agg["floor_cycles"] = kernel_floor_cycles(
-            name, cfg, env, cost, spec.num_sms, agg["launches"],
-        ) / float(num_devices)
-    total = _multi_accounting(rounds)
-    nodes, path = _multi_nodes(rounds, num_devices)
-    histogram = {cls: 0 for cls in ROUND_BOUND_CLASSES}
-    for rnd in rounds:
-        histogram[rnd["bound"]] += 1
-    record: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "kind": "multi",
+    raw_rounds = [
+        dict(rnd, launches=[
+            [
+                {
+                    "device": launch["device"],
+                    "kernel": launch["kernel"],
+                    "cycles": launch["stats"].cycles,
+                    "blocks": _blocks_from_stats(launch["stats"], cost),
+                }
+                for launch in launches
+            ]
+            for launches in rnd["launches"]
+        ])
+        for rnd in rounds
+    ]
+    counts = Counter(
+        launch["kernel"]
+        for rnd in raw_rounds
+        for launches in rnd["launches"]
+        for launch in launches
+    )
+    return CritPathReport(_derive_multi({
         "algorithm": algorithm,
         "variant": variant,
         "num_devices": num_devices,
         "elapsed_ms": elapsed_ms,
-        "clock": {
-            "clock_ghz": cost.clock_ghz,
-            "kernel_launch_us": cost.kernel_launch_us,
-            "issue_width": cost.issue_width,
-            "mem_transaction_cycles": cost.mem_transaction_cycles,
-            "barrier_cycles": cost.barrier_cycles,
-            "num_sms": spec.num_sms,
-            "transfer_cycles_per_word": transfer_cycles_per_word,
-            "reduce_cycles_per_word": reduce_cycles_per_word,
-        },
-        "rounds": list(rounds),
-        "round_bounds": histogram,
-        "nodes": nodes,
-        "critical_path": path,
-        "tracks": _multi_tracks(
-            rounds, num_devices, total, worker_names
+        "clock": dict(
+            _clock(cost, spec.num_sms),
+            transfer_cycles_per_word=transfer_cycles_per_word,
+            reduce_cycles_per_word=reduce_cycles_per_word,
         ),
-        "accounting": {
-            "window_cycles": total,
-            "total_cycles": total,
+        "rounds": raw_rounds,
+        "tracks": [{"track": name} for name in ("master", *worker_names)],
+        # a D-way partition sweeps the same total adjacency, so the
+        # makespan floor is the run-level work floor spread over D
+        # workers (busiest worker >= mean)
+        "kernels": {
+            name: {"floor_cycles": kernel_floor_cycles(
+                name, cfg, env, cost, spec.num_sms, count,
+            ) / float(num_devices)}
+            for name, count in counts.items()
         },
-        "kernels": kernels,
-    }
-    record["whatif"] = _whatif_table(record, kernels)
-    return CritPathReport(record)
+    }))
 
 
 # -- validation --------------------------------------------------------------
@@ -758,375 +816,178 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_whatif(
-    record: Mapping[str, Any], problems: List[str]
-) -> None:
-    rows = record.get("whatif")
-    if not isinstance(rows, list):
-        problems.append("whatif must be a list")
-        return
-    seen = [row.get("scenario") for row in rows]
+def _diff(stored: Any, derived: Any, path: str) -> List[str]:
+    """The path of every figure at which ``stored`` differs from
+    ``derived``, e.g. ``accounting.total_cycles 1.0 != re-derived
+    2.0``."""
+    if isinstance(derived, dict) and isinstance(stored, Mapping):
+        def where(key: Any) -> str:
+            return f"{path}.{key}" if path else str(key)
+
+        problems = [
+            f"{where(key)} is not a derived field"
+            for key in stored if key not in derived
+        ]
+        for key, value in derived.items():
+            if key in stored:
+                problems.extend(_diff(stored[key], value, where(key)))
+            else:
+                problems.append(f"{where(key)} is missing")
+        return problems
+    if isinstance(derived, list) and isinstance(stored, list):
+        if len(stored) != len(derived):
+            return [
+                f"{path} has {len(stored)} entries, re-derived "
+                f"{len(derived)}"
+            ]
+        return [
+            problem
+            for i, (old, new) in enumerate(zip(stored, derived))
+            for problem in _diff(old, new, f"{path}[{i}]")
+        ]
+    if isinstance(derived, (dict, list)):
+        return [
+            f"{path} must be a {type(derived).__name__}, got "
+            f"{type(stored).__name__}"
+        ]
+    if stored != derived:
+        return [f"{path} {stored!r} != re-derived {derived!r}"]
+    return []
+
+
+def _shape_problems(record: Mapping[str, Any]) -> List[str]:
+    """What must hold before a record can be re-derived at all."""
+    problems = [
+        f"kernels.{name}.floor_cycles must be a non-negative number"
+        for name, agg in record["kernels"].items()
+        if not _is_number(agg.get("floor_cycles"))
+        or agg["floor_cycles"] < 0.0
+    ]
+    if record["kind"] == "single":
+        return problems
+    num_devices = record["num_devices"]
+    if not record["rounds"]:
+        problems.append("a multi-GPU record needs at least one round")
+    if len(record["tracks"]) != num_devices + 1:
+        problems.append("tracks must be the master's plus one per device")
+    for i, rnd in enumerate(record["rounds"]):
+        short = [
+            key for key in ("seed_cycles", "worker_cycles", "launches")
+            if len(rnd[key]) != num_devices
+        ]
+        if short:
+            problems.append(
+                f"rounds[{i}]: {', '.join(short)} must have one entry "
+                "per device"
+            )
+            break
+    return problems
+
+
+def _invariant_problems(
+    record: Mapping[str, Any], derived: Mapping[str, Any]
+) -> List[str]:
+    """The record's invariants that are not a derivation: each launch's
+    cycles against its block terms, the launch count, the elapsed time
+    against the accounting, scenario coverage and the bracket."""
+    problems: List[str] = []
+    num_sms = int(record["clock"]["num_sms"])
+    if record["kind"] == "single":
+        launches = [
+            (f"nodes[{i}]", node) for i, node in enumerate(record["nodes"])
+        ]
+        expected = record["base"]["launches"] + len(record["nodes"])
+        if record["kernel_launches"] != expected:
+            problems.append(
+                f"kernel_launches {record['kernel_launches']} != base + "
+                f"observed nodes {expected}"
+            )
+    else:
+        launches = [
+            (f"rounds[{i}].launches[{worker}][{j}]", launch)
+            for i, rnd in enumerate(record["rounds"])
+            for worker, worker_launches in enumerate(rnd["launches"])
+            for j, launch in enumerate(worker_launches)
+        ]
+    for where, launch in launches:
+        busiest = max(_lanes(launch["blocks"], num_sms))
+        if launch["cycles"] != busiest:
+            problems.append(
+                f"{where}.cycles {launch['cycles']!r} != busiest SM lane "
+                f"{busiest!r} re-folded from its block terms"
+            )
+    elapsed = _cycles_to_ms(record, derived["accounting"]["total_cycles"])
+    if record["elapsed_ms"] != elapsed:
+        problems.append(
+            f"elapsed_ms {record['elapsed_ms']!r} != {elapsed!r} "
+            "re-derived from the accounting"
+        )
+    rows = record["whatif"]
+    seen = [row["scenario"] for row in rows]
     if sorted(seen) != sorted(SCENARIOS):
         problems.append(
             f"whatif must cover exactly {SCENARIOS}, got {seen}"
         )
-        return
-    ceilings = [row["speedup_ceiling"] for row in rows]
-    if ceilings != sorted(ceilings, reverse=True):
-        problems.append("whatif rows must be ranked by speedup ceiling")
-    kernels = record["kernels"]
-    floor_fold = _fold(agg["floor_cycles"] for agg in kernels.values())
-    clock = record["clock"]
     for row in rows:
-        scenario = row["scenario"]
-        where = f"whatif[{scenario}]"
-        if row["measured_ms"] != record["elapsed_ms"]:
+        if not row["floor_ms"] <= row["projected_ms"] <= row["measured_ms"]:
             problems.append(
-                f"{where}: measured_ms != record elapsed_ms"
+                f"whatif[{row['scenario']}]: floor {row['floor_ms']!r} "
+                f"<= projected {row['projected_ms']!r} <= measured "
+                f"{row['measured_ms']!r} does not hold"
             )
-        if record["kind"] == "single":
-            cycles, per_kernel = _project_single(record, scenario)
-            projected_ms = (
-                cycles / (clock["clock_ghz"] * 1e6)
-                + record["kernel_launches"]
-                * clock["kernel_launch_us"] / 1000.0
-            )
-            floor_ms = (
-                (record["base"]["cycles"] + floor_fold)
-                / (clock["clock_ghz"] * 1e6)
-                + record["kernel_launches"]
-                * clock["kernel_launch_us"] / 1000.0
-            )
-        else:
-            cycles, per_kernel = _project_multi(record, scenario)
-            projected_ms = cycles / (clock["clock_ghz"] * 1e6)
-            floor_ms = floor_fold / (clock["clock_ghz"] * 1e6)
-        if row["projected_cycles"] != cycles:
-            problems.append(
-                f"{where}: projected_cycles {row['projected_cycles']!r} "
-                f"!= re-derived {cycles!r}"
-            )
-        if row["projected_ms"] != projected_ms:
-            problems.append(
-                f"{where}: projected_ms {row['projected_ms']!r} != "
-                f"re-derived {projected_ms!r}"
-            )
-        if row["floor_ms"] != floor_ms:
-            problems.append(
-                f"{where}: floor_ms {row['floor_ms']!r} != re-derived "
-                f"{floor_ms!r}"
-            )
-        if row["projected_ms"] > row["measured_ms"]:
-            problems.append(
-                f"{where}: projection {row['projected_ms']!r} exceeds "
-                f"measured {row['measured_ms']!r}"
-            )
-        if row["floor_ms"] > row["projected_ms"]:
-            problems.append(
-                f"{where}: projection {row['projected_ms']!r} "
-                f"undershoots static floor {row['floor_ms']!r}"
-            )
-        expected_ceiling = (
-            row["measured_ms"] / row["projected_ms"]
-            if row["projected_ms"] > 0.0 else 1.0
-        )
-        if row["speedup_ceiling"] != expected_ceiling:
-            problems.append(
-                f"{where}: speedup_ceiling != measured/projected"
-            )
-        stored_pk = row["per_kernel"]
-        for name, agg in per_kernel.items():
-            agg["floor_cycles"] = kernels[name]["floor_cycles"]
-        if stored_pk != per_kernel:
-            problems.append(
-                f"{where}: per-kernel breakdown does not re-derive"
-            )
+    return problems
 
 
-def _validate_single(
-    record: Mapping[str, Any], problems: List[str]
-) -> None:
-    clock = record["clock"]
-    num_sms = int(clock["num_sms"])
-    nodes = record["nodes"]
-    window = 0.0
-    total = record["base"]["cycles"]
-    lane_slack_total = 0.0
-    kernels: Dict[str, Dict[str, Any]] = {}
-    for i, node in enumerate(nodes):
-        where = f"nodes[{i}]"
-        if node["id"] != i or node["deps"] != ([i - 1] if i else []):
-            problems.append(f"{where}: broken serial dependency chain")
-        if not node["critical"] or node["slack_cycles"] != 0.0:
-            problems.append(
-                f"{where}: a serial launch chain has every node on the "
-                "path with zero slack"
-            )
-        cycles = node["cycles"]
-        lanes = _fold_lanes(
-            [max(b[0], b[1], b[2]) + b[3] for b in node["blocks"]],
-            num_sms,
-        )
-        if cycles != max(lanes):
-            problems.append(
-                f"{where}: cycles {cycles!r} != busiest SM lane "
-                f"{max(lanes)!r} re-derived from block terms"
-            )
-        stored_lanes = node["lanes"]
-        if len(stored_lanes) != len(lanes):
-            problems.append(f"{where}: lane count mismatch")
-        else:
-            for sm, lane in enumerate(lanes):
-                stored = stored_lanes[sm]
-                if (
-                    stored["cycles"] != lane
-                    or stored["slack_cycles"] != cycles - lane
-                    or stored["critical"] != (lane == cycles)
-                ):
-                    problems.append(
-                        f"{where}: lane {sm} does not re-derive"
-                    )
-                    break
-        lane_slack = _fold(cycles - lane for lane in lanes)
-        if node["lane_slack_cycles"] != lane_slack:
-            problems.append(f"{where}: lane_slack_cycles mismatch")
-        window += cycles
-        total += cycles
-        lane_slack_total += lane_slack
-        agg = kernels.setdefault(node["name"], {
-            "launches": 0, "cycles": 0.0, "lane_slack_cycles": 0.0,
-        })
-        agg["launches"] += 1
-        agg["cycles"] += cycles
-        agg["lane_slack_cycles"] += lane_slack
-    if record["critical_path"] != [node["id"] for node in nodes]:
-        problems.append(
-            "critical_path must chain every launch of a serial run"
-        )
-    accounting = record["accounting"]
-    if accounting["window_cycles"] != window:
-        problems.append(
-            f"accounting.window_cycles {accounting['window_cycles']!r} "
-            f"!= re-folded launch cycles {window!r}"
-        )
-    if accounting["total_cycles"] != total:
-        problems.append(
-            f"accounting.total_cycles {accounting['total_cycles']!r} "
-            f"!= base + re-folded launch cycles {total!r}"
-        )
-    if accounting["lane_slack_cycles"] != lane_slack_total:
-        problems.append("accounting.lane_slack_cycles mismatch")
-    launches = record["base"]["launches"] + len(nodes)
-    if record["kernel_launches"] != launches:
-        problems.append(
-            f"kernel_launches {record['kernel_launches']} != base + "
-            f"observed nodes {launches}"
-        )
-    elapsed = (
-        total / (clock["clock_ghz"] * 1e6)
-        + record["kernel_launches"] * clock["kernel_launch_us"] / 1000.0
-    )
-    if record["elapsed_ms"] != elapsed:
-        problems.append(
-            f"elapsed_ms {record['elapsed_ms']!r} != re-derived kernel "
-            f"time + launch overhead {elapsed!r}"
-        )
-    stored_kernels = record["kernels"]
-    if set(stored_kernels) != set(kernels):
-        problems.append("kernels table does not match observed launches")
-    else:
-        for name, agg in kernels.items():
-            stored = stored_kernels[name]
-            agg["floor_cycles"] = stored.get("floor_cycles")
-            if stored != agg:
-                problems.append(
-                    f"kernels[{name}]: aggregates do not re-derive"
-                )
-            if not _is_number(stored.get("floor_cycles")) or (
-                stored["floor_cycles"] < 0.0
-            ):
-                problems.append(
-                    f"kernels[{name}]: floor_cycles must be a "
-                    "non-negative number"
-                )
-    tracks = record["tracks"]
-    if len(tracks) != 1:
-        problems.append("a single-device record has exactly one track")
-    else:
-        track = tracks[0]
-        expected = {
-            "track": track["track"],
-            "busy_cycles": window,
-            "idle_cycles": window - window,
-            "on_path_cycles": window,
-            "off_path_cycles": window - window,
-        }
-        if track != expected:
-            problems.append(
-                "track accounting does not re-derive (busy == on_path "
-                "== window, idle == off_path == 0)"
-            )
-
-
-def _validate_multi(
-    record: Mapping[str, Any], problems: List[str]
-) -> None:
-    clock = record["clock"]
-    num_sms = int(clock["num_sms"])
-    num_devices = record["num_devices"]
-    rounds = record["rounds"]
-    if not rounds:
-        problems.append("a multi-GPU record needs at least one round")
-        return
-    kernels: Dict[str, Dict[str, Any]] = {}
-    histogram = {cls: 0 for cls in ROUND_BOUND_CLASSES}
-    for i, rnd in enumerate(rounds):
-        where = f"rounds[{i}]"
-        for key in ("seed_cycles", "worker_cycles", "launches"):
-            if len(rnd[key]) != num_devices:
-                problems.append(
-                    f"{where}: {key} must have one entry per device"
-                )
-                return
-        derived = _classify_round(
-            rnd["seed_cycles"], rnd["worker_cycles"],
-            rnd["exchange_cycles"], num_devices,
-        )
-        for key, value in derived.items():
-            if rnd.get(key) != value:
-                problems.append(
-                    f"{where}: {key} {rnd.get(key)!r} != re-derived "
-                    f"{value!r}"
-                )
-        if rnd["bound"] not in ROUND_BOUND_CLASSES:
-            problems.append(f"{where}: unclassified round")
-        else:
-            histogram[rnd["bound"]] += 1
-        for worker, launches in enumerate(rnd["launches"]):
-            for launch in launches:
-                lanes = _fold_lanes(
-                    [
-                        max(b[0], b[1], b[2]) + b[3]
-                        for b in launch["blocks"]
-                    ],
-                    num_sms,
-                )
-                if launch["cycles"] != max(lanes):
-                    problems.append(
-                        f"{where}: worker {worker} launch cycles do not "
-                        "re-derive from block terms"
-                    )
-                agg = kernels.setdefault(launch["kernel"], {
-                    "launches": 0, "cycles": 0.0,
-                    "lane_slack_cycles": 0.0,
-                })
-                agg["launches"] += 1
-                agg["cycles"] += launch["cycles"]
-    if record.get("round_bounds") != histogram:
-        problems.append(
-            f"round_bounds {record.get('round_bounds')!r} != recounted "
-            f"histogram {histogram!r}"
-        )
-    total = _multi_accounting(rounds)
-    accounting = record["accounting"]
-    if accounting["total_cycles"] != total:
-        problems.append(
-            f"accounting.total_cycles {accounting['total_cycles']!r} "
-            f"!= coordinator re-fold {total!r}"
-        )
-    if accounting["window_cycles"] != total:
-        problems.append("accounting.window_cycles != total_cycles")
-    elapsed = total / (clock["clock_ghz"] * 1e6)
-    if record["elapsed_ms"] != elapsed:
-        problems.append(
-            f"elapsed_ms {record['elapsed_ms']!r} != re-derived "
-            f"coordinator time {elapsed!r}"
-        )
-    worker_names = [t["track"] for t in record["tracks"][1:]]
-    nodes, path = _multi_nodes(rounds, num_devices)
-    if record["nodes"] != nodes:
-        problems.append("nodes do not re-derive from the round records")
-    if record["critical_path"] != path:
-        problems.append(
-            "critical_path does not re-derive from the round records"
-        )
-    expected_tracks = _multi_tracks(
-        rounds, num_devices, total, worker_names
-    )
-    if record["tracks"] != expected_tracks:
-        problems.append(
-            "track accounting does not re-derive (busy/idle and "
-            "on-/off-path folds)"
-        )
-    stored_kernels = record["kernels"]
-    if set(stored_kernels) != set(kernels):
-        problems.append("kernels table does not match worker launches")
-    else:
-        for name, agg in kernels.items():
-            stored = stored_kernels[name]
-            agg["floor_cycles"] = stored.get("floor_cycles")
-            if stored != agg:
-                problems.append(
-                    f"kernels[{name}]: aggregates do not re-derive"
-                )
-            if not _is_number(stored.get("floor_cycles")) or (
-                stored["floor_cycles"] < 0.0
-            ):
-                problems.append(
-                    f"kernels[{name}]: floor_cycles must be a "
-                    "non-negative number"
-                )
-
-
-def validate_critpath(record: Mapping[str, Any]) -> List[str]:
+def validate_critpath(record: Any) -> List[str]:
     """Re-derive every figure of a ``repro.critpath/v1`` record.
 
-    Returns human-readable problem strings (empty == valid).  All
-    checks are **exact**: the validator re-runs the simulator's own
-    float operations in their original order over the stored raw terms
-    (per-block cycle terms, per-round coordinator components) and
-    requires bit-equality — no tolerance anywhere.
+    Returns human-readable problem strings (empty == valid).  The
+    record's own derivation re-runs over its stored raw terms (per-block
+    cycle terms, per-round coordinator components, floors, clock) and
+    every derived figure must equal the stored one bit for bit — no
+    tolerance anywhere; the remaining checks cover what is not a
+    derivation.
     """
-    problems: List[str] = []
+    if not isinstance(record, Mapping):
+        return [
+            "a critpath record must be a JSON object, got "
+            f"{type(record).__name__}"
+        ]
     if record.get("schema") != SCHEMA_VERSION:
-        problems.append(
+        return [
             f"schema must be {SCHEMA_VERSION!r}, got "
             f"{record.get('schema')!r}"
-        )
-        return problems
+        ]
     kind = record.get("kind")
     if kind not in ("single", "multi"):
-        problems.append(f"kind must be 'single' or 'multi', got {kind!r}")
-        return problems
+        return [f"kind must be 'single' or 'multi', got {kind!r}"]
     clock = record.get("clock")
-    required_clock = [
-        "clock_ghz", "kernel_launch_us", "issue_width",
-        "mem_transaction_cycles", "barrier_cycles", "num_sms",
-    ]
+    required_clock = [*_COST_FIELDS, "num_sms"]
     if kind == "multi":
         required_clock += [
             "transfer_cycles_per_word", "reduce_cycles_per_word",
         ]
     if not isinstance(clock, dict) or not all(
         _is_number(clock.get(key)) for key in required_clock
-    ):
-        problems.append(
-            f"clock must carry numeric {required_clock}"
-        )
-        return problems
+    ) or clock["clock_ghz"] <= 0.0:
+        return [
+            f"clock must carry numeric {required_clock}, clock_ghz "
+            "positive"
+        ]
     if not _is_number(record.get("elapsed_ms")):
-        problems.append("elapsed_ms must be a number")
-        return problems
+        return ["elapsed_ms must be a number"]
+    problems: List[str] = []
     try:
-        if kind == "single":
-            _validate_single(record, problems)
-        else:
-            _validate_multi(record, problems)
-        _check_whatif(record, problems)
-    except (KeyError, TypeError, IndexError) as exc:
-        problems.append(
-            f"malformed record: {type(exc).__name__}: {exc}"
-        )
+        problems = _shape_problems(record)
+        if not problems:
+            derive = _derive_single if kind == "single" else _derive_multi
+            derived = derive(record)
+            problems = _diff(record, derived, "")
+            problems += _invariant_problems(record, derived)
+    except (
+        ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
+    ) as exc:
+        problems.append(f"malformed record: {type(exc).__name__}: {exc}")
     return problems
 
 

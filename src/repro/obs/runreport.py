@@ -398,8 +398,10 @@ def _check_critpath_section(
     record = sec["critpath"]
     from repro.obs.critpath import validate_critpath
 
-    for problem in validate_critpath(record):
-        errors.append(f"{where}: critpath: {problem}")
+    problems = validate_critpath(record)
+    errors.extend(f"{where}: critpath: {problem}" for problem in problems)
+    if problems:  # the cross-checks below read a well-formed record
+        return
     if record.get("elapsed_ms") != sec.get("simulated_ms"):
         errors.append(
             f"{where}: critpath elapsed_ms "
@@ -724,10 +726,12 @@ def diff_runreports(
         old_whatif = {
             row["scenario"]: row.get("speedup_ceiling")
             for row in (a.get("critpath") or {}).get("whatif", [])
+            if isinstance(row, dict)
         }
         new_whatif = {
             row["scenario"]: row.get("speedup_ceiling")
             for row in (b.get("critpath") or {}).get("whatif", [])
+            if isinstance(row, dict)
         }
         for scenario in sorted(set(old_whatif) & set(new_whatif)):
             if old_whatif[scenario] != new_whatif[scenario]:

@@ -3,10 +3,11 @@
 A clean analyzed run must produce a ``repro.critpath/v1`` record that
 validates with zero problems, and the validator must detect tampering
 with any figure it re-derives — each tamper test below breaks exactly
-one number and asserts a check fires.  The fixtures cover all three
+one figure and asserts a check fires.  The fixtures cover all three
 producers: single-GPU peeling, multi-GPU peeling (straggler and
 exchange attribution) and BFS (which inherits the analyzer through the
-contract registry without declaring floors).
+contract registry without declaring floors).  Malformed input is
+reported as a problem, never raised.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def record(single):
 @pytest.fixture
 def multi_record(multi):
     return copy.deepcopy(multi.critpath.record)
+
+
+@pytest.fixture(scope="module")
+def run_report(graph):
+    from repro.obs.runreport import collect_run_report
+
+    report, _ = collect_run_report(
+        graph, ["gpu-ours"], dataset="planted-150"
+    )
+    return report
 
 
 # -- the clean path ----------------------------------------------------------
@@ -160,43 +171,48 @@ def test_critpathable_registry():
 
 # -- tamper detection --------------------------------------------------------
 
-def test_rejects_wrong_schema(record):
-    record["schema"] = "repro.critpath/v0"
-    assert any("schema" in p for p in validate_critpath(record))
+def test_rejects_wrong_schema(record, multi_record):
+    for rec in (record, multi_record):
+        rec["schema"] = "repro.critpath/v0"
+        assert any("schema" in p for p in validate_critpath(rec))
 
 
-def test_detects_tampered_node_cycles(record):
-    record["nodes"][0]["cycles"] += 1.0
-    assert validate_critpath(record) != []
+def test_detects_tampered_node_cycles(record, multi_record):
+    for rec in (record, multi_record):
+        rec["nodes"][0]["cycles"] += 1.0
+        assert validate_critpath(rec) != []
 
 
-def test_detects_tampered_accounting_total(record):
-    record["accounting"]["total_cycles"] += 1.0
-    assert any("total_cycles" in p for p in validate_critpath(record))
+def test_detects_tampered_accounting_total(record, multi_record):
+    for rec in (record, multi_record):
+        rec["accounting"]["total_cycles"] += 1.0
+        assert any("total_cycles" in p for p in validate_critpath(rec))
 
 
-def test_detects_tampered_elapsed(record):
-    record["elapsed_ms"] *= 1.001
-    assert validate_critpath(record) != []
+def test_detects_tampered_elapsed(record, multi_record):
+    for rec in (record, multi_record):
+        rec["elapsed_ms"] *= 1.001
+        assert validate_critpath(rec) != []
 
 
-def test_detects_tampered_ceiling(record):
-    record["whatif"][0]["speedup_ceiling"] *= 1.001
-    assert any(
-        "speedup_ceiling" in p for p in validate_critpath(record)
-    )
+def test_detects_tampered_ceiling(record, multi_record):
+    for rec in (record, multi_record):
+        rec["whatif"][0]["speedup_ceiling"] *= 1.001
+        assert any("speedup_ceiling" in p for p in validate_critpath(rec))
 
 
-def test_detects_projection_above_measured(record):
-    row = record["whatif"][-1]
-    row["projected_ms"] = row["measured_ms"] * 2.0
-    assert validate_critpath(record) != []
+def test_detects_projection_above_measured(record, multi_record):
+    for rec in (record, multi_record):
+        row = rec["whatif"][-1]
+        row["projected_ms"] = row["measured_ms"] * 2.0
+        assert validate_critpath(rec) != []
 
 
-def test_detects_tampered_floor(record):
-    for agg in record["kernels"].values():
-        agg["floor_cycles"] += 1.0
-    assert validate_critpath(record) != []
+def test_detects_tampered_floor(record, multi_record):
+    for rec in (record, multi_record):
+        for agg in rec["kernels"].values():
+            agg["floor_cycles"] += 1.0
+        assert validate_critpath(rec) != []
 
 
 def test_detects_negative_slack(record):
@@ -204,9 +220,22 @@ def test_detects_negative_slack(record):
     assert validate_critpath(record) != []
 
 
-def test_detects_missing_scenario(record):
-    record["whatif"] = record["whatif"][1:]
-    assert any("must cover" in p for p in validate_critpath(record))
+def test_detects_tampered_node_kind(record):
+    record["nodes"][0]["kind"] = "exchange"
+    assert any("nodes[0].kind" in p for p in validate_critpath(record))
+
+
+def test_detects_tampered_lane_sm(record):
+    record["nodes"][0]["lanes"][0]["sm"] = 1
+    assert any(
+        "nodes[0].lanes[0].sm" in p for p in validate_critpath(record)
+    )
+
+
+def test_detects_missing_scenario(record, multi_record):
+    for rec in (record, multi_record):
+        rec["whatif"] = rec["whatif"][1:]
+        assert any("must cover" in p for p in validate_critpath(rec))
 
 
 def test_detects_wrong_round_bound(multi_record):
@@ -221,6 +250,76 @@ def test_detects_bound_histogram_mismatch(multi_record):
     assert any(
         "round_bounds" in p for p in validate_critpath(multi_record)
     )
+
+
+def _bump_worker_cycles(record):
+    record["rounds"][0]["worker_cycles"][0] += 1.0
+
+
+def _bump_block_term(record):
+    launch = next(
+        launch
+        for rnd in record["rounds"]
+        for launches in rnd["launches"]
+        for launch in launches
+    )
+    launch["blocks"][0][0] += 1e6  # compute: far above every SM lane
+
+
+def _bump_exchange_cycles(record):
+    record["rounds"][0]["exchange_cycles"] += 1.0
+
+
+def _bump_worker_slack(record):
+    node = next(n for n in record["nodes"] if n["kind"] == "worker")
+    node["slack_cycles"] += 1.0
+
+
+def _bump_track_busy(record):
+    record["tracks"][1]["busy_cycles"] += 1.0
+
+
+@pytest.mark.parametrize("tamper", [
+    _bump_worker_cycles, _bump_block_term, _bump_exchange_cycles,
+    _bump_worker_slack, _bump_track_busy,
+], ids=lambda tamper: tamper.__name__[len("_bump_"):])
+def test_detects_tampered_multi_figure(multi_record, tamper):
+    tamper(multi_record)
+    assert validate_critpath(multi_record) != []
+
+
+#: malformed critpath input, each reported as a problem, never raised
+MALFORMED = {
+    "not-an-object": lambda record: [],
+    "kernels-list": lambda record: dict(
+        record, kernels=list(record["kernels"].values())
+    ),
+    "whatif-row": lambda record: dict(
+        record, whatif=["row"] + record["whatif"][1:]
+    ),
+    "zero-clock": lambda record: dict(
+        record, clock=dict(record["clock"], clock_ghz=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_reported(case, run_report, tmp_path, capsys):
+    import json
+
+    from repro.obs.runreport import validate_runreport
+
+    good = run_report.to_json()
+    bad = copy.deepcopy(good)
+    section = bad["sections"][0]
+    section["critpath"] = MALFORMED[case](section["critpath"])
+    assert validate_critpath(section["critpath"]) != []
+    assert validate_runreport(bad) != []
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(good))
+    new.write_text(json.dumps(bad))
+    main(["obs", "diff", str(old), str(new)])
+    assert f"warning: {new}: sections[0]" in capsys.readouterr().err
 
 
 # -- multi-GPU attribution ---------------------------------------------------
@@ -299,20 +398,22 @@ def test_bfs_record_validates_with_zero_floor(graph):
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_writes_and_renders(tmp_path, capsys):
-    src = tmp_path / "g.txt"
-    src.write_text("0 1\n1 2\n0 2\n2 3\n1 3\n")
-    out = tmp_path / "critpath.json"
-    code = main([
-        "--input", str(src), "--algorithm", "gpu-ours",
-        "--critpath", str(out),
-    ])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert "speedup ceiling" in captured.out
-    assert out.exists()
     import json
 
-    assert validate_critpath(json.loads(out.read_text())) == []
+    src = tmp_path / "g.txt"
+    src.write_text("0 1\n1 2\n0 2\n2 3\n1 3\n")
+    for algorithm in ("gpu-ours", "gpu-multi2"):
+        out = tmp_path / f"{algorithm}.json"
+        code = main([
+            "--input", str(src), "--algorithm", algorithm,
+            "--critpath", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "speedup ceiling" in captured.out
+        if algorithm == "gpu-multi2":
+            assert "round attribution" in captured.out
+        assert validate_critpath(json.loads(out.read_text())) == []
 
 
 def test_cli_rejects_non_critpathable(tmp_path, capsys):
@@ -326,16 +427,13 @@ def test_cli_rejects_non_critpathable(tmp_path, capsys):
 
 # -- runreport merge ---------------------------------------------------------
 
-def test_runreport_carries_and_checks_the_section(graph):
-    from repro.obs.runreport import collect_run_report, validate_runreport
+def test_runreport_carries_and_checks_the_section(run_report):
+    from repro.obs.runreport import validate_runreport
 
-    report, _ = collect_run_report(
-        graph, ["gpu-ours"], dataset="planted-150"
-    )
-    record = report.to_json()
+    record = run_report.to_json()
     sec = record["sections"][0]
     assert sec["critpath"] is not None
-    assert report.validate() == []
+    assert run_report.validate() == []
     tampered = copy.deepcopy(record)
     tampered["sections"][0]["critpath"]["elapsed_ms"] *= 1.001
     assert validate_runreport(tampered) != []
