@@ -3,24 +3,23 @@
 Every table bench persists, next to its fixed-width ``.txt`` artefact,
 a JSON file with the same rows in a stable schema so downstream tools
 (regression dashboards, the paper-comparison notebook) never have to
-parse the pretty-printed text:
-
-.. code-block:: json
-
-    {
-      "schema": "repro.bench/v1",
-      "name": "table3_gpu",
-      "title": "Table III: computation time of GPU programs ...",
-      "columns": ["dataset", "gpu-ours", "vetga", ...],
-      "rows": [{"dataset": "web-Google", "cells": ["12.4", "318.0", ...]}],
-      "qualitative": {"ours_always_wins": true}
-    }
+parse the pretty-printed text: a ``name``, a ``title``, the
+``columns`` (``"dataset"`` first), one row per dataset with its
+``cells``, a ``qualitative`` dict and, for memory tables, a
+per-allocation ``attribution`` (see :func:`build_record`).
 
 ``cells`` are kept as the rendered strings (they carry non-numeric
 outcomes such as ``"OOM"`` and ``"> 1hr"`` exactly as the paper prints
 them); ``qualitative`` is a free-form dict of booleans/numbers that a
 bench uses to record the shape claims its assertions checked.
 
+Each format here — the table record and the profile-baseline,
+trajectory and memory-baseline records that live next to it — declares
+its shape once, as a spec checked by :mod:`repro.obs.shape`; its
+validator keeps only what a spec cannot state: a row's cell count
+against the columns, attribution keys naming a row and a column and
+arrays summing exactly to their peak, a trajectory entry carrying a
+payload, and a memory baseline's ordering naming pinned variants.
 :func:`validate_record` returns a list of problems (empty = valid);
 ``scripts/gate.py bench_json`` and the tier-1 test
 ``tests/test_bench_json.py`` are thin wrappers around it.
@@ -31,6 +30,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence
+
+from repro.obs.shape import (
+    BOOL,
+    NAT,
+    NUMBER,
+    OBJECT,
+    STR,
+    TEXT,
+    Leaf,
+    MapOf,
+    nonempty,
+    nullable,
+    one_of,
+    optional,
+    shape_problems,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,234 +61,109 @@ SCHEMA_VERSION = "repro.bench/v1"
 #: the three speed-of-light bound classes a profile baseline may pin
 _BOUND_CLASSES = ("compute", "memory", "latency")
 
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_NUMBERS = MapOf(NUMBER)
+_PROFILE_BASELINE = {
+    "dataset": TEXT,
+    "tolerance": Leaf(
+        lambda v: NUMBER.test(v) and 0.0 < v <= 1.0, "a number in (0, 1]"
+    ),
+    "variants": nonempty(MapOf({
+        "cycles": Leaf(lambda v: NUMBER.test(v) and v > 0, "positive"),
+        "bounds": MapOf(one_of(*_BOUND_CLASSES)),
+    })),
+}
+_TRAJECTORY = {
+    "records": [{
+        "date": TEXT,
+        "dataset": TEXT,
+        "ok": BOOL,
+        "cycles": optional(_NUMBERS),
+        "peaks": optional(_NUMBERS),
+        "engine_speedup": optional({
+            "speedup": nonempty(_NUMBERS),
+            "geomean": NUMBER,
+            "reference_ms": optional(_NUMBERS),
+            "vectorized_ms": optional(_NUMBERS),
+        }),
+        "runreport": optional({
+            "sections": nonempty(MapOf(
+                {"simulated_ms": NUMBER, "peak_memory_bytes": NUMBER}
+            )),
+            "invariants_checked": NUMBER,
+        }),
+        "critpath": optional({
+            "programs": nonempty(MapOf(
+                {"best_scenario": STR, "best_ceiling": NUMBER}
+            )),
+            "round_bounds": optional(MapOf(_NUMBERS)),
+            "invariants_checked": NUMBER,
+        }),
+    }],
+}
+#: the payloads of a trajectory entry, which carries at least one
+_PAYLOADS = ("cycles", "peaks", "engine_speedup", "runreport", "critpath")
+_PEAKS = nonempty(MapOf(
+    Leaf(lambda v: NAT.test(v) and v > 0, "a positive integer (exact bytes)")
+))
+_NAMES = nonempty([STR])
+_MEMORY_BASELINE = {
+    "dataset": TEXT,
+    "variants": _PEAKS,
+    "systems": _PEAKS,
+    "ordering": {"minimal_tie": _NAMES, "above": _NAMES},
+    "oom": optional(nullable({"dataset": TEXT, "systems": _NAMES})),
+}
+_ROW = {"dataset": TEXT, "cells": [STR]}
+_RECORD = {
+    "schema": one_of(SCHEMA_VERSION),
+    "name": TEXT,
+    "title": TEXT,
+    "columns": _NAMES,
+    "rows": [_ROW],
+    "qualitative": optional(OBJECT),
+    "attribution": optional(MapOf(nonempty(MapOf(
+        {"peak_bytes": NAT, "arrays": nonempty(MapOf(NAT))}
+    )))),
+}
 
 
 def _validate_profile_baseline(record: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.profile-baseline/v1`` record.
-
-    The deep arithmetic checks live with the profiler
-    (:mod:`repro.profile.report`); here we only keep the committed
-    baseline well-formed enough for the ``perf`` gate of
-    ``scripts/gate.py``.
-    """
-    errors: List[str] = []
-    if not isinstance(record.get("dataset"), str) or not record["dataset"]:
-        errors.append("dataset must be a non-empty string")
-    tolerance = record.get("tolerance")
-    if not _is_number(tolerance) or not (0.0 < float(tolerance) <= 1.0):
-        errors.append(f"tolerance must be a number in (0, 1], got {tolerance!r}")
-    variants = record.get("variants")
-    if not isinstance(variants, dict) or not variants:
-        return errors + ["variants must be a non-empty object"]
-    for name, pinned in variants.items():
-        if not isinstance(pinned, dict):
-            errors.append(f"variants[{name}] must be an object")
-            continue
-        if not _is_number(pinned.get("cycles")) or pinned["cycles"] <= 0:
-            errors.append(f"variants[{name}].cycles must be a positive number")
-        bounds = pinned.get("bounds")
-        if not isinstance(bounds, dict):
-            errors.append(f"variants[{name}].bounds must be an object")
-            continue
-        for kernel, bound in bounds.items():
-            if bound not in _BOUND_CLASSES:
-                errors.append(
-                    f"variants[{name}].bounds[{kernel}] must be one of "
-                    f"{_BOUND_CLASSES}, got {bound!r}"
-                )
-    return errors
+    """Structural check of a ``repro.profile-baseline/v1`` record, the
+    committed baseline of the ``perf`` gate of ``scripts/gate.py`` (the
+    deep arithmetic checks live with the profiler)."""
+    return shape_problems(record, _PROFILE_BASELINE, "")
 
 
 def _validate_trajectory(record: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.bench-trajectory/v1`` record.
-
-    An entry carries ``cycles`` (the perf gate's per-variant kernel
-    cycles), ``peaks`` (the memory gate's per-program peak bytes),
-    ``engine_speedup`` (a dated host wall-clock comparison of the
-    execution engines, see ``docs/SIMULATOR.md``), ``runreport`` (the
-    run-report gate's per-algorithm summary, see
-    ``scripts/gate.py runreport``), ``critpath`` (the critical-path
-    gate's per-program speedup ceilings and multi-GPU round
-    attribution, see ``scripts/gate.py critpath``), or any
-    combination — at least one must be present.
-    """
-    errors: List[str] = []
-    entries = record.get("records")
-    if not isinstance(entries, list):
-        return ["records must be a list"]
-    payload_keys = (
-        "cycles", "peaks", "engine_speedup", "runreport", "critpath",
-    )
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            errors.append(f"records[{i}] must be an object")
-            continue
-        for key in ("date", "dataset"):
-            if not isinstance(entry.get(key), str) or not entry.get(key):
-                errors.append(f"records[{i}].{key} must be a non-empty string")
-        if not any(key in entry for key in payload_keys):
-            errors.append(
-                f"records[{i}] needs a payload: one of "
-                f"{', '.join(payload_keys)}"
-            )
-        for key in ("cycles", "peaks"):
-            if key not in entry:
-                continue
-            values = entry[key]
-            if not isinstance(values, dict) or not all(
-                _is_number(v) for v in values.values()
-            ):
-                errors.append(
-                    f"records[{i}].{key} must map programs to numbers"
-                )
-        if "engine_speedup" in entry:
-            es = entry["engine_speedup"]
-            if not isinstance(es, dict):
-                errors.append(
-                    f"records[{i}].engine_speedup must be an object"
-                )
-            else:
-                speedup = es.get("speedup")
-                if not isinstance(speedup, dict) or not speedup or not all(
-                    _is_number(v) for v in speedup.values()
-                ):
-                    errors.append(
-                        f"records[{i}].engine_speedup.speedup must map "
-                        f"variants to numbers"
-                    )
-                if not _is_number(es.get("geomean")):
-                    errors.append(
-                        f"records[{i}].engine_speedup.geomean must be "
-                        f"a number"
-                    )
-                for side in ("reference_ms", "vectorized_ms"):
-                    if side in es and (
-                        not isinstance(es[side], dict) or not all(
-                            _is_number(v) for v in es[side].values()
-                        )
-                    ):
-                        errors.append(
-                            f"records[{i}].engine_speedup.{side} must "
-                            f"map variants to numbers"
-                        )
-        if "runreport" in entry:
-            rr = entry["runreport"]
-            if not isinstance(rr, dict):
-                errors.append(f"records[{i}].runreport must be an object")
-            else:
-                sections = rr.get("sections")
-                if not isinstance(sections, dict) or not sections or not all(
-                    isinstance(s, dict)
-                    and _is_number(s.get("simulated_ms"))
-                    and _is_number(s.get("peak_memory_bytes"))
-                    for s in sections.values()
-                ):
-                    errors.append(
-                        f"records[{i}].runreport.sections must map "
-                        f"algorithms to objects with numeric "
-                        f"simulated_ms and peak_memory_bytes"
-                    )
-                if not _is_number(rr.get("invariants_checked")):
-                    errors.append(
-                        f"records[{i}].runreport.invariants_checked "
-                        f"must be a number"
-                    )
-        if "critpath" in entry:
-            cp = entry["critpath"]
-            if not isinstance(cp, dict):
-                errors.append(f"records[{i}].critpath must be an object")
-            else:
-                programs = cp.get("programs")
-                if not isinstance(programs, dict) or not programs or not all(
-                    isinstance(p, dict)
-                    and isinstance(p.get("best_scenario"), str)
-                    and _is_number(p.get("best_ceiling"))
-                    for p in programs.values()
-                ):
-                    errors.append(
-                        f"records[{i}].critpath.programs must map "
-                        f"programs to objects with a best_scenario "
-                        f"string and a numeric best_ceiling"
-                    )
-                bounds = cp.get("round_bounds", {})
-                if not isinstance(bounds, dict) or not all(
-                    isinstance(hist, dict) and all(
-                        _is_number(v) for v in hist.values()
-                    )
-                    for hist in bounds.values()
-                ):
-                    errors.append(
-                        f"records[{i}].critpath.round_bounds must map "
-                        f"programs to bound-class histograms"
-                    )
-                if not _is_number(cp.get("invariants_checked")):
-                    errors.append(
-                        f"records[{i}].critpath.invariants_checked "
-                        f"must be a number"
-                    )
-        if not isinstance(entry.get("ok"), bool):
-            errors.append(f"records[{i}].ok must be a boolean")
-    return errors
+    """Check a ``repro.bench-trajectory/v1`` record; each entry carries
+    at least one payload its spec names: the perf gate's ``cycles``, the
+    memory gate's ``peaks``, a dated host wall-clock ``engine_speedup``
+    (see ``docs/SIMULATOR.md``), or the ``runreport`` and ``critpath``
+    gates' summaries."""
+    problems = shape_problems(record, _TRAJECTORY, "")
+    if problems:
+        return problems
+    return [
+        f"records[{i}] needs a payload: one of {', '.join(_PAYLOADS)}"
+        for i, entry in enumerate(record["records"])
+        if not any(key in entry for key in _PAYLOADS)
+    ]
 
 
 def _validate_memory_baseline(record: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.memory-baseline/v1`` record.
-
-    Pins the exact peak bytes of every kernel variant and system
-    emulation on one dataset, plus Table V's ordering claims; consumed
-    by ``scripts/gate.py memory``.
-    """
-    errors: List[str] = []
-    if not isinstance(record.get("dataset"), str) or not record["dataset"]:
-        errors.append("dataset must be a non-empty string")
-    for group in ("variants", "systems"):
-        peaks = record.get(group)
-        if not isinstance(peaks, dict) or not peaks:
-            errors.append(f"{group} must be a non-empty object")
-            continue
-        for name, value in peaks.items():
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value <= 0:
-                errors.append(
-                    f"{group}[{name}] must be a positive integer "
-                    f"(exact peak bytes), got {value!r}"
-                )
-    ordering = record.get("ordering")
-    if not isinstance(ordering, dict):
-        errors.append("ordering must be an object")
-    else:
-        variants = record.get("variants")
-        known = set(variants) if isinstance(variants, dict) else None
-        for key in ("minimal_tie", "above"):
-            names = ordering.get(key)
-            if not isinstance(names, list) or not names or not all(
-                isinstance(n, str) for n in names
-            ):
-                errors.append(
-                    f"ordering.{key} must be a non-empty list of strings"
-                )
-            elif known is not None:
-                for n in names:
-                    if n not in known:
-                        errors.append(
-                            f"ordering.{key} names unknown variant {n!r}"
-                        )
-    oom = record.get("oom")
-    if oom is not None:
-        if not isinstance(oom, dict):
-            errors.append("oom must be an object when present")
-        else:
-            if not isinstance(oom.get("dataset"), str) or not oom["dataset"]:
-                errors.append("oom.dataset must be a non-empty string")
-            systems = oom.get("systems")
-            if not isinstance(systems, list) or not systems or not all(
-                isinstance(s, str) for s in systems
-            ):
-                errors.append("oom.systems must be a non-empty list of strings")
-    return errors
+    """Check a ``repro.memory-baseline/v1`` record: the exact peak bytes
+    of every kernel variant and system emulation on one dataset, plus
+    Table V's ordering claims over pinned variants; consumed by
+    ``scripts/gate.py memory``."""
+    problems = shape_problems(record, _MEMORY_BASELINE, "")
+    if problems:
+        return problems
+    return [
+        f"ordering.{key} names unknown variant {name!r}"
+        for key in ("minimal_tie", "above")
+        for name in record["ordering"][key]
+        if name not in record["variants"]
+    ]
 
 
 #: non-table records that may live next to the bench tables under
@@ -326,107 +216,54 @@ def build_record(
 
 def validate_record(record: Any) -> List[str]:
     """Check a parsed record against ``repro.bench/v1``; return problems."""
-    errors: List[str] = []
+    shape = shape_problems(record, _RECORD, "")
     if not isinstance(record, dict):
-        return [f"record must be an object, got {type(record).__name__}"]
-    if record.get("schema") != SCHEMA_VERSION:
-        errors.append(
-            f"schema must be {SCHEMA_VERSION!r}, got {record.get('schema')!r}"
+        return shape
+    problems = list(shape)
+    columns, rows = record.get("columns"), record.get("rows")
+    if not shape_problems(columns, _NAMES, "") and isinstance(rows, list):
+        problems += [
+            f"rows[{i}] has {len(row['cells'])} cells for "
+            f"{len(columns) - 1} value columns"
+            for i, row in enumerate(rows)
+            if not shape_problems(row, _ROW, "")
+            and len(row["cells"]) != len(columns) - 1
+        ]
+    if not shape and "attribution" in record:
+        problems += _validate_attribution(
+            record["attribution"], columns, rows
         )
-    for key in ("name", "title"):
-        if not isinstance(record.get(key), str) or not record.get(key):
-            errors.append(f"{key} must be a non-empty string")
-    columns = record.get("columns")
-    if (
-        not isinstance(columns, list)
-        or not columns
-        or not all(isinstance(c, str) for c in columns)
-    ):
-        errors.append("columns must be a non-empty list of strings")
-        columns = None
-    rows = record.get("rows")
-    if not isinstance(rows, list):
-        errors.append("rows must be a list")
-        rows = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            errors.append(f"rows[{i}] must be an object")
-            continue
-        if not isinstance(row.get("dataset"), str) or not row.get("dataset"):
-            errors.append(f"rows[{i}].dataset must be a non-empty string")
-        cells = row.get("cells")
-        if not isinstance(cells, list) or not all(
-            isinstance(c, str) for c in cells
-        ):
-            errors.append(f"rows[{i}].cells must be a list of strings")
-        elif columns is not None and len(cells) != len(columns) - 1:
-            errors.append(
-                f"rows[{i}] has {len(cells)} cells for "
-                f"{len(columns) - 1} value columns"
-            )
-    if "qualitative" in record and not isinstance(
-        record["qualitative"], dict
-    ):
-        errors.append("qualitative must be an object when present")
-    if "attribution" in record:
-        errors.extend(
-            _validate_attribution(record["attribution"], columns, rows)
-        )
-    return errors
+    return problems
 
 
 def _validate_attribution(
-    attribution: Any, columns: Any, rows: List[Any]
+    attribution: Dict[str, Any], columns: List[str], rows: List[Any]
 ) -> List[str]:
-    """Check a bench record's memory-attribution block.
+    """Check a bench record's memory-attribution block against its
+    table.
 
     The headline invariant: every entry's arrays sum *exactly* (integer
     equality, no tolerance) to its ``peak_bytes`` — an attribution that
     does not add up is worse than none.
     """
-    errors: List[str] = []
-    if not isinstance(attribution, dict):
-        return ["attribution must be an object when present"]
-    datasets = {
-        row.get("dataset")
-        for row in rows
-        if isinstance(row, dict) and isinstance(row.get("dataset"), str)
-    }
-    algorithms = set(columns[1:]) if isinstance(columns, list) else None
+    problems: List[str] = []
+    datasets = {row["dataset"] for row in rows}
     for dataset, per_algo in attribution.items():
         if datasets and dataset not in datasets:
-            errors.append(
+            problems.append(
                 f"attribution[{dataset}] does not match any row dataset"
             )
-        if not isinstance(per_algo, dict) or not per_algo:
-            errors.append(f"attribution[{dataset}] must be a non-empty object")
-            continue
         for algo, entry in per_algo.items():
             where = f"attribution[{dataset}][{algo}]"
-            if algorithms is not None and algo not in algorithms:
-                errors.append(f"{where} does not match any value column")
-            if not isinstance(entry, dict):
-                errors.append(f"{where} must be an object")
-                continue
-            peak = entry.get("peak_bytes")
-            if not isinstance(peak, int) or isinstance(peak, bool) or peak < 0:
-                errors.append(f"{where}.peak_bytes must be a non-negative int")
-                continue
-            arrays = entry.get("arrays")
-            if not isinstance(arrays, dict) or not arrays or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                for v in arrays.values()
-            ):
-                errors.append(
-                    f"{where}.arrays must map names to non-negative ints"
+            if algo not in columns[1:]:
+                problems.append(f"{where} does not match any value column")
+            total = sum(entry["arrays"].values())
+            if total != entry["peak_bytes"]:
+                problems.append(
+                    f"{where}: arrays sum to {total}, not peak_bytes "
+                    f"{entry['peak_bytes']}"
                 )
-                continue
-            total = sum(arrays.values())
-            if total != peak:
-                errors.append(
-                    f"{where}: arrays sum to {total}, not peak_bytes {peak}"
-                )
-    return errors
+    return problems
 
 
 def validate_file(path: str | Path) -> List[str]:

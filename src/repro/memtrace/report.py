@@ -5,39 +5,19 @@ A :class:`MemtraceReport` wraps the telemetry of one run's
 section per device, so multi-GPU runs keep per-worker provenance — and
 is what ``gpu_peel(memtrace=True)`` attaches to ``result.memtrace``.
 
-``to_json()`` emits the ``repro.memtrace/v1`` record:
-
-.. code-block:: json
-
-    {
-      "schema": "repro.memtrace/v1",
-      "algorithm": "gpu-ours", "variant": "ours", "dataset": null,
-      "peak_bytes": 901120,
-      "workers": [
-        {
-          "worker": "gpu0",
-          "base_bytes": 262144,
-          "peak": {"bytes": 901120, "ts_ms": 0.0,
-                   "breakdown": [{"name": "(context)", "bytes": 262144,
-                                  "share": 0.29}, ...]},
-          "rounds": [{"round": 0, "high_water_bytes": 901120}, ...],
-          "allocations": [{"name": "offsets", "bytes": 3204,
-                           "alloc_ms": 0.0, "free_ms": 4.1,
-                           "scope": "host", "round": null, "index": 0},
-                          ...],
-          "shared": [{"kernel": "loop_kernel", "name": "buf",
-                      "bytes_per_block": 128, "blocks": 4}],
-          "allocs": 7, "frees": 7,
-          "findings": []
-        }
-      ]
-    }
-
-:func:`validate_memtrace` checks a parsed record against the schema
-*and* its arithmetic invariants — above all that every worker's
-breakdown sums **exactly** (integer bytes, no tolerance) to its peak,
-which is how ``result.memtrace`` is guaranteed to explain
-``device.peak_memory_bytes`` rather than approximate it.
+``to_json()`` emits the ``repro.memtrace/v1`` record: the headline
+``peak_bytes`` plus one worker per device with its base (context)
+bytes, its peak and that peak's attribution breakdown, per-round
+high-water marks, allocation lifetimes, shared-memory footprints,
+alloc/free counts and findings.  Its shape is one spec (``_SHAPE``,
+checked by :mod:`repro.obs.shape`), and :func:`validate_memtrace` keeps
+only the byte arithmetic of each worker whose shape holds — above all
+that the breakdown sums **exactly** (integer bytes, no tolerance) to the
+peak, which is how ``result.memtrace`` is guaranteed to explain
+``device.peak_memory_bytes`` rather than approximate it — plus shares
+of ``bytes / peak``, breakdown entries live at the peak with their
+allocation's bytes, lifetimes and high-water marks in order, and a
+record peak that is the busiest worker's.
 """
 
 from __future__ import annotations
@@ -53,6 +33,17 @@ from repro.memtrace.tracker import (
     MemoryTracker,
     PeakSnapshot,
     SharedFootprint,
+)
+from repro.obs.shape import (
+    INT,
+    NAT,
+    NONNEG,
+    NUMBER,
+    STR,
+    TEXT,
+    nullable,
+    one_of,
+    shape_problems,
 )
 from repro.sanitize.report import SanitizerFinding
 
@@ -278,244 +269,148 @@ class MemtraceReport:
 # -- validation ---------------------------------------------------------------
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_WORKER = {
+    "worker": TEXT,
+    "base_bytes": NAT,
+    "peak": {
+        "bytes": NAT,
+        "ts_ms": NONNEG,
+        "breakdown": [{"name": TEXT, "bytes": NAT, "share": NUMBER}],
+    },
+    "rounds": [{"round": INT, "high_water_bytes": NAT}],
+    "allocations": [{
+        "name": TEXT,
+        "bytes": NAT,
+        "alloc_ms": NONNEG,
+        "free_ms": nullable(NUMBER),
+        "scope": TEXT,
+        "round": nullable(INT),
+        "index": NAT,
+    }],
+    "shared": [
+        {"kernel": TEXT, "name": TEXT, "bytes_per_block": NAT, "blocks": NAT}
+    ],
+    "allocs": NAT,
+    "frees": NAT,
+    "findings": [{
+        "detector": one_of(*_MEMTRACE_DETECTORS),
+        "severity": STR,
+        "kernel": STR,
+        "message": STR,
+    }],
+}
+_SHAPE = {
+    "schema": one_of(SCHEMA_VERSION),
+    "algorithm": nullable(STR),
+    "variant": nullable(STR),
+    "dataset": nullable(STR),
+    "peak_bytes": NAT,
+    "workers": [_WORKER],
+}
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_worker(entry: Any, where: str, errors: List[str]) -> None:
-    if not isinstance(entry, dict):
-        errors.append(f"{where}: not an object")
-        return
-    if not isinstance(entry.get("worker"), str) or not entry.get("worker"):
-        errors.append(f"{where}: missing or empty 'worker'")
-    base = entry.get("base_bytes")
-    if not _is_int(base) or base < 0:
-        errors.append(f"{where}: 'base_bytes' must be a non-negative int")
-        base = 0
-    peak = entry.get("peak")
-    if not isinstance(peak, dict):
-        errors.append(f"{where}: 'peak' must be an object")
-        return
-    peak_bytes = peak.get("bytes")
-    if not _is_int(peak_bytes) or peak_bytes < 0:
-        errors.append(f"{where}: peak.bytes must be a non-negative int")
-        return
-    if not _is_number(peak.get("ts_ms")) or float(peak["ts_ms"]) < 0.0:
-        errors.append(f"{where}: peak.ts_ms must be a non-negative number")
+def _worker_problems(worker: Dict[str, Any], where: str) -> List[str]:
+    """The byte arithmetic of one worker section."""
+    problems: List[str] = []
+    base, peak = worker["base_bytes"], worker["peak"]
+    peak_bytes, breakdown = peak["bytes"], peak["breakdown"]
     if peak_bytes < base:
-        errors.append(
+        problems.append(
             f"{where}: peak.bytes ({peak_bytes}) below base_bytes ({base})"
         )
-    breakdown = peak.get("breakdown")
-    if not isinstance(breakdown, list):
-        errors.append(f"{where}: peak.breakdown must be a list")
-        return
-    total = 0
-    share_sum = 0.0
-    names: List[str] = []
     for i, item in enumerate(breakdown):
-        if not isinstance(item, dict):
-            errors.append(f"{where}: peak.breakdown[{i}] not an object")
-            return
-        name = item.get("name")
-        nbytes = item.get("bytes")
-        share = item.get("share")
-        if not isinstance(name, str) or not name:
-            errors.append(
-                f"{where}: peak.breakdown[{i}].name must be a string"
+        share = item["bytes"] / peak_bytes if peak_bytes else None
+        if share is not None and abs(item["share"] - share) > _SHARE_TOL:
+            problems.append(
+                f"{where}: peak.breakdown[{i}].share ({item['share']}) != "
+                f"bytes/peak ({share})"
             )
-            continue
-        if not _is_int(nbytes) or nbytes < 0:
-            errors.append(
-                f"{where}: peak.breakdown[{i}].bytes must be a "
-                "non-negative int"
-            )
-            continue
-        if not _is_number(share):
-            errors.append(
-                f"{where}: peak.breakdown[{i}].share must be a number"
-            )
-            continue
-        if peak_bytes and abs(share - nbytes / peak_bytes) > _SHARE_TOL:
-            errors.append(
-                f"{where}: peak.breakdown[{i}].share ({share}) != "
-                f"bytes/peak ({nbytes / peak_bytes})"
-            )
-        names.append(name)
-        total += nbytes
-        share_sum += float(share)
+    names = [item["name"] for item in breakdown]
     if len(set(names)) != len(names):
-        errors.append(f"{where}: duplicate names in peak.breakdown")
+        problems.append(f"{where}: duplicate names in peak.breakdown")
     # the headline invariant: attribution sums EXACTLY to the peak
+    total = sum(item["bytes"] for item in breakdown)
     if total != peak_bytes:
-        errors.append(
+        problems.append(
             f"{where}: breakdown sums to {total} B, not the peak "
             f"({peak_bytes} B) — attribution must be exact"
         )
+    share_sum = sum(float(item["share"]) for item in breakdown)
     if peak_bytes and abs(share_sum - 1.0) > 1e-6:
-        errors.append(
+        problems.append(
             f"{where}: breakdown shares sum to {share_sum}, not 1"
         )
     if base and CONTEXT_NAME not in names:
-        errors.append(
+        problems.append(
             f"{where}: base_bytes > 0 but no {CONTEXT_NAME!r} entry in "
             "the breakdown"
         )
-    # allocation lifetimes
-    allocations = entry.get("allocations")
-    if not isinstance(allocations, list):
-        errors.append(f"{where}: 'allocations' must be a list")
-        allocations = []
-    alloc_names: Dict[str, Dict[str, Any]] = {}
-    for i, alloc in enumerate(allocations):
-        if not isinstance(alloc, dict):
-            errors.append(f"{where}: allocations[{i}] not an object")
-            continue
-        if not isinstance(alloc.get("name"), str) or not alloc.get("name"):
-            errors.append(f"{where}: allocations[{i}].name must be a string")
-            continue
-        if not _is_int(alloc.get("bytes")) or alloc["bytes"] < 0:
-            errors.append(
-                f"{where}: allocations[{i}].bytes must be a "
-                "non-negative int"
+    for i, alloc in enumerate(worker["allocations"]):
+        if alloc["free_ms"] is not None \
+                and alloc["free_ms"] < alloc["alloc_ms"]:
+            problems.append(
+                f"{where}: allocations[{i}] freed ({alloc['free_ms']}) "
+                f"before allocated ({alloc['alloc_ms']})"
             )
-            continue
-        if not _is_number(alloc.get("alloc_ms")) or alloc["alloc_ms"] < 0.0:
-            errors.append(
-                f"{where}: allocations[{i}].alloc_ms must be a "
-                "non-negative number"
-            )
-            continue
-        free_ms = alloc.get("free_ms")
-        if free_ms is not None:
-            if not _is_number(free_ms):
-                errors.append(
-                    f"{where}: allocations[{i}].free_ms must be a "
-                    "number or null"
-                )
-            elif float(free_ms) < float(alloc["alloc_ms"]):
-                errors.append(
-                    f"{where}: allocations[{i}] freed ({free_ms}) before "
-                    f"allocated ({alloc['alloc_ms']})"
-                )
-        if not isinstance(alloc.get("scope"), str) or not alloc.get("scope"):
-            errors.append(
-                f"{where}: allocations[{i}].scope must be a string"
-            )
-        alloc_names[alloc["name"]] = alloc
     # every non-context breakdown entry must be a recorded allocation
     # that was live at the peak timestamp, with matching bytes
-    peak_ts = peak.get("ts_ms")
+    allocations = {alloc["name"]: alloc for alloc in worker["allocations"]}
     for item in breakdown:
-        if not isinstance(item, dict):
+        name, alloc = item["name"], allocations.get(item["name"])
+        if name == CONTEXT_NAME:
             continue
-        name = item.get("name")
-        if name == CONTEXT_NAME or not isinstance(name, str):
-            continue
-        alloc = alloc_names.get(name)
         if alloc is None:
-            errors.append(
+            problems.append(
                 f"{where}: breakdown entry {name!r} has no allocation "
                 "record"
             )
             continue
-        if alloc.get("bytes") != item.get("bytes"):
-            errors.append(
-                f"{where}: breakdown entry {name!r} ({item.get('bytes')} B) "
+        if alloc["bytes"] != item["bytes"]:
+            problems.append(
+                f"{where}: breakdown entry {name!r} ({item['bytes']} B) "
                 f"disagrees with its allocation record "
-                f"({alloc.get('bytes')} B)"
+                f"({alloc['bytes']} B)"
             )
-        if _is_number(peak_ts) and _is_number(alloc.get("alloc_ms")):
-            if float(alloc["alloc_ms"]) > float(peak_ts):
-                errors.append(
-                    f"{where}: breakdown entry {name!r} allocated after "
-                    "the peak"
-                )
-            free_ms = alloc.get("free_ms")
-            if _is_number(free_ms) and float(free_ms) < float(peak_ts):
-                errors.append(
-                    f"{where}: breakdown entry {name!r} freed before "
-                    "the peak"
-                )
-    # per-round high-water marks
-    rounds = entry.get("rounds")
-    if not isinstance(rounds, list):
-        errors.append(f"{where}: 'rounds' must be a list")
-        rounds = []
-    for i, item in enumerate(rounds):
-        if not isinstance(item, dict) or not _is_int(item.get("round")):
-            errors.append(f"{where}: rounds[{i}] malformed")
-            continue
-        high = item.get("high_water_bytes")
-        if not _is_int(high) or high < 0:
-            errors.append(
-                f"{where}: rounds[{i}].high_water_bytes must be a "
-                "non-negative int"
+        if alloc["alloc_ms"] > peak["ts_ms"]:
+            problems.append(
+                f"{where}: breakdown entry {name!r} allocated after "
+                "the peak"
             )
-        elif high > peak_bytes:
-            errors.append(
-                f"{where}: rounds[{i}] high-water ({high}) above the "
-                f"peak ({peak_bytes})"
+        if alloc["free_ms"] is not None and alloc["free_ms"] < peak["ts_ms"]:
+            problems.append(
+                f"{where}: breakdown entry {name!r} freed before "
+                "the peak"
             )
-    for key in ("allocs", "frees"):
-        if not _is_int(entry.get(key)) or entry[key] < 0:
-            errors.append(f"{where}: {key!r} must be a non-negative int")
-    findings = entry.get("findings")
-    if not isinstance(findings, list):
-        errors.append(f"{where}: 'findings' must be a list")
-        findings = []
-    for i, finding in enumerate(findings):
-        if (
-            not isinstance(finding, dict)
-            or finding.get("detector") not in _MEMTRACE_DETECTORS
-        ):
-            errors.append(
-                f"{where}: findings[{i}].detector must be one of "
-                f"{_MEMTRACE_DETECTORS}"
+    for i, item in enumerate(worker["rounds"]):
+        if item["high_water_bytes"] > peak_bytes:
+            problems.append(
+                f"{where}: rounds[{i}] high-water "
+                f"({item['high_water_bytes']}) above the peak "
+                f"({peak_bytes})"
             )
+    return problems
 
 
 def validate_memtrace(record: Any) -> List[str]:
     """Check a parsed ``repro.memtrace/v1`` record; return problems."""
-    errors: List[str] = []
-    if not isinstance(record, dict):
-        return [f"record must be an object, got {type(record).__name__}"]
-    if record.get("schema") != SCHEMA_VERSION:
-        errors.append(
-            f"schema must be {SCHEMA_VERSION!r}, got {record.get('schema')!r}"
+    shape = shape_problems(record, _SHAPE, "")
+    workers = record.get("workers") if isinstance(record, dict) else None
+    problems = list(shape)
+    for i, worker in enumerate(workers if isinstance(workers, list) else []):
+        if not shape_problems(worker, _WORKER, f"workers[{i}]"):
+            problems += _worker_problems(worker, f"workers[{i}]")
+    if shape:
+        return problems
+    expected = max((w["peak"]["bytes"] for w in workers), default=0)
+    if workers and record["peak_bytes"] != expected:
+        problems.append(
+            f"peak_bytes ({record['peak_bytes']}) != max worker peak "
+            f"({expected})"
         )
-    workers = record.get("workers")
-    if not isinstance(workers, list):
-        return errors + ["'workers' must be a list"]
-    for i, entry in enumerate(workers):
-        _check_worker(entry, f"workers[{i}]", errors)
-    peak_bytes = record.get("peak_bytes")
-    if not _is_int(peak_bytes) or peak_bytes < 0:
-        errors.append("'peak_bytes' must be a non-negative int")
-    else:
-        worker_peaks = [
-            w["peak"]["bytes"]
-            for w in workers
-            if isinstance(w, dict)
-            and isinstance(w.get("peak"), dict)
-            and _is_int(w["peak"].get("bytes"))
-        ]
-        expected = max(worker_peaks, default=0)
-        if worker_peaks and peak_bytes != expected:
-            errors.append(
-                f"peak_bytes ({peak_bytes}) != max worker peak "
-                f"({expected})"
-            )
-    names = [
-        w.get("worker") for w in workers if isinstance(w, dict)
-    ]
+    names = [w["worker"] for w in workers]
     if len(set(names)) != len(names):
-        errors.append("duplicate worker names")
-    return errors
+        problems.append("duplicate worker names")
+    return problems
 
 
 def validate_memtrace_file(path: "str | Path") -> List[str]:

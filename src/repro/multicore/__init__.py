@@ -6,6 +6,7 @@ from repro.multicore.profile import (
     BOUND_CLASSES,
     EpochProfile,
     MulticoreProfile,
+    validate_cpu_epochs,
 )
 
 __all__ = [
@@ -14,4 +15,5 @@ __all__ = [
     "EpochProfile",
     "MulticoreProfile",
     "SimulatedMulticore",
+    "validate_cpu_epochs",
 ]

@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.multicore.costmodel import CpuCostModel
-from repro.multicore.profile import EpochProfile, MulticoreProfile
+from repro.multicore.profile import (
+    EpochProfile,
+    MulticoreProfile,
+    epoch_bound,
+)
 from repro.obs import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,7 +122,8 @@ class SimulatedMulticore:
         The straggler's two terms are recomputed with the same float64
         operations that produced the charge, so ``compute_ns +
         atomic_ns`` reproduces the charged nanoseconds bit-for-bit —
-        the run-report validator asserts exactly that.
+        :func:`~repro.multicore.profile.validate_cpu_epochs` asserts
+        exactly that.
         """
         if self.threads:
             combined = (self._epoch_ops * self.cost.op_ns
@@ -132,12 +137,6 @@ class SimulatedMulticore:
             )
         else:
             straggler, compute_ns, atomic_ns = 0, 0.0, 0.0
-        sync_ns = self.cost.sync_us * 1000.0 if sync else 0.0
-        terms = (
-            ("compute", compute_ns), ("atomic", atomic_ns),
-            ("sync", sync_ns),
-        )
-        bound = max(terms, key=lambda kv: kv[1])[0]
         self.epochs.append(EpochProfile(
             index=len(self.epochs),
             start_ms=start_ms,
@@ -146,7 +145,7 @@ class SimulatedMulticore:
             atomic_ns=atomic_ns,
             sync=sync,
             straggler=straggler,
-            bound=bound,
+            bound=epoch_bound(compute_ns, atomic_ns, sync, self.cost.sync_us),
         ))
 
     # -- host-array memory telemetry -----------------------------------------

@@ -13,10 +13,13 @@ The attribution is *reconstructive*, not sampled: ``compute_ns`` and
 ``atomic_ns`` are the exact straggler terms the machine summed when it
 charged the epoch, so ``compute_ns + atomic_ns`` equals the epoch's
 charged nanoseconds bit-for-bit, and the epoch interval
-``[start_ms, end_ms)`` is read straight off the machine's clock.  The
-run-report validator leans on both: epochs must tile
-``[0, simulated_ms)`` contiguously and every epoch's end must be
-re-derivable from its start and its terms with **no tolerance**.
+``[start_ms, end_ms)`` is read straight off the machine's clock.
+:func:`validate_cpu_epochs` checks the record's shape against one spec
+(:mod:`repro.obs.shape`) and keeps only the arithmetic that leans on
+both: epochs must tile ``[0, elapsed_ms)`` contiguously, and every
+epoch's end must re-derive from its start and its terms with **no
+tolerance**, its bound through :func:`epoch_bound`, the function the
+machine labels it with.
 Profiling is observability-only — it reads the clock and the per-thread
 arrays, and never changes what the machine charges.
 """
@@ -25,14 +28,49 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["EpochProfile", "MulticoreProfile", "SCHEMA_VERSION"]
+from repro.obs.shape import (
+    BOOL,
+    NAT,
+    NONNEG,
+    NUMBER,
+    STR,
+    MapOf,
+    nullable,
+    one_of,
+    shape_problems,
+)
+
+__all__ = [
+    "EpochProfile",
+    "MulticoreProfile",
+    "SCHEMA_VERSION",
+    "validate_cpu_epochs",
+]
 
 SCHEMA_VERSION = "repro.cpu-epochs/v1"
 
 #: bound classes in tie-break priority order
 BOUND_CLASSES = ("compute", "atomic", "sync")
+
+
+def epoch_bound(
+    compute_ns: float, atomic_ns: float, sync: bool, sync_us: float
+) -> str:
+    """The largest of an epoch's three terms (the sync term is
+    ``sync_us * 1000`` when the epoch ended at a barrier), ties
+    resolving in :data:`BOUND_CLASSES` order."""
+    sync_ns = sync_us * 1000.0 if sync else 0.0
+    terms = zip(BOUND_CLASSES, (compute_ns, atomic_ns, sync_ns))
+    return max(terms, key=lambda kv: kv[1])[0]
+
+
+def _histogram(bounds: Iterable[str]) -> Dict[str, int]:
+    hist = {name: 0 for name in BOUND_CLASSES}
+    for bound in bounds:
+        hist[bound] += 1
+    return hist
 
 
 @dataclass(frozen=True)
@@ -83,10 +121,7 @@ class MulticoreProfile:
 
     def bound_histogram(self) -> Dict[str, int]:
         """Epoch counts per bound class (all classes present, maybe 0)."""
-        hist = {name: 0 for name in BOUND_CLASSES}
-        for epoch in self.epochs:
-            hist[epoch.bound] = hist.get(epoch.bound, 0) + 1
-        return hist
+        return _histogram(epoch.bound for epoch in self.epochs)
 
     def to_json(self) -> Dict[str, Any]:
         """The ``repro.cpu-epochs/v1`` record."""
@@ -131,3 +166,77 @@ class MulticoreProfile:
             + ", ".join(f"{k}={v}" for k, v in hist.items())
         )
         return "\n".join(lines)
+
+
+_SHAPE = {
+    "schema": one_of(SCHEMA_VERSION),
+    "algorithm": nullable(STR),
+    "threads": NAT,
+    "op_ns": NONNEG,
+    "atomic_ns": NONNEG,
+    "sync_us": NONNEG,
+    "elapsed_ms": NUMBER,
+    "epochs": [{
+        "index": NAT,
+        "start_ms": NUMBER,
+        "end_ms": NUMBER,
+        "compute_ns": NONNEG,
+        "atomic_ns": NONNEG,
+        "sync": BOOL,
+        "straggler": NAT,
+        "bound": one_of(*BOUND_CLASSES),
+    }],
+    "bound_histogram": MapOf(NAT),
+}
+
+
+def validate_cpu_epochs(record: Any) -> List[str]:
+    """Check a parsed ``repro.cpu-epochs/v1`` record; return problems.
+
+    Every check is exact: the epochs tile ``[0, elapsed_ms)``, each
+    epoch's end re-derives from its start, its straggler terms and the
+    sync fee, and its bound and the histogram re-derive as the machine
+    derived them.
+    """
+    problems = shape_problems(record, _SHAPE, "")
+    if problems:
+        return problems
+    epochs, sync_us, clock = record["epochs"], record["sync_us"], 0.0
+    for i, epoch in enumerate(epochs):
+        here = f"epochs[{i}]"
+        if epoch["index"] != i:
+            problems.append(f"{here}: index {epoch['index']!r} != {i}")
+        start = epoch["start_ms"]
+        if start != clock:
+            problems.append(
+                f"{here}: starts at {start!r}, previous epoch ended at "
+                f"{clock!r} (epochs must tile the timeline)"
+            )
+        end = start + (epoch["compute_ns"] + epoch["atomic_ns"]) / 1e6
+        if epoch["sync"]:
+            end += sync_us / 1e3
+        if end != epoch["end_ms"]:
+            problems.append(
+                f"{here}: end_ms {epoch['end_ms']!r} does not "
+                f"re-derive from start + straggler terms ({end!r})"
+            )
+        bound = epoch_bound(
+            epoch["compute_ns"], epoch["atomic_ns"], epoch["sync"], sync_us
+        )
+        if epoch["bound"] != bound:
+            problems.append(
+                f"{here}: bound {epoch['bound']!r} != re-derived {bound!r}"
+            )
+        clock = epoch["end_ms"]
+    if epochs and clock != record["elapsed_ms"]:
+        problems.append(
+            f"last epoch ends at {clock!r}, elapsed_ms is "
+            f"{record['elapsed_ms']!r}"
+        )
+    derived = _histogram(epoch["bound"] for epoch in epochs)
+    if record["bound_histogram"] != derived:
+        problems.append(
+            f"bound_histogram {record['bound_histogram']!r} != re-derived "
+            f"{derived!r}"
+        )
+    return problems

@@ -68,6 +68,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.scheduler import KernelStats
 from repro.gpusim.spec import DeviceSpec
+from repro.obs.shape import (
+    NONNEG,
+    NUMBER,
+    Leaf,
+    MapOf,
+    one_of,
+    shape_problems,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -812,8 +820,26 @@ def build_multi_critpath(
 # -- validation --------------------------------------------------------------
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_CLOCK: Dict[str, Leaf] = {
+    **{key: NUMBER for key in (*_COST_FIELDS, "num_sms")},
+    "clock_ghz": Leaf(lambda v: NUMBER.test(v) and v > 0.0, "positive"),
+}
+#: what must hold before a record can be re-derived at all
+_SINGLE = {
+    "schema": one_of(SCHEMA_VERSION),
+    "kind": one_of("single", "multi"),
+    "clock": _CLOCK,
+    "elapsed_ms": NUMBER,
+    "kernels": MapOf({"floor_cycles": NONNEG}),
+}
+_MULTI = {
+    **_SINGLE,
+    "clock": {
+        **_CLOCK,
+        "transfer_cycles_per_word": NUMBER,
+        "reduce_cycles_per_word": NUMBER,
+    },
+}
 
 
 def _diff(stored: Any, derived: Any, path: str) -> List[str]:
@@ -855,16 +881,10 @@ def _diff(stored: Any, derived: Any, path: str) -> List[str]:
     return []
 
 
-def _shape_problems(record: Mapping[str, Any]) -> List[str]:
-    """What must hold before a record can be re-derived at all."""
-    problems = [
-        f"kernels.{name}.floor_cycles must be a non-negative number"
-        for name, agg in record["kernels"].items()
-        if not _is_number(agg.get("floor_cycles"))
-        or agg["floor_cycles"] < 0.0
-    ]
-    if record["kind"] == "single":
-        return problems
+def _multi_problems(record: Mapping[str, Any]) -> List[str]:
+    """What a multi-GPU record needs beyond its spec before it can be
+    re-derived."""
+    problems: List[str] = []
     num_devices = record["num_devices"]
     if not record["rounds"]:
         problems.append("a multi-GPU record needs at least one round")
@@ -948,40 +968,14 @@ def validate_critpath(record: Any) -> List[str]:
     tolerance anywhere; the remaining checks cover what is not a
     derivation.
     """
-    if not isinstance(record, Mapping):
-        return [
-            "a critpath record must be a JSON object, got "
-            f"{type(record).__name__}"
-        ]
-    if record.get("schema") != SCHEMA_VERSION:
-        return [
-            f"schema must be {SCHEMA_VERSION!r}, got "
-            f"{record.get('schema')!r}"
-        ]
-    kind = record.get("kind")
-    if kind not in ("single", "multi"):
-        return [f"kind must be 'single' or 'multi', got {kind!r}"]
-    clock = record.get("clock")
-    required_clock = [*_COST_FIELDS, "num_sms"]
-    if kind == "multi":
-        required_clock += [
-            "transfer_cycles_per_word", "reduce_cycles_per_word",
-        ]
-    if not isinstance(clock, dict) or not all(
-        _is_number(clock.get(key)) for key in required_clock
-    ) or clock["clock_ghz"] <= 0.0:
-        return [
-            f"clock must carry numeric {required_clock}, clock_ghz "
-            "positive"
-        ]
-    if not _is_number(record.get("elapsed_ms")):
-        return ["elapsed_ms must be a number"]
-    problems: List[str] = []
+    multi = isinstance(record, dict) and record.get("kind") == "multi"
+    problems = shape_problems(record, _MULTI if multi else _SINGLE, "")
+    if problems:
+        return problems
     try:
-        problems = _shape_problems(record)
+        problems = _multi_problems(record) if multi else []
         if not problems:
-            derive = _derive_single if kind == "single" else _derive_multi
-            derived = derive(record)
+            derived = (_derive_multi if multi else _derive_single)(record)
             problems = _diff(record, derived, "")
             problems += _invariant_problems(record, derived)
     except (

@@ -10,28 +10,36 @@ semi-external disk path side by side (``python -m repro --report
 --algorithm gpu-ours,pkc,semi-external``).
 
 What makes the report more than a bundle is
-:func:`validate_runreport`: the validator re-derives every figure that
-two layers report independently and requires them to agree **exactly**
-(no tolerance).  The invariants only compare quantities produced by
-the *same* float operations in the *same* order (or integer-valued
-quantities), so exact equality is the correct contract — any drift
-means an instrumentation bug, not rounding:
+:func:`validate_runreport`.  The shape of the record and of each section
+is one spec (``_SHAPE``, ``_SECTION``, checked by
+:mod:`repro.obs.shape`); each embedded record goes to its own format's
+validator (profile, memtrace, critpath, and the multicore
+``repro.cpu-epochs/v1`` record to
+:func:`~repro.multicore.profile.validate_cpu_epochs`).  What the
+validator keeps is the cross-layer equalities, run on a section whose
+shape holds and over the embedded records their validators accepted,
+each required to hold **exactly** (no tolerance).  They only compare
+quantities produced by the *same* float operations in the *same* order
+(or integer-valued quantities), so exact equality is the correct
+contract — any drift means an instrumentation bug, not rounding:
 
-* ``memtrace.peak_bytes == peak_memory_bytes`` (and the embedded
-  memtrace/profile records must pass their own validators);
+* ``memtrace.peak_bytes == peak_memory_bytes``;
 * per-kernel profile cycles == the host's ``kernel.<k>.cycles``
   counters == the summed kernel-span cycles in the trace;
 * scan+loop launch counters == ``device.kernel_launches`` == the sum
   of the per-tier ``engine.served.*`` attribution;
-* multicore epochs tile ``[0, simulated_ms)`` contiguously, each
-  epoch's end re-derives from its start + straggler terms + sync fee,
-  and its bound class re-derives from the same terms;
+* the multicore epoch timeline ends at ``simulated_ms``, and the
+  ``cpu.threads`` and ``cpu.barriers`` counters re-state its thread
+  count and its sync epochs;
+* critpath elapsed time == ``simulated_ms``, and its per-kernel cycles
+  and launches == the host's counters;
 * ``disk.page_in_bytes == disk.passes * disk.resident_peak_bytes``,
   and the traced ``disk.resident_bytes`` counter track peaks at
   exactly the resident high-water counter.
 
 ``repro obs diff OLD.json NEW.json`` (see :func:`diff_runreports`)
-compares two reports section by section and flags regressions.
+compares two reports section by section and flags regressions; it
+names and skips a section whose shape does not hold.
 """
 
 from __future__ import annotations
@@ -41,6 +49,23 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.obs.critpath import validate_critpath
+from repro.obs.shape import (
+    BOOL,
+    INT,
+    NAT,
+    NONNEG,
+    NUMBER,
+    OBJECT,
+    STR,
+    TEXT,
+    Leaf,
+    MapOf,
+    nullable,
+    one_of,
+    shape_problems,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -53,10 +78,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "repro.runreport/v1"
-
-#: multicore epoch bound classes, in tie-break priority order (must
-#: match :data:`repro.multicore.profile.BOUND_CLASSES`)
-_EPOCH_BOUNDS = ("compute", "atomic", "sync")
 
 
 def _jsonable(value: Any) -> Any:
@@ -229,24 +250,56 @@ class RunReport:
 
 # -- validation ---------------------------------------------------------------
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_SECTIONS = Leaf(lambda v: isinstance(v, list) and v != [], "a non-empty list")
+_SHAPE = {
+    "schema": one_of(SCHEMA_VERSION),
+    "dataset": nullable(STR),
+    "sections": _SECTIONS,
+}
+_FINDINGS = nullable(
+    {"clean": BOOL, "findings": NAT, "errors": NAT, "detectors": [STR]}
+)
+#: one section; the embedded records are checked by their own validators
+_SECTION = {
+    "algorithm": TEXT,
+    "simulated_ms": NONNEG,
+    "peak_memory_bytes": NAT,
+    "rounds": NAT,
+    "num_vertices": NAT,
+    "kmax": INT,
+    "counters": MapOf(NUMBER),
+    "stats": OBJECT,
+    "profile": nullable(OBJECT),
+    "multicore": nullable(OBJECT),
+    "memtrace": nullable(OBJECT),
+    "sanitizer": _FINDINGS,
+    "staticheck": _FINDINGS,
+    "trace": nullable({
+        "events": NAT,
+        "spans": NAT,
+        "kernel_span_cycles": MapOf(NUMBER),
+        "counter_track_peaks": MapOf(NUMBER),
+    }),
+    "engine": nullable({"name": nullable(STR), "served": MapOf(NUMBER)}),
+    "critpath": nullable(OBJECT),
+}
 
 
 def _check_gpu_section(
-    sec: Dict[str, Any], where: str, errors: List[str]
+    sec: Dict[str, Any], profile: Optional[Dict[str, Any]], where: str,
+    errors: List[str],
 ) -> None:
-    """Cross-layer invariants of a GPU peel section (all exact)."""
+    """Cross-layer invariants of a GPU peel section (all exact);
+    ``profile`` is the section's profile if its validator accepted it."""
     counters = sec["counters"]
-    profile = sec.get("profile")
-    trace = sec.get("trace")
+    trace = sec["trace"]
     for phase in ("scan", "loop"):
         cycles = counters.get(f"kernel.{phase}.cycles")
         if cycles is None:
             continue
         kernel = f"{phase}_kernel"
         if profile is not None:
-            agg = profile.get("kernels", {}).get(kernel)
+            agg = profile["kernels"].get(kernel)
             if agg is None:
                 errors.append(
                     f"{where}: profile has no kernel {kernel!r} despite "
@@ -259,7 +312,7 @@ def _check_gpu_section(
                     f"cycles ({cycles!r})"
                 )
         if trace is not None:
-            span_cycles = trace.get("kernel_span_cycles", {}).get(kernel)
+            span_cycles = trace["kernel_span_cycles"].get(kernel)
             if span_cycles != cycles:
                 errors.append(
                     f"{where}: traced span cycles for {kernel!r} "
@@ -294,152 +347,92 @@ def _check_gpu_section(
     if (
         profile is not None
         and counters.get("device.cycles") is not None
-        and profile.get("launches")
-        and all(l.get("source") == "simt" for l in profile["launches"])
+        and profile["launches"]
+        and all(entry["source"] == "simt" for entry in profile["launches"])
+        and profile["summary"]["cycles"] != counters["device.cycles"]
     ):
-        summary_cycles = profile.get("summary", {}).get("cycles")
-        if summary_cycles != counters["device.cycles"]:
-            errors.append(
-                f"{where}: profile summary cycles ({summary_cycles!r}) "
-                f"!= device.cycles ({counters['device.cycles']!r})"
-            )
+        errors.append(
+            f"{where}: profile summary cycles "
+            f"({profile['summary']['cycles']!r}) != device.cycles "
+            f"({counters['device.cycles']!r})"
+        )
 
 
 def _check_multicore_section(
-    sec: Dict[str, Any], where: str, errors: List[str]
+    sec: Dict[str, Any], record: Dict[str, Any], where: str,
+    errors: List[str],
 ) -> None:
-    """Epoch-timeline invariants of a multicore section (all exact)."""
-    record = sec["multicore"]
+    """What ties an accepted ``repro.cpu-epochs/v1`` record to its
+    section (all exact): the clock and the thread and barrier
+    counters."""
     counters = sec["counters"]
-    epochs = record.get("epochs", [])
-    sync_us = record.get("sync_us", 0.0)
     threads = counters.get("cpu.threads")
-    if threads is not None and threads != record.get("threads"):
+    if threads is not None and threads != record["threads"]:
         errors.append(
             f"{where}: cpu.threads counter ({threads!r}) != multicore "
-            f"profile threads ({record.get('threads')!r})"
+            f"profile threads ({record['threads']!r})"
         )
-    clock = 0.0
-    for i, epoch in enumerate(epochs):
-        here = f"{where}.multicore.epochs[{i}]"
-        if epoch.get("index") != i:
-            errors.append(f"{here}: index {epoch.get('index')!r} != {i}")
-        start = epoch.get("start_ms")
-        if start != clock:
-            errors.append(
-                f"{here}: starts at {start!r}, previous epoch ended at "
-                f"{clock!r} (epochs must tile the timeline)"
-            )
-        end = start + (epoch["compute_ns"] + epoch["atomic_ns"]) / 1e6
-        if epoch.get("sync"):
-            end += sync_us / 1e3
-        if end != epoch.get("end_ms"):
-            errors.append(
-                f"{here}: end_ms {epoch.get('end_ms')!r} does not "
-                f"re-derive from start + straggler terms ({end!r})"
-            )
-        sync_ns = sync_us * 1000.0 if epoch.get("sync") else 0.0
-        terms = (
-            ("compute", epoch["compute_ns"]),
-            ("atomic", epoch["atomic_ns"]),
-            ("sync", sync_ns),
-        )
-        bound = max(terms, key=lambda kv: kv[1])[0]
-        if epoch.get("bound") != bound:
-            errors.append(
-                f"{here}: bound {epoch.get('bound')!r} != re-derived "
-                f"{bound!r}"
-            )
-        if epoch.get("bound") not in _EPOCH_BOUNDS:
-            errors.append(
-                f"{here}: unknown bound class {epoch.get('bound')!r}"
-            )
-        clock = epoch.get("end_ms", end)
-    if epochs and clock != record.get("elapsed_ms"):
+    epochs = record["epochs"]
+    if epochs and record["elapsed_ms"] != sec["simulated_ms"]:
         errors.append(
-            f"{where}: last epoch ends at {clock!r}, profile elapsed_ms "
-            f"is {record.get('elapsed_ms')!r}"
-        )
-    if epochs and record.get("elapsed_ms") != sec["simulated_ms"]:
-        errors.append(
-            f"{where}: multicore elapsed_ms ({record.get('elapsed_ms')!r})"
+            f"{where}: multicore elapsed_ms ({record['elapsed_ms']!r})"
             f" != section simulated_ms ({sec['simulated_ms']!r})"
         )
     barriers = counters.get("cpu.barriers")
-    if barriers is not None:
-        syncs = sum(1 for e in epochs if e.get("sync"))
-        if syncs != barriers:
-            errors.append(
-                f"{where}: {syncs} sync epoch(s) but cpu.barriers is "
-                f"{barriers!r}"
-            )
-    hist = record.get("bound_histogram")
-    if hist is not None:
-        derived: Dict[str, int] = {name: 0 for name in _EPOCH_BOUNDS}
-        for epoch in epochs:
-            bound = epoch.get("bound")
-            if bound in derived:
-                derived[bound] += 1
-        if hist != derived:
-            errors.append(
-                f"{where}: bound_histogram {hist!r} != re-derived "
-                f"{derived!r}"
-            )
+    syncs = sum(1 for epoch in epochs if epoch["sync"])
+    if barriers is not None and syncs != barriers:
+        errors.append(
+            f"{where}: {syncs} sync epoch(s) but cpu.barriers is "
+            f"{barriers!r}"
+        )
 
 
 def _check_critpath_section(
-    sec: Dict[str, Any], where: str, errors: List[str]
+    sec: Dict[str, Any], record: Dict[str, Any], where: str,
+    errors: List[str],
 ) -> None:
-    """Critical-path invariants of a section (all exact): the embedded
-    ``repro.critpath/v1`` record must pass its own validator, agree
-    with the section clock, and re-state the host's per-kernel cycle
-    and launch counters bit-for-bit (both sides accumulate the same
-    per-launch ``stats.cycles`` in the same order)."""
-    record = sec["critpath"]
-    from repro.obs.critpath import validate_critpath
-
-    problems = validate_critpath(record)
-    errors.extend(f"{where}: critpath: {problem}" for problem in problems)
-    if problems:  # the cross-checks below read a well-formed record
-        return
-    if record.get("elapsed_ms") != sec.get("simulated_ms"):
+    """What ties an accepted ``repro.critpath/v1`` record to its
+    section (all exact): the section clock and the host's per-kernel
+    cycle and launch counters, bit for bit (both sides accumulate the
+    same per-launch ``stats.cycles`` in the same order)."""
+    if record["elapsed_ms"] != sec["simulated_ms"]:
         errors.append(
             f"{where}: critpath elapsed_ms "
-            f"({record.get('elapsed_ms')!r}) != section simulated_ms "
-            f"({sec.get('simulated_ms')!r})"
+            f"({record['elapsed_ms']!r}) != section simulated_ms "
+            f"({sec['simulated_ms']!r})"
         )
-    counters = sec.get("counters", {})
-    for name, agg in record.get("kernels", {}).items():
+    counters = sec["counters"]
+    for name, agg in record["kernels"].items():
         short = name[: -len("_kernel")] if name.endswith("_kernel") else name
         cycles = counters.get(f"kernel.{short}.cycles")
-        if cycles is not None and cycles != agg.get("cycles"):
+        if cycles is not None and cycles != agg["cycles"]:
             errors.append(
                 f"{where}: critpath cycles for {name!r} "
-                f"({agg.get('cycles')!r}) != counter kernel.{short}."
+                f"({agg['cycles']!r}) != counter kernel.{short}."
                 f"cycles ({cycles!r})"
             )
         launches = counters.get(f"kernel.{short}.launches")
-        if launches is not None and launches != agg.get("launches"):
+        if launches is not None and launches != agg["launches"]:
             errors.append(
                 f"{where}: critpath launches for {name!r} "
-                f"({agg.get('launches')!r}) != counter kernel.{short}."
+                f"({agg['launches']!r}) != counter kernel.{short}."
                 f"launches ({launches!r})"
             )
-    if record.get("kind") == "single":
+    if record["kind"] == "single":
         device_cycles = counters.get("device.cycles")
-        total = record.get("accounting", {}).get("total_cycles")
+        total = record["accounting"]["total_cycles"]
         if device_cycles is not None and total != device_cycles:
             errors.append(
                 f"{where}: critpath accounting total_cycles ({total!r}) "
                 f"!= device.cycles ({device_cycles!r})"
             )
     else:
-        stats = sec.get("stats", {})
+        stats = sec["stats"]
         if "num_devices" in stats \
-                and stats["num_devices"] != record.get("num_devices"):
+                and stats["num_devices"] != record["num_devices"]:
             errors.append(
                 f"{where}: critpath num_devices "
-                f"({record.get('num_devices')!r}) != stats num_devices "
+                f"({record['num_devices']!r}) != stats num_devices "
                 f"({stats['num_devices']!r})"
             )
 
@@ -460,22 +453,67 @@ def _check_disk_section(
             f"{where}: disk.page_in_bytes ({page_in!r}) != passes * "
             f"resident high-water ({passes * resident!r})"
         )
-    stats = sec.get("stats", {})
+    stats = sec["stats"]
     if "passes" in stats and stats["passes"] != passes:
         errors.append(
             f"{where}: disk.passes counter ({passes!r}) != stats passes "
             f"({stats['passes']!r})"
         )
-    trace = sec.get("trace")
+    trace = sec["trace"]
     if trace is not None:
-        peak = trace.get("counter_track_peaks", {}).get(
-            "disk.resident_bytes"
-        )
+        peak = trace["counter_track_peaks"].get("disk.resident_bytes")
         if peak is not None and peak != resident:
             errors.append(
                 f"{where}: traced disk.resident_bytes peak ({peak!r}) "
                 f"!= disk.resident_peak_bytes counter ({resident!r})"
             )
+
+
+def _check_section(
+    sec: Dict[str, Any], where: str, errors: List[str]
+) -> None:
+    """Every embedded record through its own validator, then the
+    cross-layer equalities over the records they accepted."""
+    # lazy: these packages import repro.obs themselves
+    from repro.memtrace.report import validate_memtrace
+    from repro.multicore.profile import validate_cpu_epochs
+    from repro.profile.report import validate_profile
+
+    counters = sec["counters"]
+    rounds = counters.get("host.rounds")
+    if rounds is not None and rounds != sec["rounds"]:
+        errors.append(
+            f"{where}: host.rounds counter ({rounds!r}) != rounds "
+            f"({sec['rounds']!r})"
+        )
+    accepted: Dict[str, Dict[str, Any]] = {}
+    for key, validate in (
+        ("memtrace", validate_memtrace),
+        ("profile", validate_profile),
+        ("critpath", validate_critpath),
+        ("multicore", validate_cpu_epochs),
+    ):
+        if sec[key] is None:
+            continue
+        found = validate(sec[key])
+        errors.extend(f"{where}: {key} {problem}" for problem in found)
+        if not found:
+            accepted[key] = sec[key]
+    memtrace = accepted.get("memtrace")
+    if memtrace is not None \
+            and memtrace["peak_bytes"] != sec["peak_memory_bytes"]:
+        errors.append(
+            f"{where}: memtrace peak_bytes ({memtrace['peak_bytes']!r}) "
+            f"!= section peak_memory_bytes ({sec['peak_memory_bytes']!r})"
+        )
+    if "kernel.scan.cycles" in counters:
+        _check_gpu_section(sec, accepted.get("profile"), where, errors)
+    if "critpath" in accepted:
+        _check_critpath_section(sec, accepted["critpath"], where, errors)
+    if "multicore" in accepted:
+        _check_multicore_section(sec, accepted["multicore"], where, errors)
+    if "disk.passes" in counters:
+        _check_disk_section(sec, where, errors)
 
 
 def validate_runreport(record: Any) -> List[str]:
@@ -484,76 +522,17 @@ def validate_runreport(record: Any) -> List[str]:
     Returns a list of problems; an empty list means the schema holds
     and every cross-layer consistency invariant holds **exactly**.
     """
-    errors: List[str] = []
     if not isinstance(record, dict):
         return ["run report must be a JSON object"]
-    if record.get("schema") != SCHEMA_VERSION:
-        errors.append(
-            f"schema must be {SCHEMA_VERSION!r}, got "
-            f"{record.get('schema')!r}"
-        )
-    dataset = record.get("dataset")
-    if dataset is not None and not isinstance(dataset, str):
-        errors.append("'dataset' must be a string or null")
-    sections = record.get("sections")
-    if not isinstance(sections, list) or not sections:
-        errors.append("'sections' must be a non-empty list")
+    errors = shape_problems(record, _SHAPE, "")
+    if not _SECTIONS.test(record.get("sections")):
         return errors
-    for index, sec in enumerate(sections):
+    for index, sec in enumerate(record["sections"]):
         where = f"sections[{index}]"
-        if not isinstance(sec, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        algorithm = sec.get("algorithm")
-        if not isinstance(algorithm, str) or not algorithm:
-            errors.append(f"{where}: missing 'algorithm'")
-        else:
-            where = f"sections[{index}] ({algorithm})"
-        for key in ("simulated_ms", "peak_memory_bytes", "rounds",
-                    "num_vertices", "kmax"):
-            if not _is_number(sec.get(key)):
-                errors.append(f"{where}: {key!r} must be a number")
-        counters = sec.get("counters")
-        if not isinstance(counters, dict):
-            errors.append(f"{where}: 'counters' must be an object")
-            continue
-        for name, value in counters.items():
-            if not _is_number(value):
-                errors.append(
-                    f"{where}: counter {name!r} is not numeric"
-                )
-        rounds = counters.get("host.rounds")
-        if rounds is not None and rounds != sec.get("rounds"):
-            errors.append(
-                f"{where}: host.rounds counter ({rounds!r}) != rounds "
-                f"({sec.get('rounds')!r})"
-            )
-        memtrace = sec.get("memtrace")
-        if memtrace is not None:
-            from repro.memtrace.report import validate_memtrace
-
-            for problem in validate_memtrace(memtrace):
-                errors.append(f"{where}: memtrace: {problem}")
-            if memtrace.get("peak_bytes") != sec.get("peak_memory_bytes"):
-                errors.append(
-                    f"{where}: memtrace peak_bytes "
-                    f"({memtrace.get('peak_bytes')!r}) != section "
-                    f"peak_memory_bytes ({sec.get('peak_memory_bytes')!r})"
-                )
-        profile = sec.get("profile")
-        if profile is not None:
-            from repro.profile.report import validate_profile
-
-            for problem in validate_profile(profile):
-                errors.append(f"{where}: profile: {problem}")
-        if "kernel.scan.cycles" in counters:
-            _check_gpu_section(sec, where, errors)
-        if sec.get("critpath") is not None:
-            _check_critpath_section(sec, where, errors)
-        if sec.get("multicore") is not None:
-            _check_multicore_section(sec, where, errors)
-        if "disk.passes" in counters:
-            _check_disk_section(sec, where, errors)
+        shape = shape_problems(sec, _SECTION, where)
+        errors.extend(shape)
+        if not shape:
+            _check_section(sec, f"{where} ({sec['algorithm']})", errors)
     return errors
 
 
@@ -665,18 +644,48 @@ def render_runreport(record: Dict[str, Any]) -> str:
 
 # -- diffing ------------------------------------------------------------------
 
+#: what :func:`diff_runreports` reads of a section
+_COMPARED = {
+    **_SECTION,
+    "profile": nullable({"kernels": MapOf({"bound": STR})}),
+    "critpath": nullable(
+        {"whatif": [{"scenario": STR, "speedup_ceiling": NUMBER}]}
+    ),
+}
+
+
+def _comparable(
+    record: Any, side: str, lines: List[str]
+) -> Dict[str, Dict[str, Any]]:
+    """The sections of ``record`` the diff can read, by algorithm; a
+    line in ``lines`` names each one skipped."""
+    problems = shape_problems(record, _SHAPE, "")
+    if problems:
+        lines.append(f"skipped the malformed {side} report: {problems[0]}")
+        return {}
+    comparable: Dict[str, Dict[str, Any]] = {}
+    for index, sec in enumerate(record["sections"]):
+        problems = shape_problems(sec, _COMPARED, f"sections[{index}]")
+        if problems:
+            lines.append(f"skipped a malformed {side} section: {problems[0]}")
+        else:
+            comparable[sec["algorithm"]] = sec
+    return comparable
+
+
 def diff_runreports(
     old: Dict[str, Any], new: Dict[str, Any]
 ) -> Tuple[str, bool]:
     """Compare two run reports; returns ``(rendered, has_regressions)``.
 
     A regression is any section where simulated time, device cycles or
-    peak memory grew, or where a kernel/epoch bound class flipped.
+    peak memory grew, or where a kernel/epoch bound class flipped.  A
+    section whose shape does not hold is named and skipped.
     """
     lines: List[str] = []
     regressions = False
-    old_secs = {s["algorithm"]: s for s in old.get("sections", [])}
-    new_secs = {s["algorithm"]: s for s in new.get("sections", [])}
+    old_secs = _comparable(old, "OLD", lines)
+    new_secs = _comparable(new, "NEW", lines)
     for name in sorted(set(old_secs) | set(new_secs)):
         if name not in old_secs:
             lines.append(f"[{name}] only in NEW report")
@@ -724,14 +733,12 @@ def diff_runreports(
                     f"{old_bounds[kernel]} -> {new_bounds[kernel]}"
                 )
         old_whatif = {
-            row["scenario"]: row.get("speedup_ceiling")
+            row["scenario"]: row["speedup_ceiling"]
             for row in (a.get("critpath") or {}).get("whatif", [])
-            if isinstance(row, dict)
         }
         new_whatif = {
-            row["scenario"]: row.get("speedup_ceiling")
+            row["scenario"]: row["speedup_ceiling"]
             for row in (b.get("critpath") or {}).get("whatif", [])
-            if isinstance(row, dict)
         }
         for scenario in sorted(set(old_whatif) & set(new_whatif)):
             if old_whatif[scenario] != new_whatif[scenario]:

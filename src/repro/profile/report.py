@@ -12,14 +12,16 @@ derives the two aggregations the paper's ablation discussion needs:
   frontier-decay regimes (the huge ``k=0`` spike vs the long tail)
   show up as bound-class shifts over a run.
 
-``to_json()`` emits the ``repro.profile/v1`` record;
-:func:`validate_profile` checks a parsed record against the schema
-*and* its arithmetic invariants (the dominated buckets plus barrier
-cycles partition busy cycles; the max roofline term never exceeds
-busy-minus-barrier, the term sum never undershoots it), so a report
-whose numbers stopped agreeing with
-:meth:`~repro.gpusim.costmodel.CostModel.block_cycles` fails
-validation rather than silently misattributing.
+``to_json()`` emits the ``repro.profile/v1`` record.  Its shape is one
+spec (``_SHAPE``, checked by :mod:`repro.obs.shape`), and
+:func:`validate_profile` keeps only the arithmetic of each launch,
+kernel, round and summary entry whose shape holds: the dominated buckets
+plus barrier cycles partition busy cycles, the max roofline term never
+exceeds busy-minus-barrier and the term sum never undershoots it, and
+the bound is the largest bucket; ``summary.launches`` counts the
+launches.  A report whose numbers stopped agreeing with
+:meth:`~repro.gpusim.costmodel.CostModel.block_cycles` fails validation
+rather than silently misattributing.
 """
 
 from __future__ import annotations
@@ -29,6 +31,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.shape import (
+    INT,
+    NAT,
+    NONNEG,
+    NUMBER,
+    OBJECT,
+    STR,
+    TEXT,
+    Leaf,
+    MapOf,
+    nullable,
+    one_of,
+    shape_problems,
+)
 from repro.profile.profiler import PIPELINES, LaunchProfile
 
 __all__ = [
@@ -254,141 +270,107 @@ class ProfileReport:
 
 # -- validation ---------------------------------------------------------------
 
+_FRACTION = Leaf(  # with the float slack of the sum invariants above 1
+    lambda v: NUMBER.test(v) and 0.0 <= v <= 1.0 + _REL_TOL, "in [0, 1]"
+)
+_ENTRY = {
+    "cycles": NONNEG,
+    "busy_cycles": NONNEG,
+    "terms": {name: NUMBER for name in (*PIPELINES, "barrier")},
+    "bound": one_of(*PIPELINES),
+    "dominated": MapOf(NUMBER),
+    "achieved_occupancy": _FRACTION,
+    "divergence_efficiency": _FRACTION,
+    "coalescing_efficiency": _FRACTION,
+    # atomic_share may exceed 1: atomic cycles sum over every warp,
+    # while busy time only counts each block's slowest warp
+    "atomic_share": NONNEG,
+}
+_LAUNCH = {
+    **_ENTRY,
+    "kernel": TEXT,
+    "source": one_of("simt", "charge"),
+    "index": NAT,
+    "round": nullable(INT),
+    "grid_dim": NAT,
+    "block_dim": NAT,
+    "sol_pct": MapOf(NUMBER),
+}
+_AGGREGATE = {**_ENTRY, "key": TEXT, "launches": NAT}
+_SHAPE = {
+    "schema": one_of(SCHEMA_VERSION),
+    "algorithm": nullable(STR),
+    "variant": nullable(STR),
+    "dataset": nullable(STR),
+    "device": OBJECT,
+    "launches": [_LAUNCH],
+    "kernels": MapOf(_AGGREGATE),
+    "rounds": [_AGGREGATE],
+    "summary": _AGGREGATE,
+}
 
-def _check_entry(
-    entry: Any, where: str, errors: List[str], want_kernel: bool
-) -> None:
-    if not isinstance(entry, dict):
-        errors.append(f"{where}: not an object")
-        return
-    key = "kernel" if want_kernel else "key"
-    if not isinstance(entry.get(key), str) or not entry.get(key):
-        errors.append(f"{where}: missing or empty {key!r}")
-    for name in ("cycles", "busy_cycles"):
-        value = entry.get(name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{where}: {name!r} must be a number")
-            return
-        if value < 0:
-            errors.append(f"{where}: negative {name!r} ({value})")
-    terms = entry.get("terms")
-    if not isinstance(terms, dict) or set(terms) != {
-        "compute", "memory", "latency", "barrier",
-    }:
-        errors.append(
-            f"{where}: 'terms' must map exactly "
-            "compute/memory/latency/barrier"
-        )
-        return
-    for name, value in terms.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{where}: terms.{name} must be a number")
-            return
-    bound = entry.get("bound")
-    if bound not in PIPELINES:
-        errors.append(
-            f"{where}: 'bound' must be one of {PIPELINES}, got {bound!r}"
-        )
-    dominated = entry.get("dominated")
-    if not isinstance(dominated, dict):
-        errors.append(f"{where}: 'dominated' must be an object")
-        return
-    busy = float(entry["busy_cycles"])
+
+def _entry_problems(entry: Dict[str, Any], where: str) -> List[str]:
+    """The roofline arithmetic of one launch or aggregate entry."""
+    problems: List[str] = []
+    busy, terms = entry["busy_cycles"], entry["terms"]
+    dominated = entry["dominated"]
     tol = _REL_TOL * max(1.0, busy)
-    # invariant 1: dominated buckets + barrier partition busy cycles
-    parts = sum(float(v) for v in dominated.values()) + float(
-        terms["barrier"]
-    )
+    # dominated buckets + barrier partition busy cycles
+    parts = sum(dominated.values()) + terms["barrier"]
     if abs(parts - busy) > tol:
-        errors.append(
+        problems.append(
             f"{where}: dominated buckets + barrier ({parts:g}) do not "
             f"partition busy_cycles ({busy:g})"
         )
-    # invariant 2: roofline bracketing of the busy time
-    roof = busy - float(terms["barrier"])
-    biggest = max(
-        float(terms["compute"]), float(terms["memory"]),
-        float(terms["latency"]),
-    )
-    total = (
-        float(terms["compute"]) + float(terms["memory"])
-        + float(terms["latency"])
-    )
-    if biggest - roof > tol:
-        errors.append(
-            f"{where}: max pipeline term ({biggest:g}) exceeds busy "
+    # roofline bracketing of the busy time
+    roof = busy - terms["barrier"]
+    pipes = [terms[name] for name in PIPELINES]
+    if max(pipes) - roof > tol:
+        problems.append(
+            f"{where}: max pipeline term ({max(pipes):g}) exceeds busy "
             f"minus barrier ({roof:g})"
         )
-    if roof - total > tol:
-        errors.append(
+    if roof - sum(pipes) > tol:
+        problems.append(
             f"{where}: busy minus barrier ({roof:g}) exceeds the term "
-            f"sum ({total:g})"
+            f"sum ({sum(pipes):g})"
         )
-    # invariant 3: the declared bound is the largest dominated bucket
-    if bound in PIPELINES and dominated:
-        best = max(float(v) for v in dominated.values())
-        if float(dominated.get(bound, 0.0)) < best - tol:
-            errors.append(
-                f"{where}: bound {bound!r} is not the largest "
-                "dominated bucket"
-            )
-    for name in (
-        "achieved_occupancy", "divergence_efficiency",
-        "coalescing_efficiency",
-    ):
-        value = entry.get(name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{where}: {name!r} must be a number")
-        elif not (0.0 <= float(value) <= 1.0 + _REL_TOL):
-            errors.append(f"{where}: {name!r} out of [0, 1] ({value})")
-    # atomic_share may exceed 1: atomic cycles sum over every warp,
-    # while busy time only counts each block's slowest warp
-    atomic = entry.get("atomic_share")
-    if not isinstance(atomic, (int, float)) or isinstance(atomic, bool):
-        errors.append(f"{where}: 'atomic_share' must be a number")
-    elif float(atomic) < 0.0:
-        errors.append(f"{where}: negative 'atomic_share' ({atomic})")
+    # the declared bound is the largest dominated bucket
+    best = max(dominated.values(), default=0.0)
+    if dominated.get(entry["bound"], 0.0) < best - tol:
+        problems.append(
+            f"{where}: bound {entry['bound']!r} is not the largest "
+            "dominated bucket"
+        )
+    return problems
 
 
 def validate_profile(record: Any) -> List[str]:
     """Check a parsed ``repro.profile/v1`` record; return problems."""
-    errors: List[str] = []
+    shape = shape_problems(record, _SHAPE, "")
     if not isinstance(record, dict):
-        return [f"record must be an object, got {type(record).__name__}"]
-    if record.get("schema") != SCHEMA_VERSION:
-        errors.append(
-            f"schema must be {SCHEMA_VERSION!r}, got {record.get('schema')!r}"
+        return shape
+    problems = list(shape)
+    entries = [("summary", record.get("summary"), _AGGREGATE)]
+    for key, spec in (
+        ("launches", _LAUNCH), ("kernels", _AGGREGATE), ("rounds", _AGGREGATE),
+    ):
+        group = record.get(key)
+        if isinstance(group, list):
+            group = dict(enumerate(group))
+        if isinstance(group, dict):
+            entries += [(f"{key}[{k}]", e, spec) for k, e in group.items()]
+    for where, entry, spec in entries:
+        if not shape_problems(entry, spec, where):
+            problems += _entry_problems(entry, where)
+    summary, launches = record.get("summary"), record.get("launches")
+    if not shape and summary["launches"] != len(launches):
+        problems.append(
+            f"summary.launches ({summary['launches']}) != "
+            f"len(launches) ({len(launches)})"
         )
-    launches = record.get("launches")
-    if not isinstance(launches, list):
-        return errors + ["'launches' must be a list"]
-    for i, entry in enumerate(launches):
-        _check_entry(entry, f"launches[{i}]", errors, want_kernel=True)
-    kernels = record.get("kernels")
-    if not isinstance(kernels, dict):
-        errors.append("'kernels' must be an object")
-    else:
-        for name, entry in kernels.items():
-            _check_entry(entry, f"kernels[{name}]", errors, want_kernel=False)
-    rounds = record.get("rounds")
-    if not isinstance(rounds, list):
-        errors.append("'rounds' must be a list")
-    else:
-        for i, entry in enumerate(rounds):
-            _check_entry(entry, f"rounds[{i}]", errors, want_kernel=False)
-    summary = record.get("summary")
-    if summary is None:
-        errors.append("missing 'summary'")
-    else:
-        _check_entry(summary, "summary", errors, want_kernel=False)
-        if isinstance(summary, dict) and isinstance(launches, list):
-            declared = summary.get("launches")
-            if declared != len(launches):
-                errors.append(
-                    f"summary.launches ({declared}) != "
-                    f"len(launches) ({len(launches)})"
-                )
-    return errors
+    return problems
 
 
 def validate_profile_file(path: "str | Path") -> List[str]:

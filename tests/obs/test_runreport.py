@@ -224,6 +224,51 @@ def test_detects_traced_resident_peak_mismatch(record):
     _expect_problem(record, "disk.resident_bytes")
 
 
+def _set(algorithm, path, value):
+    """A tamper that sets ``path`` (keys from the section down) to
+    ``value`` in the ``algorithm`` section."""
+    def tamper(record):
+        node = _section(record, algorithm)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return tamper
+
+
+#: malformed sections, each reported as a problem, never raised
+MALFORMED = {
+    "profile-string": _set("gpu-ours", ["profile"], "x"),
+    "profile-list": _set("gpu-ours", ["profile"], []),
+    "memtrace-string": _set("pkc", ["memtrace"], "x"),
+    "multicore-list": _set("pkc", ["multicore"], ["x"]),
+    "trace-string": _set("semi-external", ["trace"], "x"),
+    "profile-launches": _set("gpu-ours", ["profile", "launches"], "x"),
+    "profile-kernels": _set("gpu-ours", ["profile", "kernels"], []),
+    "profile-summary": _set("gpu-ours", ["profile", "summary"], None),
+    "epochs-not-a-list": _set("pkc", ["multicore", "epochs"], "x"),
+    "launch-dominated": _set(
+        "gpu-ours", ["profile", "launches", 0, "dominated", "compute"], "x"
+    ),
+    "kernel-dominated": _set(
+        "gpu-ours",
+        ["profile", "kernels", "scan_kernel", "dominated", "memory"], None,
+    ),
+    "round-dominated": _set(
+        "gpu-ours", ["profile", "rounds", 0, "dominated", "latency"], "x"
+    ),
+    "summary-dominated": _set(
+        "gpu-ours", ["profile", "summary", "dominated", "compute"], [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_section_is_reported(record, case):
+    MALFORMED[case](record)
+    assert validate_runreport(record) != []
+
+
 # -- diffing -----------------------------------------------------------------
 
 def test_diff_of_identical_reports_is_clean(record):

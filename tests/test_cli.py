@@ -379,6 +379,29 @@ def test_obs_diff_usage_errors(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_obs_diff_skips_malformed_sections(tmp_path, capsys):
+    path = _write_report(tmp_path, "old.json")
+    record = json.loads(path.read_text())
+    good = record["sections"][0]
+    good["simulated_ms"] *= 2.0
+    record["sections"] = [
+        good,
+        dict(good, algorithm="gpu-x", critpath="x"),
+        dict(good, algorithm="gpu-y", profile="x"),
+        dict(good, algorithm="gpu-z", critpath={"whatif": [{}]}),
+        dict(good, algorithm="gpu-w", multicore="x"),
+        "not a section",
+    ]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(record))
+    capsys.readouterr()
+    # the one comparable section regressed; the malformed ones are named
+    assert main(["obs", "diff", str(path), str(broken)]) == 1
+    out = capsys.readouterr().out
+    assert "regressed" in out
+    assert out.count("skipped a malformed NEW section") == 5
+
+
 def test_obs_diff_warns_on_invalid_report(tmp_path, capsys):
     path = _write_report(tmp_path, "old.json")
     record = json.loads(path.read_text())
